@@ -23,10 +23,12 @@
 ///    valentine_discovery_fallback_total.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/status.h"
 #include "core/table.h"
@@ -39,7 +41,8 @@ namespace valentine {
 /// \brief Nominates candidate tables for a discovery query.
 ///
 /// Thread-safety: Retrieve on a const index is safe concurrently;
-/// Add/Remove must not race any other call.
+/// Add/Remove (and LshCandidateIndex::Seal) must not race any other
+/// call on the same instance.
 class CandidateIndex {
  public:
   virtual ~CandidateIndex() = default;
@@ -65,6 +68,41 @@ class CandidateIndex {
 /// slot-level containment candidates with column-name token postings.
 /// Scoring cost is bounded by the candidates actually nominated, not
 /// the repository size.
+///
+/// Storage is log-structured (the Bentley–Saxe logarithmic method).
+/// Nomination is decomposable: the union of what several smaller
+/// indexes nominate is exactly what one index over all their tables
+/// would nominate. So the index is a list of sealed segments, each an
+/// immutable LshIndex plus name-token postings, and one unsealed tail:
+///  * Add bands a table into the tail, in place. An index that is never
+///    sealed (DiscoveryEngine::AddTable, the two-argument
+///    FromRepository) bands every table once, into that one segment.
+///  * Seal freezes the tail into a sealed segment, then merges every
+///    segment that is no larger than all newer segments together with
+///    them, rebuilding one segment from their live tables.
+///  * Copies share sealed segments (`shared_ptr<const>`); only the tail
+///    and the per-segment removal marks are copied. That is what lets
+///    a serve snapshot apply a one-table delta to a copy of the
+///    previous snapshot's index instead of re-banding the repository.
+///  * Remove erases a tail table's postings in place. On a sealed
+///    segment it is lazy: the table is only marked removed, and the
+///    segment is rebuilt from its live tables once half of them are
+///    removed.
+///  * Retrieve sketches each query column once and probes every
+///    segment with that sketch. A hit nominates its table only while
+///    the repository it is given still maps that name to the very entry
+///    the segment banded (same RegisteredTable::registration), so a
+///    stale posting never surfaces a removed or replaced table.
+///
+/// Cost model, N = live tables, every mutation followed by Seal:
+///  * banding is amortised O(log N) table entries per mutation. A merge
+///    moves each table into a segment with at least twice the live
+///    tables of the one it left, and a compaction re-bands no more
+///    tables than the removals that triggered it;
+///  * after every Seal each segment holds more live tables than all
+///    newer segments together, so a query column probes at most
+///    floor(log2 N) + 1 segments (4 at 300 tables registered one by
+///    one: one per set bit of 300).
 class LshCandidateIndex : public CandidateIndex {
  public:
   struct Options {
@@ -78,28 +116,93 @@ class LshCandidateIndex : public CandidateIndex {
     bool union_name_candidates = true;
   };
 
+  /// One segment's accounting (see Segments()).
+  struct SegmentStats {
+    size_t banded = 0;  ///< table entries the segment holds postings for
+    size_t removed = 0; ///< of which removed since (lazily, if sealed)
+    bool sealed = false;
+  };
+
   explicit LshCandidateIndex(Options options);
 
   std::string Name() const override { return "lsh"; }
 
+  const Options& options() const { return options_; }
+
   /// MinHash signature width this index bands at; repository sketches
   /// must be built at the same width or Add fails.
-  size_t signature_size() const { return index_.signature_size(); }
+  size_t signature_size() const { return tail_.index.signature_size(); }
 
+  /// Bands `entry` into the tail. Fails with kInvalidArgument while a
+  /// table of the same name is still indexed, or when a sketch's width
+  /// is not signature_size().
   [[nodiscard]] Status Add(const RegisteredTable& entry) override;
+  /// kNotFound unless this very entry (name and registration) is
+  /// indexed and not yet removed.
   [[nodiscard]] Status Remove(const RegisteredTable& entry) override;
+
+  /// Freezes the tail and restores the segment invariant by merging
+  /// (see the class comment). A no-op on an index with nothing to do.
+  void Seal();
 
   RetrievedCandidates Retrieve(const Table& query, DiscoveryMode mode,
                                const TableRepository& repository)
       const override;
 
+  /// Every segment a query probes, oldest first; the tail, when it holds
+  /// any table, comes last.
+  std::vector<SegmentStats> Segments() const;
+
+  /// Table entries banded so far by this index and the copies it
+  /// descends from: tail adds, merges and compactions alike.
+  uint64_t banded_entries() const { return banded_entries_; }
+
  private:
+  /// What a segment keeps per banded table: enough to verify a hit
+  /// against the repository and to re-band the table into a merged
+  /// segment without the RegisteredTable itself.
+  struct Slot {
+    std::string table;
+    uint64_t registration = 0;
+    std::shared_ptr<const TableDiscoveryArtifact> artifact;
+    std::vector<std::string> tokens;  ///< distinct column-name tokens
+  };
+  /// A run of banded tables. Mutable only while it is the tail.
+  struct Segment {
+    explicit Segment(const LshOptions& lsh) : index(lsh) {}
+    LshIndex index;  ///< keys are "<table>\x1f<column>"
+    std::vector<Slot> slots;          ///< banding order
+    std::vector<size_t> slot_of_id;   ///< LshIndex id -> slot
+    /// Table name -> the slot of its newest banding. Tail removals
+    /// erase the name; sealed segments never change.
+    std::map<std::string, size_t> slot_of;
+    /// Column-name token -> slots of tables owning such a column; the
+    /// value-blind half of unionable nomination. Ordered containers keep
+    /// iteration deterministic.
+    std::map<std::string, std::set<size_t>> token_slots;
+  };
+  /// A sealed segment with this index's removal marks.
+  struct Run {
+    std::shared_ptr<const Segment> segment;
+    std::vector<uint8_t> removed;  ///< slot -> removed?
+    size_t removed_count = 0;
+    size_t live() const { return segment->slots.size() - removed_count; }
+  };
+
+  /// True while some segment still indexes a live table named `table`.
+  bool Indexes(const std::string& table) const;
+  /// Bands `slot` into `segment`; the slot passed Add's validation.
+  void Band(Segment* segment, Slot slot);
+  /// One sealed run rebuilt from the live slots of `runs`, in order.
+  Run Rebuild(const std::vector<const Run*>& runs);
+  /// Compaction: once half of sealed_[r] is removed, rebuilds it from
+  /// its live tables, or drops it when none are left.
+  void CompactIfHalfRemoved(size_t r);
+
   Options options_;
-  LshIndex index_;  ///< keys are "<table>\x1f<column>"
-  /// Column-name token -> names of tables owning such a column; the
-  /// value-blind half of unionable nomination. Ordered containers keep
-  /// iteration deterministic.
-  std::map<std::string, std::set<std::string>> name_token_tables_;
+  std::vector<Run> sealed_;  ///< oldest first
+  Segment tail_;
+  uint64_t banded_entries_ = 0;
 };
 
 /// \brief Reference nomination: every repository table. Maintains no

@@ -64,6 +64,26 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
   return engine;
 }
 
+Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
+    DiscoveryOptions options, TableRepository repository,
+    LshCandidateIndex index) {
+  const LshCandidateIndex::Options expected = LshIndexOptions(options);
+  const LshCandidateIndex::Options& got = index.options();
+  if (got.lsh.bands != expected.lsh.bands ||
+      got.lsh.rows_per_band != expected.lsh.rows_per_band ||
+      got.lsh.cardinality_partitions != expected.lsh.cardinality_partitions ||
+      got.min_containment != expected.min_containment ||
+      got.union_name_candidates != expected.union_name_candidates) {
+    return Status::InvalidArgument(
+        "DiscoveryEngine: adopted LSH index options differ from the "
+        "engine's");
+  }
+  auto engine = std::make_unique<DiscoveryEngine>(std::move(options));
+  engine->repository_ = std::move(repository);
+  engine->lsh_index_ = std::move(index);
+  return engine;
+}
+
 const ColumnMatcher& DiscoveryEngine::matcher() const {
   if (options_.matcher) return *options_.matcher;
   static const ComaMatcher* kDefault = [] {

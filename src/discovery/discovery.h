@@ -122,12 +122,22 @@ class DiscoveryEngine {
   DiscoveryEngine& operator=(const DiscoveryEngine&) = delete;
 
   /// Builds an engine over an existing repository snapshot: every entry
-  /// is re-indexed from its already-built sketches (no fingerprinting,
-  /// no store IO, no value re-sketching). The serving layer's
-  /// copy-on-write rebuild path. Fails when the snapshot's sketches
-  /// disagree with `options.lsh`'s signature width.
+  /// is banded once, from its already-built sketches, into a single
+  /// unsealed index segment (no fingerprinting, no store IO, no value
+  /// re-sketching). Fails when the snapshot's sketches disagree with
+  /// `options.lsh`'s signature width.
   static Result<std::unique_ptr<DiscoveryEngine>> FromRepository(
       DiscoveryOptions options, TableRepository repository);
+
+  /// Builds an engine over a repository snapshot and an LSH index that
+  /// already holds exactly its tables, adopting the index instead of
+  /// re-banding anything: the serving layer applies each mutation's
+  /// delta to a copy of the previous snapshot's index (which shares its
+  /// sealed segments) and publishes it here. Fails when the index was
+  /// built under options other than `options` would give it.
+  static Result<std::unique_ptr<DiscoveryEngine>> FromRepository(
+      DiscoveryOptions options, TableRepository repository,
+      LshCandidateIndex index);
 
   /// Registers a table. Fails on duplicate table names, empty tables,
   /// duplicate column names within the table, and names (table or
@@ -148,6 +158,10 @@ class DiscoveryEngine {
   /// The repository this engine queries over. Copying it is a cheap
   /// snapshot (see discovery/repository.h).
   const TableRepository& repository() const { return repository_; }
+
+  /// The LSH candidate index over repository(). Copying it shares its
+  /// sealed segments (see discovery/candidate_index.h).
+  const LshCandidateIndex& lsh_index() const { return lsh_index_; }
 
   /// Top-k tables joinable with the query: candidate tables are
   /// nominated by per-column LSH containment probes, then verified and

@@ -1,5 +1,6 @@
 #include "discovery/repository.h"
 
+#include <atomic>
 #include <set>
 #include <utility>
 
@@ -16,6 +17,10 @@ namespace {
 /// ("<table>\x1f<column>"); an embedded separator would let one table's
 /// keys impersonate another's.
 constexpr char kKeySeparator = '\x1f';
+
+/// Source of RegisteredTable::registration, shared by every repository
+/// in the process so that no two entries ever carry the same number.
+std::atomic<uint64_t> next_registration{1};
 
 /// A stored artifact substitutes for a fresh build only when it
 /// describes this exact table shape at this signature width (content
@@ -129,6 +134,8 @@ Result<std::shared_ptr<const RegisteredTable>> TableRepository::AddTable(
   }
 
   auto entry = std::make_shared<RegisteredTable>();
+  entry->registration =
+      next_registration.fetch_add(1, std::memory_order_relaxed);
   entry->artifact = std::move(artifact);
   entry->profile = std::move(profile);
   entry->name_tokens.reserve(table.num_columns());
@@ -157,6 +164,13 @@ Status TableRepository::RemoveTable(const std::string& name) {
     if (i > index) --i;
   }
   return Status::OK();
+}
+
+std::optional<size_t> TableRepository::PositionOf(
+    const std::string& name) const {
+  auto it = index_by_name_.find(name);
+  if (it == index_by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::shared_ptr<const RegisteredTable> TableRepository::Find(

@@ -16,10 +16,11 @@
 /// RegisteredTable>`s, so copying a TableRepository is a cheap
 /// copy-on-write snapshot — the copy shares every entry, and mutating
 /// either side never touches the other. This is what makes the serving
-/// layer's per-mutation registry rebuild O(1 new table) instead of
-/// O(repository): a rebuild clones the repository, registers only the
-/// delta, and re-indexes existing sketches without re-fingerprinting,
-/// re-sketching, or touching the store.
+/// layer's per-mutation registry update O(1 new table) instead of
+/// O(repository): it clones the repository, registers only the delta,
+/// and applies the same delta to a copy of the segmented candidate
+/// index (discovery/candidate_index.h), never re-fingerprinting,
+/// re-sketching, or touching the store for tables already registered.
 ///
 /// Thread-safety: const access is safe concurrently; AddTable /
 /// RemoveTable must not race any other call on the same instance
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,11 @@ namespace valentine {
 /// the engines built over them.
 struct RegisteredTable {
   Table table;
+  /// Process-unique registration number, never reused. A removed table
+  /// and its re-registered replacement always differ here, even when
+  /// the replacement is allocated where the old entry lived, so
+  /// "is this still the entry I indexed?" never compares addresses.
+  uint64_t registration = 0;
   /// Per-column sketches (always present; `has_profiles`/fingerprint
   /// only when the artifact came from or went to a store).
   std::shared_ptr<const TableDiscoveryArtifact> artifact;
@@ -96,6 +103,10 @@ class TableRepository {
 
   /// Entry at registration position `i` (< size()).
   const RegisteredTable& entry(size_t i) const { return *entries_[i]; }
+
+  /// Registration position of the table named `name`, or nullopt when
+  /// absent. O(log N) through the name index, never a scan.
+  std::optional<size_t> PositionOf(const std::string& name) const;
 
   /// Shared handle to the entry named `name`; nullptr when absent.
   std::shared_ptr<const RegisteredTable> Find(const std::string& name) const;

@@ -150,8 +150,23 @@ std::vector<size_t> LshIndex::CandidateIds(const LazoSketch& query) const {
   return hits;
 }
 
+std::vector<size_t> LshIndex::ContainmentIds(const LazoSketch& query,
+                                             double min_containment) const {
+  std::vector<size_t> out;
+  for (size_t id : ContainmentCandidateIds(query)) {
+    if (EstimateLazo(query, sketches_[id]).containment_a_in_b >=
+        min_containment) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
 std::vector<size_t> LshIndex::ContainmentCandidateIds(
     const LazoSketch& query) const {
+  if (EmptySketch(query) || query.signature.mins().size() != signature_size()) {
+    return {};
+  }
   const std::vector<uint64_t>& mins = query.signature.mins();
   std::vector<size_t> hits;
   for (size_t s = 0; s < mins.size(); ++s) {

@@ -25,6 +25,16 @@
 ///  * Removal is supported: Remove(key) physically erases the entry's
 ///    postings, so an index that tracked a mutating repository serves
 ///    exactly the live keys.
+///
+/// Cost model in serving: discovery's LshCandidateIndex
+/// (discovery/candidate_index.h) is log-structured, and each of its
+/// segments is one LshIndex that is never mutated once sealed. A
+/// registry mutation bands amortised O(log N) table entries instead of
+/// re-banding every table; a removal from a sealed segment is lazy, and
+/// the segment is rebuilt from its live tables once half of them are
+/// removed; a query column probes at most floor(log2 N) + 1 segments (4
+/// at 300 tables), sketched once and matched through the id-level
+/// probes below.
 
 #include <cstdint>
 #include <string>
@@ -111,6 +121,17 @@ class LshIndex {
       const std::unordered_set<std::string>& query,
       double min_containment) const;
 
+  /// Id-level forms of ContainmentCandidates and QueryContainment for a
+  /// query already sketched at signature_size(): a caller probing
+  /// several indexes sketches each query once, and maps hits to its own
+  /// records without building key strings. The n-th key ever added has
+  /// id n; ids are never reused and only live entries are returned.
+  /// Sorted ascending. An empty sketch, or one of another width,
+  /// matches nothing.
+  std::vector<size_t> ContainmentCandidateIds(const LazoSketch& query) const;
+  std::vector<size_t> ContainmentIds(const LazoSketch& query,
+                                     double min_containment) const;
+
  private:
   size_t PartitionOf(size_t cardinality) const;
   void InsertPostings(size_t id, const LazoSketch& sketch);
@@ -119,8 +140,6 @@ class LshIndex {
   /// Live entry ids colliding with the query in >= 1 band (sorted,
   /// deduplicated). Empty-query guard lives in the callers.
   std::vector<size_t> CandidateIds(const LazoSketch& query) const;
-  /// Live entry ids colliding in >= 1 single slot (sorted, dedup).
-  std::vector<size_t> ContainmentCandidateIds(const LazoSketch& query) const;
 
   LshOptions options_;
   std::vector<std::string> keys_;      ///< id -> key (id slot never reused)

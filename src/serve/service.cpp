@@ -62,6 +62,36 @@ HttpResponse JsonResponse(int status, const JsonValue& body) {
   return response;
 }
 
+/// Decodes the %XX escapes of one path segment (RFC 3986 §2.1; '+' is
+/// literal). kInvalidArgument when a '%' is not followed by two hex
+/// digits.
+Result<std::string> PercentDecode(const std::string& encoded) {
+  auto hex_value = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  std::string out;
+  out.reserve(encoded.size());
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    if (encoded[i] != '%') {
+      out += encoded[i];
+      continue;
+    }
+    const int hi = i + 1 < encoded.size() ? hex_value(encoded[i + 1]) : -1;
+    const int lo = i + 2 < encoded.size() ? hex_value(encoded[i + 2]) : -1;
+    if (hi < 0 || lo < 0) {
+      return Status::InvalidArgument("malformed percent-escape at offset " +
+                                     std::to_string(i) + " of '" + encoded +
+                                     "'");
+    }
+    out += static_cast<char>(hi * 16 + lo);
+    i += 2;
+  }
+  return out;
+}
+
 HttpResponse MethodNotAllowed(const std::string& method,
                               const std::string& path) {
   HttpResponse response;
@@ -200,13 +230,13 @@ DiscoveryService::DiscoveryService(ServiceOptions options)
   repo.store = options_.store;
   repo.metrics = options_.metrics;
   repo.signature_size = options_.lsh.bands * options_.lsh.rows_per_band;
-  repository_ = TableRepository(repo);
   // An empty repository cannot fail to build.
-  engine_ = BuildEngine(repository_).ValueOrDie();
+  engine_ = DiscoveryEngine::FromRepository(EngineOptions(),
+                                            TableRepository(repo))
+                .ValueOrDie();
 }
 
-Result<std::shared_ptr<const DiscoveryEngine>> DiscoveryService::BuildEngine(
-    TableRepository snapshot) const {
+DiscoveryOptions DiscoveryService::EngineOptions() const {
   DiscoveryOptions opt;
   if (options_.matcher_factory) opt.matcher = options_.matcher_factory();
   opt.lsh = options_.lsh;
@@ -218,52 +248,63 @@ Result<std::shared_ptr<const DiscoveryEngine>> DiscoveryService::BuildEngine(
   opt.clock = options_.clock;
   opt.tracer = options_.tracer;
   opt.metrics = options_.metrics;
-  Result<std::unique_ptr<DiscoveryEngine>> engine =
-      DiscoveryEngine::FromRepository(std::move(opt), std::move(snapshot));
-  VALENTINE_RETURN_NOT_OK(engine.status());
-  return std::shared_ptr<const DiscoveryEngine>(
-      std::move(engine).ValueOrDie());
+  return opt;
+}
+
+Status DiscoveryService::Publish(
+    TableRepository next, LshCandidateIndex index,
+    std::shared_ptr<const DiscoveryEngine>* replaced) {
+  index.Seal();
+  const uint64_t banded =
+      index.banded_entries() - engine_->lsh_index().banded_entries();
+  Result<std::unique_ptr<DiscoveryEngine>> built =
+      DiscoveryEngine::FromRepository(EngineOptions(), std::move(next),
+                                      std::move(index));
+  VALENTINE_RETURN_NOT_OK(built.status());
+  *replaced = std::move(engine_);
+  engine_ = std::move(built).ValueOrDie();
+  if (options_.metrics != nullptr) {
+    options_.metrics->GaugeFor("valentine_serve_tables")
+        ->Set(static_cast<double>(engine_->num_tables()));
+    options_.metrics->CounterFor("valentine_discovery_index_banded_total")
+        ->Increment(banded);
+  }
+  return Status::OK();
 }
 
 Status DiscoveryService::RegisterTable(Table table) {
+  // Declared before the lock, so destroyed after it is released: the
+  // replaced snapshot (and any segment only it held) is freed without
+  // stalling the Snapshot() every read takes.
+  std::shared_ptr<const DiscoveryEngine> replaced;
   MutexLock lock(&mu_);
   // Validate-then-commit: register into a snapshot and build the
   // replacement engine first, so a rejected table (e.g. zero columns)
   // leaves the registry untouched. The snapshot shares every existing
-  // entry — only the new table pays fingerprinting/sketching (or a
-  // store lookup).
-  TableRepository next = repository_;
+  // entry and the index copy every sealed segment — only the new table
+  // pays fingerprinting, sketching (or a store lookup) and banding.
+  TableRepository next = engine_->repository();
   Result<std::shared_ptr<const RegisteredTable>> added =
       next.AddTable(std::move(table));
   VALENTINE_RETURN_NOT_OK(added.status());
-  Result<std::shared_ptr<const DiscoveryEngine>> built =
-      BuildEngine(next);
-  if (!built.ok()) return built.status();
-  repository_ = std::move(next);
-  engine_ = std::move(built).ValueOrDie();
-  if (options_.metrics != nullptr) {
-    options_.metrics->GaugeFor("valentine_serve_tables")
-        ->Set(static_cast<double>(repository_.size()));
-  }
-  return Status::OK();
+  LshCandidateIndex index = engine_->lsh_index();
+  VALENTINE_RETURN_NOT_OK(index.Add(**added));
+  return Publish(std::move(next), std::move(index), &replaced);
 }
 
 Status DiscoveryService::UnregisterTable(const std::string& name) {
+  std::shared_ptr<const DiscoveryEngine> replaced;  // freed after unlock
   MutexLock lock(&mu_);
-  if (!repository_.Contains(name)) {
+  std::shared_ptr<const RegisteredTable> entry =
+      engine_->repository().Find(name);
+  if (entry == nullptr) {
     return Status::NotFound("no table named '" + name + "'");
   }
-  TableRepository next = repository_;
+  TableRepository next = engine_->repository();
   VALENTINE_RETURN_NOT_OK(next.RemoveTable(name));
-  Result<std::shared_ptr<const DiscoveryEngine>> built = BuildEngine(next);
-  if (!built.ok()) return built.status();
-  repository_ = std::move(next);
-  engine_ = std::move(built).ValueOrDie();
-  if (options_.metrics != nullptr) {
-    options_.metrics->GaugeFor("valentine_serve_tables")
-        ->Set(static_cast<double>(repository_.size()));
-  }
-  return Status::OK();
+  LshCandidateIndex index = engine_->lsh_index();
+  VALENTINE_RETURN_NOT_OK(index.Remove(*entry));
+  return Publish(std::move(next), std::move(index), &replaced);
 }
 
 std::shared_ptr<const DiscoveryEngine> DiscoveryService::Snapshot() const {
@@ -273,7 +314,7 @@ std::shared_ptr<const DiscoveryEngine> DiscoveryService::Snapshot() const {
 
 size_t DiscoveryService::num_tables() const {
   MutexLock lock(&mu_);
-  return repository_.size();
+  return engine_->num_tables();
 }
 
 void DiscoveryService::CountRequest(const std::string& route,
@@ -467,10 +508,16 @@ HttpResponse DiscoveryService::HandleRegister(const HttpRequest& request) {
   return JsonResponse(200, body);
 }
 
-HttpResponse DiscoveryService::HandleUnregister(const std::string& name) {
-  if (name.empty() || name.find('/') != std::string::npos) {
-    return ErrorResponse(Status::NotFound("no table named '" + name + "'"));
+HttpResponse DiscoveryService::HandleUnregister(const std::string& segment) {
+  // A table name travels as one percent-encoded path segment, so a name
+  // holding '/', '?', '%' or ' ' arrives as %2F, %3F, %25 or %20. A raw
+  // '/' addresses no table.
+  if (segment.empty() || segment.find('/') != std::string::npos) {
+    return ErrorResponse(Status::NotFound("no table named '" + segment + "'"));
   }
+  Result<std::string> decoded = PercentDecode(segment);
+  if (!decoded.ok()) return ErrorResponse(decoded.status());
+  const std::string& name = decoded.ValueOrDie();
   Status removed = UnregisterTable(name);
   if (!removed.ok()) return ErrorResponse(removed);
   JsonValue body = JsonValue::Object();

@@ -7,19 +7,26 @@
 ///
 /// Concurrency model: DiscoveryEngine supports concurrent const queries
 /// but AddTable is not safe against them, and the engine is
-/// non-copyable. The service therefore keeps the authoritative tables
-/// in a TableRepository and, on every mutation, clones it (a cheap
-/// copy-on-write snapshot: entries are immutable and shared), applies
-/// the delta to the clone, and builds a fresh engine over it via
-/// DiscoveryEngine::FromRepository — re-banding existing sketches but
-/// never re-fingerprinting, re-sketching, or touching the store for
-/// tables already registered. The engine swaps in as a
+/// non-copyable. The service therefore treats each engine as an
+/// immutable snapshot. On every mutation it copies the current
+/// snapshot's TableRepository (entries are immutable and shared) and
+/// its LshCandidateIndex (sealed segments are immutable and shared),
+/// applies the one-table delta to both copies, seals the index, and
+/// publishes a fresh engine adopting them through the three-argument
+/// DiscoveryEngine::FromRepository. The engine swaps in as a
 /// `shared_ptr<const DiscoveryEngine>` snapshot: queries grab it under
 /// a brief lock and then run entirely lock-free on an engine no
 /// mutation will ever touch; in-flight queries on a replaced snapshot
-/// keep it alive until they finish. Mutation cost is O(delta) artifact
-/// work + O(repository) index re-banding — the right trade for a
-/// read-dominated discovery workload.
+/// keep it alive until they finish, and the mutation that replaced it
+/// drops its own reference only after releasing the lock.
+///
+/// Mutation cost: O(delta) artifact work (fingerprint, sketch, or a
+/// store hit) plus amortised O(log N) table entries banded, N = live
+/// tables. A removal from a sealed segment is lazy, and a segment is
+/// rebuilt from its live tables once half of them are removed. Queries
+/// probe at most floor(log2 N) + 1 segments per column (4 at 300
+/// tables). See discovery/candidate_index.h for the segment rules.
+/// valentine_discovery_index_banded_total counts the banded entries.
 ///
 /// Byte-identity contract: responses are rendered by the same
 /// RenderDiscoveryResults used by the tests' direct-engine path, and
@@ -68,12 +75,12 @@ std::string RenderDiscoveryResults(const std::string& query_table,
 
 /// Configuration for DiscoveryService.
 struct ServiceOptions {
-  /// Produces the matcher for each rebuilt engine snapshot
-  /// (DiscoveryOptions::matcher is owning and engines are rebuilt per
-  /// mutation, so the service needs a factory, not an instance). Null
-  /// uses the engine's built-in default (COMA-Instances).
+  /// Produces the matcher for each engine snapshot
+  /// (DiscoveryOptions::matcher is owning and a new engine is published
+  /// per mutation, so the service needs a factory, not an instance).
+  /// Null uses the engine's built-in default (COMA-Instances).
   std::function<MatcherPtr()> matcher_factory;
-  /// Passed through to every rebuilt engine.
+  /// Passed through to every engine snapshot.
   LshOptions lsh;
   double min_containment = 0.3;
   size_t union_evidence_columns = 3;
@@ -94,9 +101,9 @@ struct ServiceOptions {
   /// clamped, not rejected — a client cannot buy an unbounded request).
   double max_budget_ms = 60000.0;
   /// Optional persistent artifact store (borrowed; must outlive the
-  /// service), consulted once per *newly registered* table — rebuilds
-  /// share the already-loaded repository entries and never touch the
-  /// store — and what lets a restarted process warm up from disk
+  /// service), consulted once per *newly registered* table — later
+  /// snapshots share the already-loaded repository entries and never
+  /// touch the store — and what lets a restarted process warm up from disk
   /// without rebuilding sketches or profiles.
   ArtifactStore* store = nullptr;
   /// Candidate front-end per query mode (see DiscoveryOptions).
@@ -139,10 +146,16 @@ class DiscoveryService {
   size_t num_tables() const EXCLUDES(mu_);
 
  private:
-  /// Builds an engine over a repository snapshot (shared entries, no
-  /// artifact rebuilding). Fails if the snapshot cannot be re-indexed.
-  Result<std::shared_ptr<const DiscoveryEngine>> BuildEngine(
-      TableRepository snapshot) const;
+  /// Engine options for the next snapshot (a fresh matcher per engine).
+  DiscoveryOptions EngineOptions() const;
+
+  /// Seals `index` (the previous snapshot's index with this mutation's
+  /// delta applied), publishes an engine adopting it over `next`, and
+  /// hands the replaced snapshot to `replaced` so the caller frees it
+  /// after releasing mu_.
+  Status Publish(TableRepository next, LshCandidateIndex index,
+                 std::shared_ptr<const DiscoveryEngine>* replaced)
+      REQUIRES(mu_);
 
   /// Routing helpers; each returns the complete response.
   HttpResponse HandleHealth() EXCLUDES(mu_);
@@ -150,7 +163,8 @@ class DiscoveryService {
   HttpResponse HandleStatusz() EXCLUDES(mu_);
   HttpResponse HandleTracez();
   HttpResponse HandleRegister(const HttpRequest& request) EXCLUDES(mu_);
-  HttpResponse HandleUnregister(const std::string& name) EXCLUDES(mu_);
+  /// `segment` is the raw path segment after "/v1/tables/".
+  HttpResponse HandleUnregister(const std::string& segment) EXCLUDES(mu_);
   HttpResponse HandleDiscovery(const HttpRequest& request,
                                const std::string& mode,
                                const CancellationToken* cancel,
@@ -160,10 +174,10 @@ class DiscoveryService {
 
   ServiceOptions options_;  // lint:allow(guarded-by-coverage) immutable after construction
   mutable Mutex mu_{LockRank::kServeRegistry, "DiscoveryService"};
-  /// Authoritative registry. Mutations clone it (cheap: entries are
-  /// shared), mutate the clone, and swap; the live engine_ always wraps
-  /// a snapshot equal to the current value.
-  TableRepository repository_ GUARDED_BY(mu_);
+  /// The current snapshot; its repository() is the authoritative
+  /// registry. Mutations copy the repository and the LSH index (cheap:
+  /// entries and sealed segments are shared), apply the delta to the
+  /// copies, and swap in an engine over them.
   std::shared_ptr<const DiscoveryEngine> engine_ GUARDED_BY(mu_);
 };
 

@@ -144,6 +144,50 @@ TEST_F(CandidateIndexContractTest, RemoveUnNominatesUntilReAdd) {
         index->Retrieve(query_, DiscoveryMode::kJoinable, again);
     EXPECT_EQ(out.tables.count("planted_partner"), 1u) << maker.name;
   }
+
+  // The same contract on a sealed copy of the LSH index, re-adding the
+  // name with changed content. Sealed segments are shared by every
+  // copy, so the removal on the copy is lazy: the partner's postings
+  // stay banded, and only the repository check keeps them silent.
+  LshCandidateIndex sealed(LshCandidateIndex::Options{});
+  for (const auto& entry : entries_) {
+    ASSERT_TRUE(sealed.Add(*entry).ok());
+  }
+  sealed.Seal();
+  LshCandidateIndex copy = sealed;
+  std::shared_ptr<const RegisteredTable> partner = entries_[0];
+  ASSERT_TRUE(copy.Remove(*partner).ok());
+  EXPECT_FALSE(copy.Remove(*partner).ok()) << "removed twice";
+  EXPECT_EQ(copy.Retrieve(query_, DiscoveryMode::kJoinable, repository_)
+                .tables.count("planted_partner"),
+            0u)
+      << "a lazily removed table is nominated even while the repository "
+         "still holds that very entry";
+  TableRepository changed = repository_;
+  ASSERT_TRUE(changed.RemoveTable("planted_partner").ok());
+  Table unrelated("planted_partner");
+  Column fresh("fresh_values", DataType::kString);
+  for (int i = 0; i < 50; ++i) {
+    fresh.Append(Value::String(std::to_string(i) + "_not_in_any_query"));
+  }
+  ASSERT_TRUE(unrelated.AddColumn(std::move(fresh)).ok());
+  auto replacement = changed.AddTable(unrelated);
+  ASSERT_TRUE(replacement.ok());
+  ASSERT_TRUE(copy.Add(**replacement).ok());
+  copy.Seal();
+  EXPECT_EQ(copy.Retrieve(query_, DiscoveryMode::kJoinable, changed)
+                .tables.count("planted_partner"),
+            0u)
+      << "the re-added table's new content does not contain the query";
+  // The original copy never saw the removal: against its own repository
+  // it still nominates the partner, and against the changed repository
+  // the name now maps to a different entry, so it must not.
+  EXPECT_EQ(sealed.Retrieve(query_, DiscoveryMode::kJoinable, repository_)
+                .tables.count("planted_partner"),
+            1u);
+  EXPECT_EQ(sealed.Retrieve(query_, DiscoveryMode::kJoinable, changed)
+                .tables.count("planted_partner"),
+            0u);
 }
 
 TEST_F(CandidateIndexContractTest, ValueBlindQueryDegradesLoudly) {

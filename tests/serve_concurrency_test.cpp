@@ -3,7 +3,10 @@
 // DiscoveryService::Handle. The copy-on-write contract under test:
 // queries never crash, never see a half-built engine, and a snapshot
 // taken before the churn keeps answering byte-identically to a direct
-// engine over the stable tables — no matter what mutates around it.
+// engine over the stable tables — no matter what mutates around it —
+// and every later snapshot keeps answering like a monolithic index
+// over its own tables while churn merges and compacts the LSH segments
+// it shares with newer ones.
 
 #include <atomic>
 #include <memory>
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "serve_test_util.h"
 
@@ -37,9 +41,16 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
   constexpr int kChurnThreads = 2;
   constexpr int kQueryThreads = 2;
   constexpr int kChurnIters = 25;
+  // Tables registered (then unregistered) per churn iteration: enough
+  // that registrations cross segment merges and unregistrations cross
+  // half-removed compactions of segments older snapshots still share.
+  constexpr int kBatch = 3;
   constexpr int kQueryIters = 15;
 
-  DiscoveryService service;
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.metrics = &metrics;
+  DiscoveryService service(options);
   DiscoveryEngine direct;
   for (int i = 0; i < 3; ++i) {
     Table t = MakeServeTable("stable_" + std::to_string(i), 20, i + 2);
@@ -60,14 +71,19 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
   for (int t = 0; t < kChurnThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kChurnIters; ++i) {
-        std::string name =
-            "churn_" + std::to_string(t) + "_" + std::to_string(i);
-        HttpResponse reg = service.Handle(MakeRequest(
-            "POST", "/v1/tables", ServeTableJson(name, 8, t + 4)));
-        if (reg.status != 200) ++failures;
-        HttpResponse unreg =
-            service.Handle(MakeRequest("DELETE", "/v1/tables/" + name));
-        if (unreg.status != 200) ++failures;
+        std::vector<std::string> names;
+        for (int b = 0; b < kBatch; ++b) {
+          names.push_back("churn_" + std::to_string(t) + "_" +
+                          std::to_string(i) + "_" + std::to_string(b));
+          HttpResponse reg = service.Handle(MakeRequest(
+              "POST", "/v1/tables", ServeTableJson(names.back(), 8, t + 4)));
+          if (reg.status != 200) ++failures;
+        }
+        for (const std::string& name : names) {
+          HttpResponse unreg =
+              service.Handle(MakeRequest("DELETE", "/v1/tables/" + name));
+          if (unreg.status != 200) ++failures;
+        }
       }
     });
   }
@@ -76,6 +92,7 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
       "{\"table\":" + ServeTableJson("q", 20, 3) + ",\"k\":3}";
   for (int t = 0; t < kQueryThreads; ++t) {
     threads.emplace_back([&] {
+      std::vector<std::shared_ptr<const DiscoveryEngine>> held;
       for (int i = 0; i < kQueryIters; ++i) {
         // Live query: must always answer 200 with parseable JSON, no
         // matter which churn generation it lands on.
@@ -86,6 +103,21 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
         std::string from_snapshot = RenderDiscoveryResults(
             "q", "unionable", 3, snapshot->FindUnionable(query, 3));
         if (from_snapshot != expected) ++failures;
+        // An older churn generation, held while later mutations merge
+        // and compact the segments it shares: it answers byte-identically
+        // to a monolithic index over its own tables.
+        held.push_back(service.Snapshot());
+        const DiscoveryEngine& older = *held[held.size() / 2];
+        auto monolith = DiscoveryEngine::FromRepository(DiscoveryOptions(),
+                                                        older.repository());
+        if (!monolith.ok() ||
+            RenderDiscoveryResults("q", "unionable", 3,
+                                   older.FindUnionable(query, 3)) !=
+                RenderDiscoveryResults(
+                    "q", "unionable", 3,
+                    monolith.ValueOrDie()->FindUnionable(query, 3))) {
+          ++failures;
+        }
       }
     });
   }
@@ -100,6 +132,19 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
       MakeRequest("POST", "/v1/discovery/unionable", query_body));
   ASSERT_EQ(final_response.status, 200) << final_response.body;
   EXPECT_EQ(final_response.body, expected);
+
+  // Merges re-banded tables (more banded than registered), and every
+  // churned table was shed by a merge or a compaction: no segment is
+  // half removed, so fewer than 2 x 3 entries remain banded.
+  const uint64_t registrations = 3 + kChurnThreads * kChurnIters * kBatch;
+  EXPECT_GT(metrics.CounterValue("valentine_discovery_index_banded_total"),
+            registrations);
+  size_t banded = 0;
+  for (const auto& segment : service.Snapshot()->lsh_index().Segments()) {
+    EXPECT_LT(2 * segment.removed, segment.banded);
+    banded += segment.banded;
+  }
+  EXPECT_LT(banded, 6u);
 }
 
 TEST(ServeConcurrency, ParallelQueriesOnOneSnapshotAgree) {

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,47 @@ TEST(ServeService, RegisterUnregisterLifecycle) {
       MakeRequest("DELETE", "/v1/tables/orders"));
   EXPECT_EQ(missing.status, 404);
   EXPECT_NE(missing.body.find("\"NotFound\""), std::string::npos);
+}
+
+TEST(ServeService, UnregisterPercentDecodesTheTableName) {
+  // A name holding '/', '?', '%' or ' ' registers fine through JSON and
+  // is removed through its percent-encoded path segment.
+  DiscoveryService service;
+  const std::pair<std::string, std::string> kNames[] = {
+      {"a/b", "a%2Fb"}, {"q?x", "q%3Fx"}, {"50%", "50%25"}, {"x y", "x%20y"}};
+  for (const auto& [name, encoded] : kNames) {
+    ASSERT_EQ(service
+                  .Handle(MakeRequest("POST", "/v1/tables",
+                                      ServeTableJson(name, 6, 3)))
+                  .status,
+              200)
+        << name;
+  }
+  // Unencoded, each addresses a different (absent) table or none.
+  EXPECT_EQ(service.Handle(MakeRequest("DELETE", "/v1/tables/a/b")).status,
+            404);
+  EXPECT_EQ(service.Handle(MakeRequest("DELETE", "/v1/tables/q?x")).status,
+            404);  // the query string is cut off: this addresses "q"
+  size_t remaining = 4;
+  for (const auto& [name, encoded] : kNames) {
+    HttpResponse gone =
+        service.Handle(MakeRequest("DELETE", "/v1/tables/" + encoded));
+    ASSERT_EQ(gone.status, 200) << name << ": " << gone.body;
+    --remaining;
+    JsonValue expected = JsonValue::Object();
+    expected.Set("tables",
+                 JsonValue::Number(static_cast<double>(remaining)));
+    expected.Set("unregistered", JsonValue::String(name));
+    EXPECT_EQ(gone.body, WriteJson(expected));
+  }
+  EXPECT_EQ(service.num_tables(), 0u);
+
+  // Malformed escapes are a client error, not a missing table.
+  for (const std::string bad : {"%zz", "%4", "ab%", "%g0"}) {
+    HttpResponse r = service.Handle(MakeRequest("DELETE", "/v1/tables/" + bad));
+    EXPECT_EQ(r.status, 400) << bad;
+    EXPECT_NE(r.body.find("\"InvalidArgument\""), std::string::npos) << bad;
+  }
 }
 
 TEST(ServeService, RoutingErrors) {
