@@ -5,12 +5,14 @@
 namespace valentine {
 
 size_t Ontology::AddClass(std::string name, std::vector<std::string> labels) {
+  fingerprint_.Invalidate();
   classes_.push_back({std::move(name), std::move(labels), std::nullopt});
   return classes_.size() - 1;
 }
 
 size_t Ontology::AddSubclass(size_t parent, std::string name,
                              std::vector<std::string> labels) {
+  fingerprint_.Invalidate();
   classes_.push_back({std::move(name), std::move(labels), parent});
   return classes_.size() - 1;
 }
@@ -37,6 +39,10 @@ std::optional<size_t> Ontology::HierarchyDistance(size_t a, size_t b) const {
 }
 
 uint64_t Ontology::Fingerprint() const {
+  return fingerprint_.Get([this] { return ComputeFingerprint(); });
+}
+
+uint64_t Ontology::ComputeFingerprint() const {
   uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](const std::string& s) {
     for (char c : s) {

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "knowledge/fingerprint_memo.h"
+
 namespace valentine {
 
 /// \brief One ontology class: a name, surface labels, and a parent.
@@ -50,11 +52,15 @@ class Ontology {
   /// parent edges, in insertion order). Two ontologies with equal
   /// fingerprints link names identically, so matcher PrepareKeys embed
   /// this to keep per-table artifacts keyed by knowledge-base content.
+  /// Memoized: hashed on first use after construction or after the
+  /// latest mutation.
   uint64_t Fingerprint() const;
 
  private:
   std::vector<size_t> AncestorsOf(size_t i) const;
+  uint64_t ComputeFingerprint() const;
   std::vector<OntologyClass> classes_;
+  FingerprintMemo fingerprint_;
 };
 
 }  // namespace valentine

@@ -8,6 +8,7 @@
 namespace valentine {
 
 void Thesaurus::AddSynonymSet(const std::vector<std::string>& words) {
+  fingerprint_.Invalidate();
   // Merge with an existing set if any member is already known.
   size_t target = sets_.size();
   for (const auto& w : words) {
@@ -29,11 +30,13 @@ void Thesaurus::AddSynonymSet(const std::vector<std::string>& words) {
 
 void Thesaurus::AddHypernym(const std::string& word,
                             const std::string& parent) {
+  fingerprint_.Invalidate();
   hypernym_[ToLower(word)] = ToLower(parent);
 }
 
 void Thesaurus::AddAbbreviation(const std::string& abbrev,
                                 const std::string& expansion) {
+  fingerprint_.Invalidate();
   abbreviations_[ToLower(abbrev)] = ToLower(expansion);
 }
 
@@ -50,19 +53,51 @@ std::string Thesaurus::Expand(const std::string& token) const {
   return it == abbreviations_.end() ? token : it->second;
 }
 
+namespace {
+
+/// AreSynonyms over resolved words.
+bool SameSynset(const std::string& a, size_t set_a, const std::string& b,
+                size_t set_b) {
+  return a == b || (set_a != Thesaurus::kNoSet && set_a == set_b);
+}
+
+}  // namespace
+
+Thesaurus::Term Thesaurus::Resolve(const std::string& word) const {
+  Term term;
+  term.word = word;
+  if (auto it = word_to_set_.find(word); it != word_to_set_.end()) {
+    term.set = it->second;
+  }
+  if (auto it = hypernym_.find(word); it != hypernym_.end()) {
+    term.has_parent = true;
+    term.parent = it->second;
+    if (auto ps = word_to_set_.find(term.parent); ps != word_to_set_.end()) {
+      term.parent_set = ps->second;
+    }
+  }
+  return term;
+}
+
+double Thesaurus::Relatedness(const Term& a, const Term& b) {
+  if (SameSynset(a.word, a.set, b.word, b.set)) return 1.0;
+  if (a.has_parent && SameSynset(a.parent, a.parent_set, b.word, b.set)) {
+    return 0.8;
+  }
+  if (b.has_parent && SameSynset(a.word, a.set, b.parent, b.parent_set)) {
+    return 0.8;
+  }
+  if (a.has_parent && b.has_parent &&
+      SameSynset(a.parent, a.parent_set, b.parent, b.parent_set)) {
+    return 0.8;
+  }
+  return 0.0;
+}
+
 double Thesaurus::Relatedness(const std::string& a,
                               const std::string& b) const {
-  if (AreSynonyms(a, b)) return 1.0;
-  auto parent_of = [this](const std::string& w) -> const std::string* {
-    auto it = hypernym_.find(w);
-    return it == hypernym_.end() ? nullptr : &it->second;
-  };
-  const std::string* pa = parent_of(a);
-  const std::string* pb = parent_of(b);
-  if (pa && AreSynonyms(*pa, b)) return 0.8;
-  if (pb && AreSynonyms(a, *pb)) return 0.8;
-  if (pa && pb && AreSynonyms(*pa, *pb)) return 0.8;
-  return 0.0;
+  if (a == b) return 1.0;  // equal words are synonyms; nothing to resolve
+  return Relatedness(Resolve(a), Resolve(b));
 }
 
 std::vector<std::string> Thesaurus::Synonyms(const std::string& word) const {
@@ -72,6 +107,10 @@ std::vector<std::string> Thesaurus::Synonyms(const std::string& word) const {
 }
 
 uint64_t Thesaurus::Fingerprint() const {
+  return fingerprint_.Get([this] { return ComputeFingerprint(); });
+}
+
+uint64_t Thesaurus::ComputeFingerprint() const {
   uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](const std::string& s) {
     for (char c : s) {

@@ -15,6 +15,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "knowledge/fingerprint_memo.h"
+
 namespace valentine {
 
 /// \brief Synonyms + hypernyms + abbreviations with similarity scoring.
@@ -45,6 +47,24 @@ class Thesaurus {
   /// hypernym/hyponym or shared parent, 0 otherwise.
   double Relatedness(const std::string& a, const std::string& b) const;
 
+  static constexpr size_t kNoSet = static_cast<size_t>(-1);
+
+  /// A word with its lookups (synonym set, hypernym) resolved once, for
+  /// callers that compare the same words many times. Stale after any
+  /// mutation of the thesaurus that resolved it.
+  struct Term {
+    std::string word;
+    std::string parent;          ///< hypernym, when has_parent
+    bool has_parent = false;
+    size_t set = kNoSet;         ///< synonym set of `word`
+    size_t parent_set = kNoSet;  ///< synonym set of `parent`
+  };
+  Term Resolve(const std::string& word) const;
+
+  /// Relatedness over resolved words, without hashing; the string
+  /// overload resolves both words and calls this.
+  static double Relatedness(const Term& a, const Term& b);
+
   /// All synonyms of a word, including itself (empty when unknown).
   std::vector<std::string> Synonyms(const std::string& word) const;
 
@@ -53,14 +73,18 @@ class Thesaurus {
   /// Deterministic content hash (synonym sets in insertion order;
   /// hypernym and abbreviation entries sorted before hashing). Matcher
   /// PrepareKeys embed this so artifacts derived through thesaurus
-  /// lookups stay keyed by knowledge-base content.
+  /// lookups stay keyed by knowledge-base content. Memoized: hashed on
+  /// first use after construction or after the latest mutation.
   uint64_t Fingerprint() const;
 
  private:
+  uint64_t ComputeFingerprint() const;
+
   std::vector<std::vector<std::string>> sets_;
   std::unordered_map<std::string, size_t> word_to_set_;
   std::unordered_map<std::string, std::string> hypernym_;
   std::unordered_map<std::string, std::string> abbreviations_;
+  FingerprintMemo fingerprint_;
 };
 
 }  // namespace valentine

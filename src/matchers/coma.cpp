@@ -1,9 +1,13 @@
 #include "matchers/coma.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "stats/column_profile.h"
 #include "stats/descriptive.h"
@@ -14,6 +18,145 @@
 
 namespace valentine {
 
+namespace {
+
+/// One identifier token for the synonym matcher: the abbreviation-
+/// expanded surface form (the thesaurus stores surface forms) and its
+/// stem (plural folding), both resolved against the thesaurus.
+struct SynonymToken {
+  Thesaurus::Term raw;
+  Thesaurus::Term stem;
+};
+
+/// The name-side inputs of COMA's first-line matchers for one column.
+/// Prepare derives them once per column, so scoring a column pair does
+/// no lower-casing, tokenization, thesaurus expansion or allocation.
+struct ColumnNames {
+  /// TrigramCodes of lower(name) and of lower(table) + "." + lower(name).
+  std::vector<uint32_t> name_grams;
+  std::vector<uint32_t> path_grams;
+  std::vector<std::string> tokens;           ///< identifier tokens
+  std::vector<std::string> soundex;          ///< Soundex code per token
+  std::vector<SynonymToken> synonym_tokens;  ///< expanded + stemmed tokens
+  std::string affix;  ///< lower(name) without '_', '-' and ' '
+  DataType type = DataType::kString;
+};
+
+/// Per-Score scratch reused across column pairs.
+struct ComaScratch {
+  std::vector<ComaComponentScore> scores;
+  std::vector<double> best_for_b;  ///< synonym matcher, per b token
+};
+
+std::string PathForm(const std::string& table, const std::string& column) {
+  return ToLower(table) + "." + ToLower(column);
+}
+
+/// Separator-free lower-case form, so "addr_line" and "addrline" agree.
+std::string AffixForm(const std::string& name) {
+  std::string out;
+  for (char c : ToLower(name)) {
+    if (c != '_' && c != '-' && c != ' ') out.push_back(c);
+  }
+  return out;
+}
+
+std::vector<SynonymToken> SynonymTokens(
+    const std::vector<std::string>& tokens, const Thesaurus& thesaurus) {
+  std::vector<SynonymToken> out;
+  out.reserve(tokens.size());
+  for (const std::string& t : tokens) {
+    const std::string raw = thesaurus.Expand(t);
+    out.push_back({thesaurus.Resolve(raw), thesaurus.Resolve(StemToken(raw))});
+  }
+  return out;
+}
+
+ColumnNames BuildColumnNames(const std::string& table_name,
+                             const Column& column,
+                             std::vector<std::string> tokens,
+                             const Thesaurus& thesaurus) {
+  ColumnNames names;
+  names.name_grams = TrigramCodes(ToLower(column.name()));
+  names.path_grams = TrigramCodes(PathForm(table_name, column.name()));
+  names.synonym_tokens = SynonymTokens(tokens, thesaurus);
+  names.soundex.reserve(tokens.size());
+  for (const std::string& t : tokens) names.soundex.push_back(Soundex(t));
+  names.tokens = std::move(tokens);
+  names.affix = AffixForm(column.name());
+  names.type = column.type();
+  return names;
+}
+
+/// Symmetric best-match average of token relatedness. Token similarity
+/// is symmetric, so one sweep over the token pairs serves both
+/// directions: the row maxima give a→b and the column maxima b→a.
+double SynonymSim(const std::vector<SynonymToken>& ta,
+                  const std::vector<SynonymToken>& tb,
+                  std::vector<double>* best_for_b) {
+  if (ta.empty() || tb.empty()) return 0.0;
+  auto token_sim = [](const SynonymToken& x, const SynonymToken& y) {
+    if (x.stem.word == y.stem.word) return 1.0;
+    return std::max(Thesaurus::Relatedness(x.raw, y.raw),
+                    Thesaurus::Relatedness(x.stem, y.stem));
+  };
+  best_for_b->assign(tb.size(), 0.0);
+  double a_total = 0.0;
+  for (const SynonymToken& x : ta) {
+    double best = 0.0;
+    for (size_t j = 0; j < tb.size(); ++j) {
+      const double sim = token_sim(x, tb[j]);
+      best = std::max(best, sim);
+      (*best_for_b)[j] = std::max((*best_for_b)[j], sim);
+    }
+    a_total += best;
+  }
+  double b_total = 0.0;
+  for (double best : *best_for_b) b_total += best;
+  return 0.5 * (a_total / static_cast<double>(ta.size()) +
+                b_total / static_cast<double>(tb.size()));
+}
+
+/// Affix matcher over AffixForms: longest common substring relative to
+/// the shorter name.
+double AffixSim(const std::string& a, const std::string& b) {
+  if (a.empty() || b.empty()) return 0.0;
+  return static_cast<double>(LongestCommonSubstring(a, b)) /
+         static_cast<double>(std::min(a.size(), b.size()));
+}
+
+/// The schema-side first-line matchers on one column pair, appended to
+/// `scratch->scores` (which the caller clears).
+void SchemaComponents(const ColumnNames& a, const ColumnNames& b,
+                      bool use_soundex, ComaScratch* scratch) {
+  auto& scores = scratch->scores;
+  scores.push_back(
+      {"name_trigram", TrigramCodeSimilarity(a.name_grams, b.name_grams),
+       1.5});
+  scores.push_back({"name_synonym",
+                    SynonymSim(a.synonym_tokens, b.synonym_tokens,
+                               &scratch->best_for_b),
+                    2.0});
+  // Token-level edit-distance measure (COMA's Name matcher combines
+  // several string measures, not only n-grams).
+  scores.push_back(
+      {"name_token_edit",
+       BestMatchAverage(a.tokens, b.tokens, &JaroWinklerSimilarity), 2.0});
+  scores.push_back(
+      {"name_path", TrigramCodeSimilarity(a.path_grams, b.path_grams), 1.0});
+  scores.push_back({"name_affix", AffixSim(a.affix, b.affix), 1.5});
+  scores.push_back(
+      {"data_type", ComaMatcher::DataTypeSim(a.type, b.type), 1.0});
+  if (use_soundex) {
+    scores.push_back(
+        {"name_soundex",
+         BestMatchAverage(a.soundex, b.soundex, &SoundexCodeSimilarity),
+         0.5});
+  }
+}
+
+}  // namespace
+
 double ComaMatcher::NameTrigramSim(const std::string& a,
                                    const std::string& b) const {
   return TrigramSimilarity(ToLower(a), ToLower(b));
@@ -21,63 +164,21 @@ double ComaMatcher::NameTrigramSim(const std::string& a,
 
 double ComaMatcher::NameSynonymSim(const std::string& a,
                                    const std::string& b) const {
-  struct Tok {
-    std::string raw;
-    std::string stem;
-  };
-  auto normalize = [&](const std::string& name) {
-    std::vector<Tok> tokens;
-    for (const std::string& t : TokenizeIdentifier(name)) {
-      std::string raw = thesaurus_->Expand(t);
-      tokens.push_back({raw, StemToken(raw)});
-    }
-    return tokens;
-  };
-  std::vector<Tok> ta = normalize(a);
-  std::vector<Tok> tb = normalize(b);
-  if (ta.empty() || tb.empty()) return 0.0;
-  auto token_sim = [&](const Tok& x, const Tok& y) {
-    if (x.stem == y.stem) return 1.0;
-    return std::max(thesaurus_->Relatedness(x.raw, y.raw),
-                    thesaurus_->Relatedness(x.stem, y.stem));
-  };
-  auto one_way = [&](const std::vector<Tok>& xs, const std::vector<Tok>& ys) {
-    double total = 0.0;
-    for (const auto& x : xs) {
-      double best = 0.0;
-      for (const auto& y : ys) best = std::max(best, token_sim(x, y));
-      total += best;
-    }
-    return total / static_cast<double>(xs.size());
-  };
-  return 0.5 * (one_way(ta, tb) + one_way(tb, ta));
+  std::vector<double> best_for_b;
+  return SynonymSim(SynonymTokens(TokenizeIdentifier(a), *thesaurus_),
+                    SynonymTokens(TokenizeIdentifier(b), *thesaurus_),
+                    &best_for_b);
 }
 
 double ComaMatcher::NamePathSim(const std::string& table_a,
                                 const std::string& col_a,
                                 const std::string& table_b,
                                 const std::string& col_b) const {
-  return TrigramSimilarity(ToLower(table_a) + "." + ToLower(col_a),
-                           ToLower(table_b) + "." + ToLower(col_b));
+  return TrigramSimilarity(PathForm(table_a, col_a), PathForm(table_b, col_b));
 }
 
 double ComaMatcher::NameAffixSim(const std::string& a, const std::string& b) {
-  std::string la = ToLower(a);
-  std::string lb = ToLower(b);
-  // Compare separator-free forms so "addr_line" and "addrline" agree.
-  auto strip = [](const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c != '_' && c != '-' && c != ' ') out.push_back(c);
-    }
-    return out;
-  };
-  la = strip(la);
-  lb = strip(lb);
-  if (la.empty() || lb.empty()) return 0.0;
-  size_t lcs = LongestCommonSubstring(la, lb);
-  return static_cast<double>(lcs) /
-         static_cast<double>(std::min(la.size(), lb.size()));
+  return AffixSim(AffixForm(a), AffixForm(b));
 }
 
 double ComaMatcher::DataTypeSim(DataType a, DataType b) {
@@ -89,37 +190,14 @@ double ComaMatcher::DataTypeSim(DataType a, DataType b) {
 std::vector<ComaComponentScore> ComaMatcher::SchemaComponentScores(
     const std::string& source_table, const Column& a,
     const std::string& target_table, const Column& b) const {
-  return SchemaComponentScoresWithTokens(
-      source_table, a, TokenizeIdentifier(a.name()), target_table, b,
-      TokenizeIdentifier(b.name()));
-}
-
-std::vector<ComaComponentScore> ComaMatcher::SchemaComponentScoresWithTokens(
-    const std::string& source_table, const Column& a,
-    const std::vector<std::string>& a_tokens, const std::string& target_table,
-    const Column& b, const std::vector<std::string>& b_tokens) const {
-  std::vector<ComaComponentScore> scores;
-  scores.push_back({"name_trigram", NameTrigramSim(a.name(), b.name()), 1.5});
-  scores.push_back({"name_synonym", NameSynonymSim(a.name(), b.name()), 2.0});
-  // Token-level edit-distance measure (COMA's Name matcher combines
-  // several string measures, not only n-grams).
-  scores.push_back({"name_token_edit",
-                    BestMatchAverage(a_tokens, b_tokens,
-                                     &JaroWinklerSimilarity),
-                    2.0});
-  scores.push_back({"name_path",
-                    NamePathSim(source_table, a.name(), target_table,
-                                b.name()),
-                    1.0});
-  scores.push_back({"name_affix", NameAffixSim(a.name(), b.name()), 1.5});
-  scores.push_back({"data_type", DataTypeSim(a.type(), b.type()), 1.0});
-  if (options_.use_soundex) {
-    scores.push_back({"name_soundex",
-                      BestMatchAverage(a_tokens, b_tokens,
-                                       &SoundexSimilarity),
-                      0.5});
-  }
-  return scores;
+  ComaScratch scratch;
+  SchemaComponents(
+      BuildColumnNames(source_table, a, TokenizeIdentifier(a.name()),
+                       *thesaurus_),
+      BuildColumnNames(target_table, b, TokenizeIdentifier(b.name()),
+                       *thesaurus_),
+      options_.use_soundex, &scratch);
+  return std::move(scratch.scores);
 }
 
 double ComaMatcher::Aggregate(const std::vector<ComaComponentScore>& scores,
@@ -156,16 +234,16 @@ double ComaMatcher::Aggregate(const std::vector<ComaComponentScore>& scores,
 
 namespace {
 
-/// Applies the direction + selection strategies to the aggregated score
-/// matrix, returning the surviving (i, j) pairs.
+/// Applies the direction + selection strategies to the aggregated
+/// row-major ns x nt score matrix, returning the surviving (i, j) pairs.
 std::vector<std::pair<size_t, size_t>> SelectPairs(
-    const std::vector<std::vector<double>>& score, const ComaOptions& opt) {
-  const size_t ns = score.size();
-  const size_t nt = ns == 0 ? 0 : score[0].size();
+    const std::vector<double>& matrix, size_t ns, size_t nt,
+    const ComaOptions& opt) {
+  auto score = [&](size_t i, size_t j) { return matrix[i * nt + j]; };
   std::vector<std::pair<size_t, size_t>> out;
 
   auto passes_threshold = [&](size_t i, size_t j) {
-    return score[i][j] >= opt.threshold;
+    return score(i, j) >= opt.threshold;
   };
 
   if (opt.selection == ComaSelection::kAll) {
@@ -182,7 +260,7 @@ std::vector<std::pair<size_t, size_t>> SelectPairs(
     std::vector<std::tuple<double, size_t, size_t>> ranked;
     for (size_t i = 0; i < ns; ++i) {
       for (size_t j = 0; j < nt; ++j) {
-        if (passes_threshold(i, j)) ranked.emplace_back(score[i][j], i, j);
+        if (passes_threshold(i, j)) ranked.emplace_back(score(i, j), i, j);
       }
     }
     std::sort(ranked.begin(), ranked.end(),
@@ -212,25 +290,25 @@ std::vector<std::pair<size_t, size_t>> SelectPairs(
     if (opt.selection == ComaSelection::kMaxN) {
       size_t better = 0;
       for (size_t k = 0; k < nt; ++k) {
-        if (score[i][k] > score[i][j]) ++better;
+        if (score(i, k) > score(i, j)) ++better;
       }
       return better < opt.max_n;
     }
     double best = 0.0;
-    for (size_t k = 0; k < nt; ++k) best = std::max(best, score[i][k]);
-    return score[i][j] >= best - opt.delta;
+    for (size_t k = 0; k < nt; ++k) best = std::max(best, score(i, k));
+    return score(i, j) >= best - opt.delta;
   };
   auto backward_keep = [&](size_t i, size_t j) {
     if (opt.selection == ComaSelection::kMaxN) {
       size_t better = 0;
       for (size_t k = 0; k < ns; ++k) {
-        if (score[k][j] > score[i][j]) ++better;
+        if (score(k, j) > score(i, j)) ++better;
       }
       return better < opt.max_n;
     }
     double best = 0.0;
-    for (size_t k = 0; k < ns; ++k) best = std::max(best, score[k][j]);
-    return score[i][j] >= best - opt.delta;
+    for (size_t k = 0; k < ns; ++k) best = std::max(best, score(k, j));
+    return score(i, j) >= best - opt.delta;
   };
 
   for (size_t i = 0; i < ns; ++i) {
@@ -254,13 +332,14 @@ std::vector<std::pair<size_t, size_t>> SelectPairs(
   return out;
 }
 
-/// Per-table artifact: identifier tokens always; the instance strategy
-/// adds capped value sets, text profiles, numeric stats, and numeric
-/// fractions. Thesaurus-dependent name similarity happens at score time,
-/// so the artifact needs no knowledge-base fingerprint.
+/// Per-table artifact: every column's name-side matcher inputs (see
+/// ColumnNames); the instance strategy adds capped value sets, text
+/// profiles, numeric stats, and numeric fractions. Abbreviation
+/// expansion makes the name inputs thesaurus-dependent, so the prepare
+/// key carries the thesaurus fingerprint.
 struct ComaPrepared : PreparedTable {
   using PreparedTable::PreparedTable;
-  std::vector<std::vector<std::string>> name_tokens;
+  std::vector<ColumnNames> names;
   std::vector<std::unordered_set<std::string>> sets;
   std::vector<TextProfile> text;
   std::vector<NumericStats> nums;
@@ -272,7 +351,8 @@ struct ComaPrepared : PreparedTable {
 std::string ComaMatcher::PrepareKey() const {
   const bool instances = options_.strategy == ComaStrategy::kInstances;
   return "cap=" + std::to_string(options_.max_distinct_values) +
-         ";instances=" + (instances ? "1" : "0");
+         ";instances=" + (instances ? "1" : "0") +
+         ";thes=" + std::to_string(thesaurus_->Fingerprint());
 }
 
 Result<PreparedTablePtr> ComaMatcher::Prepare(
@@ -283,15 +363,17 @@ Result<PreparedTablePtr> ComaMatcher::Prepare(
   const size_t n = table.num_columns();
   const bool served = profile != nullptr && profile->Matches(table);
 
-  // Identifier tokens once per column (the name_token_edit / soundex
-  // matchers used to retokenize per pair), served from the table profile
-  // when one is attached — tokenization has no cap, so profile tokens
-  // are always exact.
-  prepared->name_tokens.reserve(n);
+  // Name-side inputs once per column. Identifier tokens come from the
+  // table profile when one is attached: tokenization has no cap, so
+  // profile tokens are always exact.
+  prepared->names.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    prepared->name_tokens.push_back(
-        served ? profile->column(i).name_tokens()
-               : TokenizeIdentifier(table.column(i).name()));
+    const Column& c = table.column(i);
+    prepared->names.push_back(
+        BuildColumnNames(table.name(), c,
+                         served ? profile->column(i).name_tokens()
+                                : TokenizeIdentifier(c.name()),
+                         *thesaurus_));
   }
 
   if (options_.strategy == ComaStrategy::kInstances) {
@@ -359,16 +441,17 @@ Result<MatchResult> ComaMatcher::Score(const PreparedTable& source,
                                       options_.max_distinct_values);
   }
 
-  // Aggregated similarity matrix over all first-line matchers.
-  std::vector<std::vector<double>> combined(ns, std::vector<double>(nt, 0.0));
+  // Aggregated row-major similarity matrix over all first-line
+  // matchers, filled through one reused component buffer.
+  std::vector<double> combined(ns * nt, 0.0);
+  ComaScratch scratch;
+  auto& scores = scratch.scores;
   for (size_t i = 0; i < ns; ++i) {
     VALENTINE_RETURN_NOT_OK(context.Check("coma matcher library sweep"));
-    const Column& a = source_table.column(i);
     for (size_t j = 0; j < nt; ++j) {
-      const Column& b = target_table.column(j);
-      std::vector<ComaComponentScore> scores = SchemaComponentScoresWithTokens(
-          source_table.name(), a, src->name_tokens[i], target_table.name(), b,
-          tgt->name_tokens[j]);
+      scores.clear();
+      SchemaComponents(src->names[i], tgt->names[j], options_.use_soundex,
+                       &scratch);
       if (instances) {
         scores.push_back({"value_overlap",
                           JaccardSimilarity(src->sets[i], tgt->sets[j]), 3.0});
@@ -385,15 +468,15 @@ Result<MatchResult> ComaMatcher::Score(const PreparedTable& source,
           scores.push_back({"tfidf_tokens", tfidf_sim[i][j], 2.0});
         }
       }
-      combined[i][j] = Aggregate(scores, options_.aggregation);
+      combined[i * nt + j] = Aggregate(scores, options_.aggregation);
     }
   }
 
   MatchResult result;
-  for (const auto& [i, j] : SelectPairs(combined, options_)) {
+  for (const auto& [i, j] : SelectPairs(combined, ns, nt, options_)) {
     result.Add({source_table.name(), source_table.column(i).name()},
                {target_table.name(), target_table.column(j).name()},
-               combined[i][j]);
+               combined[i * nt + j]);
   }
   result.Sort();
   return result;

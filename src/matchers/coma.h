@@ -21,6 +21,10 @@
 ///    (default OneToOne, matching COMA 3.0's best-counterpart
 ///    selection — the behaviour that missed the paper's ING#2 n-m
 ///    matches).
+///
+/// Prepare derives every name-side input of the first-line matchers once
+/// per column; Score only compares those inputs per column pair (see
+/// PrepareKey below and DESIGN.md §9).
 
 #include <vector>
 
@@ -118,10 +122,14 @@ class ComaMatcher : public ColumnMatcher {
     }
     return caps;
   }
-  /// Artifact: identifier tokens per column; the instance strategy adds
-  /// capped value sets, text profiles, numeric stats, and numeric
-  /// fractions. Thesaurus lookups happen at score time, so the artifact
-  /// is knowledge-base independent.
+  /// Artifact: every name-derived input of the first-line matchers, per
+  /// column (packed name and path trigrams, identifier tokens and their
+  /// Soundex codes, thesaurus-expanded tokens with stems, the
+  /// separator-free name), so Score does no per-pair string work; the
+  /// instance strategy adds capped value sets, text profiles, numeric
+  /// stats, and numeric fractions. Abbreviation expansion happens in Prepare, so the key
+  /// embeds the thesaurus's memoized fingerprint next to the value cap
+  /// and the strategy.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
       const Table& table, const TableProfile* profile,
@@ -132,7 +140,8 @@ class ComaMatcher : public ColumnMatcher {
 
   /// The full per-matcher score breakdown for one column pair (schema
   /// part only — instance matchers need the whole columns). Exposed for
-  /// tests and the strategy ablation.
+  /// tests and the strategy ablation. This and the helpers below derive
+  /// the per-column inputs Prepare would and run Score's kernels on them.
   std::vector<ComaComponentScore> SchemaComponentScores(
       const std::string& source_table, const Column& a,
       const std::string& target_table, const Column& b) const;
@@ -154,16 +163,6 @@ class ComaMatcher : public ColumnMatcher {
                           ComaAggregation aggregation);
 
  private:
-  /// SchemaComponentScores with the two columns' identifier tokens
-  /// precomputed by the caller: one tokenization per column per Match
-  /// call (or zero when a table profile supplies them) instead of two
-  /// per column pair. Produces exactly the public overload's scores.
-  std::vector<ComaComponentScore> SchemaComponentScoresWithTokens(
-      const std::string& source_table, const Column& a,
-      const std::vector<std::string>& a_tokens,
-      const std::string& target_table, const Column& b,
-      const std::vector<std::string>& b_tokens) const;
-
   ComaOptions options_;
   const Thesaurus* thesaurus_;
 };

@@ -141,14 +141,19 @@ double JaroSimilarity(const std::string& a, const std::string& b) {
   const size_t lb = b.size();
   const size_t match_window =
       std::max<size_t>(1, std::max(la, lb) / 2) - 1;
-  std::vector<bool> a_matched(la, false), b_matched(lb, false);
+  // One reused per-thread flag buffer: the name matchers call this per
+  // token pair, where two fresh allocations cost more than the scan.
+  thread_local std::vector<unsigned char> matched;
+  matched.assign(la + lb, 0);
+  unsigned char* a_matched = matched.data();
+  unsigned char* b_matched = a_matched + la;
   size_t matches = 0;
   for (size_t i = 0; i < la; ++i) {
     size_t lo = (i > match_window) ? i - match_window : 0;
     size_t hi = std::min(lb, i + match_window + 1);
     for (size_t j = lo; j < hi; ++j) {
       if (b_matched[j] || a[i] != b[j]) continue;
-      a_matched[i] = b_matched[j] = true;
+      a_matched[i] = b_matched[j] = 1;
       ++matches;
       break;
     }
@@ -191,22 +196,47 @@ std::vector<std::string> CharNGrams(const std::string& s, size_t n) {
   return grams;
 }
 
-double TrigramSimilarity(const std::string& a, const std::string& b) {
+std::vector<uint32_t> TrigramCodes(const std::string& s) {
+  // Slide a 3-byte window over "##" + s + "##" without building the
+  // padded string: each step shifts one byte into the low end.
+  constexpr uint32_t kPad = static_cast<unsigned char>('#');
+  std::vector<uint32_t> codes;
+  codes.reserve(s.size() + 2);
+  uint32_t window = (kPad << 8) | kPad;
+  auto push = [&](uint32_t byte) {
+    window = ((window << 8) | byte) & 0xFFFFFFu;
+    codes.push_back(window);
+  };
+  for (unsigned char c : s) push(c);
+  push(kPad);
+  push(kPad);
+  opcount::Add(opcount::Op::kNGramEmissions, codes.size());
+  std::sort(codes.begin(), codes.end());
+  return codes;
+}
+
+double TrigramCodeSimilarity(const std::vector<uint32_t>& a,
+                             const std::vector<uint32_t>& b) {
   if (a.empty() && b.empty()) return 1.0;
-  auto ga = CharNGrams(a, 3);
-  auto gb = CharNGrams(b, 3);
-  if (ga.empty() || gb.empty()) return 0.0;
-  std::unordered_map<std::string, size_t> counts;
-  for (const auto& g : ga) ++counts[g];
   size_t common = 0;
-  for (const auto& g : gb) {
-    auto it = counts.find(g);
-    if (it != counts.end() && it->second > 0) {
-      --it->second;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
       ++common;
+      ++i;
+      ++j;
     }
   }
-  return 2.0 * common / static_cast<double>(ga.size() + gb.size());
+  return 2.0 * common / static_cast<double>(a.size() + b.size());
+}
+
+double TrigramSimilarity(const std::string& a, const std::string& b) {
+  return TrigramCodeSimilarity(TrigramCodes(a), TrigramCodes(b));
 }
 
 double JaccardSimilarity(const std::unordered_set<std::string>& a,
@@ -327,7 +357,11 @@ double FuzzyJaccard(const std::vector<std::string>& a,
 
 size_t LongestCommonSubstring(const std::string& a, const std::string& b) {
   if (a.empty() || b.empty()) return 0;
-  std::vector<size_t> prev(b.size() + 1, 0), cur(b.size() + 1, 0);
+  // Reused per-thread rows, as in LevenshteinWithin.
+  thread_local std::vector<size_t> prev;
+  thread_local std::vector<size_t> cur;
+  prev.assign(b.size() + 1, 0);
+  cur.assign(b.size() + 1, 0);
   size_t best = 0;
   for (size_t i = 1; i <= a.size(); ++i) {
     for (size_t j = 1; j <= b.size(); ++j) {
@@ -379,12 +413,16 @@ std::string Soundex(const std::string& word) {
   return out;
 }
 
-double SoundexSimilarity(const std::string& a, const std::string& b) {
-  std::string sa = Soundex(a);
-  std::string sb = Soundex(b);
-  if (sa == sb) return 1.0;
-  if (sa[0] == sb[0] && sa[1] == sb[1]) return 0.5;
+double SoundexCodeSimilarity(const std::string& a, const std::string& b) {
+  if (a == b) return 1.0;
+  if (a.size() >= 2 && b.size() >= 2 && a[0] == b[0] && a[1] == b[1]) {
+    return 0.5;
+  }
   return 0.0;
+}
+
+double SoundexSimilarity(const std::string& a, const std::string& b) {
+  return SoundexCodeSimilarity(Soundex(a), Soundex(b));
 }
 
 double BestMatchAverage(const std::vector<std::string>& a,

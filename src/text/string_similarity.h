@@ -7,6 +7,7 @@
 /// trigram similarity (COMA name matcher), Jaro-Winkler (Cupid linguistic
 /// matching), and set-overlap measures.
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -37,7 +38,19 @@ double JaroWinklerSimilarity(const std::string& a, const std::string& b);
 /// does, so short names still produce grams). n == 0 yields no grams.
 std::vector<std::string> CharNGrams(const std::string& s, size_t n);
 
-/// Dice coefficient over character trigram multiset intersection.
+/// The padded character trigrams of `s` (the multiset CharNGrams(s, 3)
+/// emits) as packed 24-bit codes, first byte highest, sorted so that two
+/// multisets intersect by a linear merge. Name matchers build these once
+/// per name and compare them many times.
+std::vector<uint32_t> TrigramCodes(const std::string& s);
+
+/// Dice coefficient 2 * common / (|a| + |b|) over two TrigramCodes
+/// multisets, where `common` is the size of their multiset intersection.
+double TrigramCodeSimilarity(const std::vector<uint32_t>& a,
+                             const std::vector<uint32_t>& b);
+
+/// Dice coefficient over character trigram multiset intersection:
+/// TrigramCodeSimilarity over both strings' TrigramCodes.
 double TrigramSimilarity(const std::string& a, const std::string& b);
 
 /// Jaccard similarity of two string sets: |A ∩ B| / |A ∪ B|; 1.0 when
@@ -81,8 +94,11 @@ size_t LongestCommonSubstring(const std::string& a, const std::string& b);
 /// yields "0000". Classic phonetic matcher from COMA's name library.
 std::string Soundex(const std::string& word);
 
-/// 1.0 when the Soundex codes agree, else 0.0 (with a 0.5 credit for a
-/// shared leading letter + first digit).
+/// Similarity of two Soundex codes: 1.0 when they agree, else 0.0 (with
+/// a 0.5 credit for a shared leading letter + first digit).
+double SoundexCodeSimilarity(const std::string& a, const std::string& b);
+
+/// SoundexCodeSimilarity of the two words' Soundex codes.
 double SoundexSimilarity(const std::string& a, const std::string& b);
 
 /// Monge-Elkan-style best-match average of `sim` over token lists, made

@@ -83,5 +83,27 @@ TEST(EfoLikeOntologyTest, StructureSane) {
   EXPECT_TRUE(has_assay);
 }
 
+// Every mutator must drop the memoized fingerprint (see the thesaurus
+// counterpart in knowledge_thesaurus_test.cpp).
+TEST(OntologyFingerprintTest, MemoMatchesFreshlyBuiltCopy) {
+  Ontology observed;
+  const uint64_t empty = observed.Fingerprint();
+  size_t root = observed.AddClass("root", {"root"});
+  const uint64_t one = observed.Fingerprint();
+  EXPECT_NE(one, empty);
+  observed.AddSubclass(root, "animal", {"animal"});
+  EXPECT_NE(observed.Fingerprint(), one);
+
+  Ontology fresh;
+  fresh.AddSubclass(fresh.AddClass("root", {"root"}), "animal", {"animal"});
+  EXPECT_EQ(observed.Fingerprint(), fresh.Fingerprint());
+
+  Ontology copy = observed;
+  EXPECT_EQ(copy.Fingerprint(), observed.Fingerprint());
+  copy.AddClass("plant", {"plant"});
+  EXPECT_NE(copy.Fingerprint(), observed.Fingerprint());
+  EXPECT_EQ(MakeTestOntology().Fingerprint(), MakeTestOntology().Fingerprint());
+}
+
 }  // namespace
 }  // namespace valentine

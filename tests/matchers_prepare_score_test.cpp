@@ -5,7 +5,9 @@
 // bytes, by re-preparing inline) when handed foreign or stale artifacts.
 // Also covers the ArtifactCache: build-once semantics, value keying,
 // failure propagation, stats counters, and concurrent GetOrPrepare
-// (tsan-labeled).
+// (tsan-labeled); and the knowledge-base fingerprints PrepareKeys embed:
+// mutations reach the key, concurrent first reads of the memo are
+// race-free (tsan-labeled).
 
 #include <gtest/gtest.h>
 
@@ -18,10 +20,15 @@
 #include "fabrication/fabricator.h"
 #include "harness/json_export.h"
 #include "harness/param_grid.h"
+#include "knowledge/ontology.h"
+#include "knowledge/thesaurus.h"
 #include "matchers/artifact_cache.h"
+#include "matchers/coma.h"
+#include "matchers/cupid.h"
 #include "matchers/ensemble.h"
 #include "matchers/jaccard_levenshtein.h"
 #include "matchers/matcher.h"
+#include "matchers/semprop.h"
 #include "matchers/similarity_flooding.h"
 
 namespace valentine {
@@ -282,6 +289,116 @@ TEST(ArtifactCacheTest, ConcurrentGetOrPrepareIsSafeAndDeterministic) {
   EXPECT_EQ(cache.size(), 2u);
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(jsons[t], expected) << "thread " << t;
+  }
+}
+
+Table MakeNamedTable(const std::string& name,
+                     const std::vector<std::string>& columns) {
+  Table table(name);
+  for (const std::string& column : columns) {
+    Column c(column, DataType::kString);
+    c.Append(Value::String(column + "_a"));
+    c.Append(Value::String(column + "_b"));
+    EXPECT_TRUE(table.AddColumn(std::move(c)).ok());
+  }
+  return table;
+}
+
+// COMA expands abbreviations in Prepare, so two thesauri that differ in
+// one abbreviation build different artifacts for the same table. A
+// shared cache must keep them apart (one entry per thesaurus per table),
+// and each matcher must score exactly its own inline Match bytes.
+TEST(ArtifactCacheTest, SharedCacheKeepsThesauriApart) {
+  Thesaurus plain;
+  plain.AddSynonymSet({"customer", "client"});
+  Thesaurus expanding = plain;
+  expanding.AddAbbreviation("cust", "customer");
+  const Table src = MakeNamedTable("s", {"cust_name", "cust_city", "total"});
+  const Table tgt = MakeNamedTable("t", {"client_name", "client_town", "sum"});
+  const ComaMatcher with_plain({}, &plain);
+  const ComaMatcher with_expanding({}, &expanding);
+  ASSERT_NE(ToJson(with_plain.Match(src, tgt)),
+            ToJson(with_expanding.Match(src, tgt)))
+      << "the thesauri must disagree on this pair for the test to bite";
+
+  ArtifactCache cache;
+  MatchContext context;
+  for (const ComaMatcher* matcher : {&with_plain, &with_expanding}) {
+    PreparedTablePtr ps = cache.GetOrPrepare(*matcher, src, nullptr, context);
+    PreparedTablePtr pt = cache.GetOrPrepare(*matcher, tgt, nullptr, context);
+    ASSERT_NE(ps, nullptr);
+    ASSERT_NE(pt, nullptr);
+    Result<MatchResult> scored = matcher->Score(*ps, *pt, context);
+    ASSERT_TRUE(scored.ok());
+    EXPECT_EQ(ToJson(*scored), ToJson(matcher->Match(src, tgt)));
+  }
+  EXPECT_EQ(cache.size(), 4u);
+}
+
+// Keys are recomputed from the memoized fingerprint on every call, never
+// cached in the matcher, so a knowledge base mutated after the matcher
+// was built (and after a key was read) still changes the key.
+TEST(KnowledgeKeyTest, MutationAfterPrepareKeyChangesKey) {
+  Thesaurus thesaurus;
+  thesaurus.AddSynonymSet({"customer", "client"});
+  const ComaMatcher coma({}, &thesaurus);
+  const CupidMatcher cupid({}, &thesaurus);
+  const std::string coma_before = coma.PrepareKey();
+  const std::string cupid_before = cupid.PrepareKey();
+  thesaurus.AddAbbreviation("cust", "customer");
+  EXPECT_NE(coma.PrepareKey(), coma_before);
+  EXPECT_NE(cupid.PrepareKey(), cupid_before);
+
+  Ontology ontology = TestOntology();
+  const SemPropMatcher semprop(&ontology);
+  const std::string semprop_before = semprop.PrepareKey();
+  ontology.AddClass("product", {"product"});
+  EXPECT_NE(semprop.PrepareKey(), semprop_before);
+}
+
+// Concurrent first reads of an empty fingerprint memo, directly and
+// through PrepareKey(), agree with a sequential read. Runs under TSan
+// via the tsan ctest label.
+TEST(KnowledgeKeyTest, ConcurrentFingerprintAndPrepareKeyAreRaceFree) {
+  const Thesaurus& reference_thesaurus = Thesaurus::Default();
+  const Ontology reference_ontology = TestOntology();
+  const uint64_t thesaurus_want = reference_thesaurus.Fingerprint();
+  const uint64_t ontology_want = reference_ontology.Fingerprint();
+  const std::string coma_want =
+      ComaMatcher({}, &reference_thesaurus).PrepareKey();
+  const std::string cupid_want =
+      CupidMatcher({}, &reference_thesaurus).PrepareKey();
+  const std::string semprop_want =
+      SemPropMatcher(&reference_ontology).PrepareKey();
+  for (int round = 0; round < 4; ++round) {
+    // Copies start with an empty memo, so the threads race to fill it.
+    const Thesaurus thesaurus = Thesaurus::Default();
+    const Ontology ontology = TestOntology();
+    const ComaMatcher coma({}, &thesaurus);
+    const CupidMatcher cupid({}, &thesaurus);
+    const SemPropMatcher semprop(&ontology);
+
+    constexpr size_t kThreads = 8;
+    std::vector<int> ok(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        bool all = true;
+        for (int i = 0; i < 20; ++i) {
+          all = all && thesaurus.Fingerprint() == thesaurus_want;
+          all = all && ontology.Fingerprint() == ontology_want;
+          all = all && coma.PrepareKey() == coma_want;
+          all = all && cupid.PrepareKey() == cupid_want;
+          all = all && semprop.PrepareKey() == semprop_want;
+        }
+        ok[t] = all ? 1 : 0;
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(ok[t], 1) << "round " << round << " thread " << t;
+    }
   }
 }
 

@@ -1,7 +1,11 @@
 #include "text/string_similarity.h"
 
 #include <algorithm>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <unordered_map>
+
+#include "core/rng.h"
 
 namespace valentine {
 namespace {
@@ -94,6 +98,81 @@ TEST(TrigramTest, Bounds) {
   double s = TrigramSimilarity("night", "nacht");
   EXPECT_GT(s, 0.0);
   EXPECT_LT(s, 1.0);
+}
+
+TEST(TrigramCodesTest, PackedPaddedTrigrams) {
+  // "ab" -> "##a", "#ab", "ab#", "b##", as big-endian 24-bit codes.
+  auto code = [](char x, char y, char z) {
+    return (static_cast<uint32_t>(static_cast<unsigned char>(x)) << 16) |
+           (static_cast<uint32_t>(static_cast<unsigned char>(y)) << 8) |
+           static_cast<uint32_t>(static_cast<unsigned char>(z));
+  };
+  std::vector<uint32_t> want = {code('#', '#', 'a'), code('#', 'a', 'b'),
+                                code('a', 'b', '#'), code('b', '#', '#')};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(TrigramCodes("ab"), want);
+  // The empty string still pads to two "###" grams, as CharNGrams does.
+  EXPECT_EQ(TrigramCodes(""),
+            std::vector<uint32_t>(2, code('#', '#', '#')));
+  EXPECT_EQ(TrigramCodes("abc").size(), CharNGrams("abc", 3).size());
+}
+
+/// The trigram similarity as it was computed before the packed kernel:
+/// string grams counted in a hash map. Kept here as the reference the
+/// kernel must reproduce bit for bit.
+double ReferenceTrigramSimilarity(const std::string& a, const std::string& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  auto ga = CharNGrams(a, 3);
+  auto gb = CharNGrams(b, 3);
+  if (ga.empty() || gb.empty()) return 0.0;
+  std::unordered_map<std::string, size_t> counts;
+  for (const auto& g : ga) ++counts[g];
+  size_t common = 0;
+  for (const auto& g : gb) {
+    auto it = counts.find(g);
+    if (it != counts.end() && it->second > 0) {
+      --it->second;
+      ++common;
+    }
+  }
+  return 2.0 * common / static_cast<double>(ga.size() + gb.size());
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// Seeded sweep over strings built from a small alphabet that includes
+// the pad character, high bytes and NUL, so grams collide with padding
+// and sign-extension or C-string bugs would show.
+TEST(TrigramCodesTest, RandomizedMatchesHashMapReference) {
+  const std::string alphabet = std::string("ab#") + '\0' + "\x80\xff\xc3z";
+  Rng rng(20260417);
+  auto random_string = [&] {
+    std::string s(rng.Index(41), ' ');
+    for (char& c : s) c = alphabet[rng.Index(alphabet.size())];
+    return s;
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::string a = random_string();
+    // Every fourth pair is a light mutation of `a`, so high overlaps and
+    // repeated grams are covered too.
+    std::string b = random_string();
+    if (trial % 4 == 0) {
+      b = a;
+      for (size_t k = 0; k < 3 && !b.empty(); ++k) {
+        b[rng.Index(b.size())] = alphabet[rng.Index(alphabet.size())];
+      }
+    }
+    const double want = ReferenceTrigramSimilarity(a, b);
+    EXPECT_EQ(Bits(TrigramSimilarity(a, b)), Bits(want))
+        << "trial " << trial << " sizes " << a.size() << "/" << b.size();
+    EXPECT_EQ(Bits(TrigramCodeSimilarity(TrigramCodes(a), TrigramCodes(b))),
+              Bits(want))
+        << "trial " << trial;
+  }
 }
 
 TEST(JaccardTest, SetOverlap) {

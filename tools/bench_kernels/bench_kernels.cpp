@@ -14,17 +14,24 @@
 // output (plus the tolerance block); CI re-runs the tool and feeds both
 // files to tools/perf_gate/perf_gate.py.
 //
-// Requires an opcount-enabled build (any Debug build, or Release with
-// -DVALENTINE_OPCOUNT=ON); exits 3 otherwise so the gate can't silently
-// compare empty counts.
+// Emitting a baseline requires an opcount-enabled build (any Debug
+// build, or Release with -DVALENTINE_OPCOUNT=ON); exits 3 otherwise so
+// the gate can't silently compare empty counts.
 //
 // --pessimize runs every workload twice per iteration — an honest
 // injected regression (2x ops, ~2x ns) used by the gate's selftest and
 // by the acceptance check that the gate actually fails.
 //
+// --smoke runs in every build configuration and emits no baseline: each
+// kernel's inputs go through the kernel once and the results are
+// checked against a reference (banded == full Levenshtein, packed ==
+// string trigrams, ...); where op counters are compiled in, two runs of
+// each workload must also count the same nonzero ops.
+//
 // Usage: bench_kernels [--out PATH] [--repeats N] [--pessimize]
-// Exits 0 on success, 1 on I/O failure, 2 on usage, 3 when opcounts
-// are compiled out.
+//        bench_kernels --smoke
+// Exits 0 on success, 1 on I/O failure or a failed smoke check, 2 on
+// usage, 3 when a baseline is requested with opcounts compiled out.
 
 #include <algorithm>
 #include <chrono>
@@ -33,11 +40,14 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/rng.h"
 #include "core/status.h"
+#include "core/table.h"
+#include "matchers/coma.h"
 #include "obs/export.h"
 #include "obs/opcount.h"
 #include "serve/json.h"
@@ -45,6 +55,7 @@
 #include "stats/histogram.h"
 #include "stats/minhash.h"
 #include "text/string_similarity.h"
+#include "text/tokenizer.h"
 
 namespace valentine {
 namespace {
@@ -57,6 +68,9 @@ constexpr double kDefaultNsRatioTolerance = 5.0;
 struct Kernel {
   std::string name;
   std::function<void()> work;
+  /// Runs the workload's inputs through the kernel once and compares
+  /// with a reference; returns what diverged, or "" when all agree.
+  std::function<std::string()> check;
 };
 
 /// Deterministic pseudo-words: lowercase, length in [4, 18].
@@ -76,6 +90,53 @@ std::vector<std::string> MakeWords(size_t count, uint64_t seed) {
   return words;
 }
 
+/// Dice coefficient over string trigrams counted in a hash map: the
+/// reference the packed trigram kernel must reproduce bit for bit.
+double StringTrigramDice(const std::string& a, const std::string& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  std::vector<std::string> ga = CharNGrams(a, 3);
+  std::vector<std::string> gb = CharNGrams(b, 3);
+  std::unordered_map<std::string, size_t> counts;
+  for (const std::string& g : ga) ++counts[g];
+  size_t common = 0;
+  for (const std::string& g : gb) {
+    auto it = counts.find(g);
+    if (it != counts.end() && it->second > 0) {
+      --it->second;
+      ++common;
+    }
+  }
+  return 2.0 * common / static_cast<double>(ga.size() + gb.size());
+}
+
+/// A table of string columns with the given names (one value each: the
+/// schema strategy reads names and types only).
+Table NameTable(const std::string& name,
+                const std::vector<std::string>& columns) {
+  Table table(name);
+  for (const std::string& column : columns) {
+    Column c(column, DataType::kString);
+    c.Append(Value::String("v"));
+    if (!table.AddColumn(std::move(c)).ok()) std::abort();
+  }
+  return table;
+}
+
+const Table& ComaSourceTable() {
+  static const Table kTable = NameTable(
+      "customers", {"cust_id", "CustomerName", "addr_line1", "city", "zip",
+                    "dob", "salary", "phone_no", "email", "created_at"});
+  return kTable;
+}
+
+const Table& ComaTargetTable() {
+  static const Table kTable = NameTable(
+      "client_master",
+      {"client_id", "client_name", "address", "town", "postal_code",
+       "birthdate", "income", "telephone", "e_mail", "signup_date"});
+  return kTable;
+}
+
 std::vector<Kernel> MakeKernels() {
   std::vector<Kernel> kernels;
 
@@ -87,6 +148,18 @@ std::vector<Kernel> MakeKernels() {
       acc += LevenshteinDistance(a[i], b[i]);
     }
     if (acc == static_cast<size_t>(-1)) std::abort();  // defeat DCE
+  }, [] {
+    // A band as wide as the longer word is the full DP.
+    std::vector<std::string> a = MakeWords(64, 11);
+    std::vector<std::string> b = MakeWords(64, 12);
+    for (size_t i = 0; i < a.size(); ++i) {
+      size_t wide = std::max(a[i].size(), b[i].size());
+      if (LevenshteinDistance(a[i], b[i]) !=
+          LevenshteinWithin(a[i], b[i], wide)) {
+        return "full != unbounded banded on pair " + std::to_string(i);
+      }
+    }
+    return std::string();
   }});
 
   kernels.push_back({"levenshtein_banded", [] {
@@ -97,6 +170,17 @@ std::vector<Kernel> MakeKernels() {
       acc += LevenshteinWithin(a[i], b[i], 3);
     }
     if (acc == static_cast<size_t>(-1)) std::abort();
+  }, [] {
+    std::vector<std::string> a = MakeWords(64, 21);
+    std::vector<std::string> b = MakeWords(64, 22);
+    for (size_t i = 0; i < a.size(); ++i) {
+      size_t full = LevenshteinDistance(a[i], b[i]);
+      size_t banded = LevenshteinWithin(a[i], b[i], 3);
+      if (full <= 3 ? banded != full : banded <= 3) {
+        return "banded disagrees with full on pair " + std::to_string(i);
+      }
+    }
+    return std::string();
   }});
 
   // FuzzyJaccard's banded kernel path: bag-distance prefilter +
@@ -106,6 +190,14 @@ std::vector<Kernel> MakeKernels() {
     std::vector<std::string> b = MakeWords(96, 32);
     double s = FuzzyJaccard(a, b, 0.25, LevenshteinKernel::kBanded);
     if (s < 0.0) std::abort();
+  }, [] {
+    std::vector<std::string> a = MakeWords(96, 31);
+    std::vector<std::string> b = MakeWords(96, 32);
+    if (FuzzyJaccard(a, b, 0.25, LevenshteinKernel::kBanded) !=
+        FuzzyJaccard(a, b, 0.25, LevenshteinKernel::kNaive)) {
+      return std::string("banded kernel score != naive kernel score");
+    }
+    return std::string();
   }});
 
   kernels.push_back({"minhash_build", [] {
@@ -113,6 +205,16 @@ std::vector<Kernel> MakeKernels() {
     std::unordered_set<std::string> set(values.begin(), values.end());
     MinHashSignature sig = MinHashSignature::Build(set, 64);
     if (sig.empty_set() && !set.empty()) std::abort();
+  }, [] {
+    // Building is deterministic: two builds of one set estimate 1.0.
+    std::vector<std::string> values = MakeWords(1000, 41);
+    std::unordered_set<std::string> set(values.begin(), values.end());
+    MinHashSignature a = MinHashSignature::Build(set, 64);
+    MinHashSignature b = MinHashSignature::Build(set, 64);
+    if (a.empty_set() || a.EstimateJaccard(b) != 1.0) {
+      return std::string("rebuilt signature differs");
+    }
+    return std::string();
   }});
 
   kernels.push_back({"char_ngrams", [] {
@@ -122,6 +224,22 @@ std::vector<Kernel> MakeKernels() {
       acc += CharNGrams(w, 3).size();
     }
     if (acc == 0) std::abort();
+  }, [] {
+    // The packed trigram codes are the string grams, byte for byte.
+    auto byte = [](char c) {
+      return static_cast<uint32_t>(static_cast<unsigned char>(c));
+    };
+    for (const std::string& w : MakeWords(256, 51)) {
+      std::vector<uint32_t> packed;
+      for (const std::string& g : CharNGrams(w, 3)) {
+        packed.push_back((byte(g[0]) << 16) | (byte(g[1]) << 8) | byte(g[2]));
+      }
+      std::sort(packed.begin(), packed.end());
+      if (packed.size() != w.size() + 2 || packed != TrigramCodes(w)) {
+        return "packed trigram codes != string grams for '" + w + "'";
+      }
+    }
+    return std::string();
   }});
 
   kernels.push_back({"emd_sweep", [] {
@@ -133,6 +251,54 @@ std::vector<Kernel> MakeKernels() {
     QuantileHistogram hb = QuantileHistogram::Build(b, 32);
     double emd = EmdBetweenHistograms(ha, hb);
     if (emd < 0.0) std::abort();
+  }, [] {
+    Rng rng(61);
+    std::vector<double> a(5000), b(5000);
+    for (double& d : a) d = rng.Gaussian(100, 15);
+    for (double& d : b) d = rng.Gaussian(110, 20);
+    QuantileHistogram ha = QuantileHistogram::Build(a, 32);
+    QuantileHistogram hb = QuantileHistogram::Build(b, 32);
+    if (EmdBetweenHistograms(ha, ha) != 0.0 ||
+        EmdBetweenHistograms(ha, hb) != EmdBetweenHistograms(hb, ha)) {
+      return std::string("EMD is not a zero-on-self, symmetric distance");
+    }
+    return std::string();
+  }});
+
+  // COMA's name-side first-line matchers on fixed column names: Prepare
+  // derives each column's packed name and path trigrams, tokens and
+  // thesaurus terms once, then Score compares every column pair from
+  // them. Emissions count the per-column trigram codes only; deriving
+  // them per pair again would multiply the count by the table width.
+  kernels.push_back({"coma_name_scores", [] {
+    ComaMatcher matcher;
+    MatchContext context;
+    Result<PreparedTablePtr> src =
+        matcher.Prepare(ComaSourceTable(), nullptr, context);
+    Result<PreparedTablePtr> tgt =
+        matcher.Prepare(ComaTargetTable(), nullptr, context);
+    if (!src.ok() || !tgt.ok()) std::abort();
+    Result<MatchResult> scored = matcher.Score(**src, **tgt, context);
+    if (!scored.ok() || scored->size() != 100) std::abort();
+  }, [] {
+    ComaMatcher matcher;
+    const Table& s = ComaSourceTable();
+    const Table& t = ComaTargetTable();
+    for (const Column& a : s.columns()) {
+      for (const Column& b : t.columns()) {
+        double name_want =
+            StringTrigramDice(ToLower(a.name()), ToLower(b.name()));
+        double path_want =
+            StringTrigramDice(ToLower(s.name()) + "." + ToLower(a.name()),
+                              ToLower(t.name()) + "." + ToLower(b.name()));
+        if (matcher.NameTrigramSim(a.name(), b.name()) != name_want ||
+            matcher.NamePathSim(s.name(), a.name(), t.name(), b.name()) !=
+                path_want) {
+          return "packed != string trigrams on " + a.name() + " / " + b.name();
+        }
+      }
+    }
+    return std::string();
   }});
 
   return kernels;
@@ -140,15 +306,46 @@ std::vector<Kernel> MakeKernels() {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--out PATH] [--repeats N] [--pessimize]\n",
-               argv0);
+               "usage: %s [--out PATH] [--repeats N] [--pessimize]\n"
+               "       %s --smoke\n",
+               argv0, argv0);
   return 2;
+}
+
+/// --smoke: every kernel once against its reference, plus (where op
+/// counters exist) two runs of each workload counting the same nonzero
+/// ops. Returns the process exit code.
+int Smoke() {
+  int failures = 0;
+  for (const Kernel& kernel : MakeKernels()) {
+    std::string problem = kernel.check();
+    if (problem.empty() && opcount::kEnabled) {
+      opcount::Snapshot counts[2];
+      for (opcount::Snapshot& delta : counts) {
+        opcount::Snapshot before = opcount::ThreadSnapshot();
+        kernel.work();
+        delta = opcount::ThreadSnapshot().DeltaSince(before);
+      }
+      uint64_t total = 0;
+      for (opcount::Op op : opcount::AllOps()) total += counts[0].value(op);
+      if (total == 0 || counts[0].counts != counts[1].counts) {
+        problem = "op counts are zero or differ between two runs";
+      }
+    } else if (problem.empty()) {
+      kernel.work();
+    }
+    std::printf("smoke %s: %s\n", kernel.name.c_str(),
+                problem.empty() ? "ok" : ("FAILED: " + problem).c_str());
+    if (!problem.empty()) ++failures;
+  }
+  return failures == 0 ? 0 : 1;
 }
 
 int Run(int argc, char** argv) {
   std::string out_path;
   int repeats = 9;
   bool pessimize = false;
+  if (argc == 2 && std::string(argv[1]) == "--smoke") return Smoke();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
