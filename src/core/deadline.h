@@ -103,9 +103,8 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
-class TableProfile;  // stats/column_profile.h
-class Clock;         // obs/clock.h
-class Tracer;        // obs/trace.h
+class Clock;   // obs/clock.h
+class Tracer;  // obs/trace.h
 
 /// \brief Per-call execution context threaded through ColumnMatcher::Match.
 ///
@@ -119,14 +118,6 @@ struct MatchContext {
   const CancellationToken* cancel = nullptr;
   /// Stable experiment identifier, independent of scheduling order.
   std::string trace_id;
-  /// Precomputed column profiles of the two tables being matched
-  /// (stats/column_profile.h), or nullptr when the caller has none.
-  /// Borrowed; must outlive the Match call. Matchers that consume a
-  /// profile verify artifact compatibility (caps, bins, hash counts)
-  /// and fall back to inline extraction otherwise, so a profiled call
-  /// returns byte-identical results to an unprofiled one.
-  const TableProfile* source_profile = nullptr;
-  const TableProfile* target_profile = nullptr;
   /// Injectable timing source for *measurements* (obs/clock.h); nullptr
   /// = process steady clock. Deadlines above stay on the real steady
   /// clock regardless — a fake clock must not disable time budgets.

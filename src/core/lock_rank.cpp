@@ -71,8 +71,6 @@ const char* LockRankName(LockRank rank) {
       return "kArtifactStore";
     case LockRank::kArtifactCache:
       return "kArtifactCache";
-    case LockRank::kProfileCache:
-      return "kProfileCache";
     case LockRank::kCupidMemo:
       return "kCupidMemo";
     case LockRank::kMetrics:

@@ -51,7 +51,6 @@ enum class LockRank : int {
   kFaultInjection = 20,  ///< matchers/fault_injection.* attempt counters
   kArtifactStore = 25,   ///< io/artifact_store.* (persistent discovery store)
   kArtifactCache = 30,   ///< matchers/artifact_cache.*
-  kProfileCache = 40,    ///< stats/column_profile.* (ProfileCache)
   kCupidMemo = 50,       ///< matchers/cupid.* linguistic memo cache
   kMetrics = 60,         ///< obs/metrics.* (MetricsRegistry)
   kTracer = 70,          ///< obs/trace.* (Tracer)

@@ -17,8 +17,6 @@ MatchContext ExactReranker::ObsContext(const RerankContext& rctx,
   MatchContext context;
   context.deadline = base.deadline;
   context.cancel = base.cancel;
-  context.source_profile = base.source_profile;
-  context.target_profile = base.target_profile;
   context.trace_id = rctx.trace_id;
   context.clock = base.clock != nullptr ? base.clock : rctx.clock;
   context.tracer = rctx.tracer;

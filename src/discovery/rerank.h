@@ -26,7 +26,7 @@
 namespace valentine {
 
 /// Per-query plumbing handed to Rerank: the caller's MatchContext
-/// (deadline/cancellation/profiles) plus the engine's observability
+/// (deadline/cancellation) plus the engine's observability
 /// sinks. All pointers are borrowed for the duration of the call.
 struct RerankContext {
   /// The request's MatchContext (never null inside Rerank).
@@ -94,7 +94,7 @@ class ExactReranker : public Reranker {
 
  private:
   /// A MatchContext carrying `rctx`'s observability plumbing plus the
-  /// caller's deadline/cancellation/profiles.
+  /// caller's deadline/cancellation.
   MatchContext ObsContext(const RerankContext& rctx,
                           uint64_t parent_span) const;
 

@@ -29,10 +29,6 @@ void RegisterHelp(MetricsRegistry& metrics) {
                   "Prepared-table artifact cache misses.");
   metrics.SetHelp("valentine_artifact_cache_builds_total",
                   "Prepared-table artifact builds (including failed ones).");
-  metrics.SetHelp("valentine_profile_cache_hits_total",
-                  "Column-profile cache hits.");
-  metrics.SetHelp("valentine_profile_cache_builds_total",
-                  "Column-profile cache builds.");
 }
 
 }  // namespace
@@ -65,15 +61,6 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
     }
     journal.emplace(options.journal_path);
     run.journal = &*journal;
-  }
-  // One profile cache for the whole campaign: the first family to touch
-  // a table pays the profiling cost, every later configuration and
-  // family reuses the artifacts. Scoped to this call — the cache borrows
-  // the suite's tables.
-  std::optional<ProfileCache> profiles;
-  if (options.use_profile_cache) {
-    profiles.emplace(options.profile_spec);
-    run.profiles = &*profiles;
   }
   // One artifact cache for the whole campaign: each (table, family,
   // prepare-key) artifact is built once; configurations that only sweep

@@ -32,25 +32,17 @@ struct CampaignOptions {
   /// and the final report is byte-identical to an uninterrupted run
   /// (modulo wall-clock runtime fields).
   std::string journal_path;
-  /// Share one ProfileCache across every family and configuration of
-  /// the campaign, so per-column artifacts (distinct values, sets,
-  /// histograms, MinHash sketches, text/numeric stats) are computed
-  /// once per table instead of once per experiment. Reports are
-  /// byte-identical either way (modulo wall-clock runtime fields).
-  bool use_profile_cache = true;
-  /// Artifact parameters for the shared cache; the defaults match the
-  /// matcher defaults, which is what makes the artifacts servable.
-  ProfileSpec profile_spec;
   /// Work slicing for the thread pool: kConfig (the default) also
   /// parallelizes the grid inside each pair, so small suites with wide
   /// grids saturate the cores. Either value yields byte-identical
   /// reports.
   ParallelGranularity granularity = ParallelGranularity::kConfig;
-  /// Share one prepared-table ArtifactCache across every family and
-  /// configuration of the campaign: each (table, family, prepare-key)
-  /// artifact is built once and all configurations sharing the key
-  /// score against it. Reports are byte-identical either way (modulo
-  /// wall-clock runtime fields and the cache-stats diagnostics).
+  /// Share one prepared-table ArtifactCache — the campaign's only
+  /// cache — across every family and configuration of the campaign:
+  /// each (table, family, prepare-key) artifact is built once and all
+  /// configurations sharing the key score against it. Reports are
+  /// byte-identical either way (modulo wall-clock runtime fields and the
+  /// cache-stats diagnostics).
   bool use_artifact_cache = true;
   /// Observability (obs/), all optional and borrowed. `clock` is the
   /// timing source for every runtime measurement in the campaign
@@ -81,8 +73,8 @@ struct CampaignFamilyReport {
 /// byte-identity contract (parallel == sequential == resumed, tracing
 /// on == off); interleaving-dependent diagnostics — cache hit/miss
 /// splits, runtime histograms — live on the MetricsRegistry instead
-/// (valentine_artifact_cache_*, valentine_profile_cache_*), the single
-/// exclusion point from that contract.
+/// (valentine_artifact_cache_*), the single exclusion point from that
+/// contract.
 struct CampaignReport {
   size_t num_pairs = 0;
   size_t num_configurations = 0;

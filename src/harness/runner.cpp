@@ -136,17 +136,15 @@ void SurfaceOpCounts(MetricsRegistry* metrics, const std::string& family,
 
 /// Runs one configuration under the policy: a fresh per-attempt
 /// deadline, bounded retries for transient codes, runtime accumulated
-/// across attempts. `source_profile` / `target_profile` may be null.
-/// Each attempt gets an "attempt" span under `experiment_span`; retry
-/// waits are recorded as "backoff" point events.
+/// across attempts. Each attempt gets an "attempt" span under
+/// `experiment_span`; retry waits are recorded as "backoff" point
+/// events.
 ExperimentResult RunExperimentWithPolicy(const ColumnMatcher& matcher,
                                          const std::string& config,
                                          const DatasetPair& pair,
                                          const std::string& family_name,
                                          const FamilyRunContext& run,
                                          uint64_t experiment_span,
-                                         const TableProfile* source_profile,
-                                         const TableProfile* target_profile,
                                          const PreparedTable* prepared_source,
                                          const PreparedTable* prepared_target) {
   const ExecutionPolicy& policy = run.policy;
@@ -165,8 +163,6 @@ ExperimentResult RunExperimentWithPolicy(const ColumnMatcher& matcher,
     }
     context.cancel = policy.cancel;
     context.trace_id = key;
-    context.source_profile = source_profile;
-    context.target_profile = target_profile;
     context.clock = run.clock;
     context.tracer = run.tracer;
     context.parent_span = attempt_span.id() != 0 ? attempt_span.id()
@@ -253,16 +249,6 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
     }
     return ReplayJournalEntry(*done, *cm.matcher, pair);
   }
-  // Resolve shared profiles for the pair's tables (built once per table
-  // across the whole cache lifetime). The cache owns the profiles; the
-  // shared_ptrs here only pin them for the duration of the call.
-  std::shared_ptr<const TableProfile> source_profile, target_profile;
-  if (run.profiles != nullptr) {
-    source_profile = run.profiles->GetOrBuild(
-        pair.source, run.tracer, key, experiment_span.id(), run.metrics);
-    target_profile = run.profiles->GetOrBuild(
-        pair.target, run.tracer, key, experiment_span.id(), run.metrics);
-  }
   // Resolve shared prepared artifacts (built once per (table, family,
   // prepare-key) across configurations and threads). Prepare runs under
   // the policy's cancellation token but outside the per-attempt
@@ -273,20 +259,17 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
     MatchContext prepare_context;
     prepare_context.cancel = run.policy.cancel;
     prepare_context.trace_id = key + "#prepare";
-    prepare_context.source_profile = source_profile.get();
-    prepare_context.target_profile = target_profile.get();
     prepare_context.clock = run.clock;
     prepare_context.tracer = run.tracer;
     prepare_context.parent_span = experiment_span.id();
     prepared_source = run.artifacts->GetOrPrepare(
-        *cm.matcher, pair.source, source_profile.get(), prepare_context);
+        *cm.matcher, pair.source, /*profile=*/nullptr, prepare_context);
     prepared_target = run.artifacts->GetOrPrepare(
-        *cm.matcher, pair.target, target_profile.get(), prepare_context);
+        *cm.matcher, pair.target, /*profile=*/nullptr, prepare_context);
   }
   ExperimentResult r = RunExperimentWithPolicy(
       *cm.matcher, cm.description, pair, family.name, run,
-      experiment_span.id(), source_profile.get(), target_profile.get(),
-      prepared_source.get(), prepared_target.get());
+      experiment_span.id(), prepared_source.get(), prepared_target.get());
   experiment_span.Attr("code", StatusCodeName(r.code));
   experiment_span.Attr("attempts", std::to_string(r.attempts));
   if (run.metrics != nullptr) {

@@ -22,7 +22,6 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stats/column_profile.h"
 
 namespace valentine {
 
@@ -105,12 +104,6 @@ struct FamilyRunContext {
   ExecutionPolicy policy;
   OutcomeJournal* journal = nullptr;
   const JournalIndex* completed = nullptr;
-  /// Shared column-profile cache: when set, each pair's table profiles
-  /// are resolved (built once, then reused across configurations,
-  /// families, and threads) and attached to every MatchContext. Results
-  /// are byte-identical with or without a cache — profiles only change
-  /// where artifacts are computed, never what they contain.
-  ProfileCache* profiles = nullptr;
   /// Shared prepared-table artifact cache: when set, each (table,
   /// family, prepare-key) artifact is built once and every
   /// configuration sharing the key scores against it (Prepare runs

@@ -2,26 +2,23 @@
 #define VALENTINE_MATCHERS_ARTIFACT_CACHE_H_
 
 /// \file artifact_cache.h
-/// Build-once, serve-many cache of per-table matcher artifacts — the
-/// generalization of `stats::ProfileCache` from one artifact kind
-/// (column profiles) to every family's Prepare output. A campaign
-/// prepares each suite table once per (family, prepare key) instead of
-/// once per (pair, config); a DiscoveryEngine prepares each repository
-/// table once across all queries.
+/// Build-once, serve-many cache of per-table matcher artifacts: every
+/// family's Prepare output. A campaign prepares each suite table once per
+/// (family, prepare key) instead of once per (pair, config); a
+/// DiscoveryEngine prepares each repository table once across all
+/// queries. It is the campaign's only in-memory cache.
 ///
-/// Keying: unlike ProfileCache (which keys by table address and is the
-/// single sanctioned pointer-keyed cache — see the `pointer-cache-key`
-/// lint rule), entries here are keyed by *value*: a content fingerprint
-/// of the table plus the table name, the family name, and the matcher's
-/// PrepareKey(). Value keys make hits well-defined across table copies
-/// and make the cache immune to allocator address reuse.
+/// Keying: entries are keyed by *value* — a content fingerprint of the
+/// table plus the table name, the family name, and the matcher's
+/// PrepareKey() — never by address (the `pointer-cache-key` lint rule
+/// has no exception in src/). Value keys make hits well-defined across
+/// table copies and make the cache immune to allocator address reuse.
 ///
-/// Contract (same as PR 3's profile cache): a cache hit must be
-/// byte-identical to an inline Prepare, and every consumer falls back to
-/// the inline path unconditionally when the cache declines (build
-/// failure, family mismatch) — the cache can change wall-clock time,
-/// never report bytes. Artifacts borrow their tables, so the cache must
-/// not outlive the tables it was fed (the ProfileCache lifetime rule).
+/// Contract: a cache hit must be byte-identical to an inline Prepare,
+/// and every consumer falls back to the inline path unconditionally
+/// when the cache declines (build failure, family mismatch) — the cache
+/// can change wall-clock time, never report bytes. Artifacts borrow
+/// their tables, so the cache must not outlive the tables it was fed.
 ///
 /// Thread safety: GetOrPrepare is safe for concurrent callers. Builds
 /// run outside the lock (Prepare can be expensive); when two threads

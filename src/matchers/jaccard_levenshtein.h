@@ -21,8 +21,8 @@ struct JaccardLevenshteinOptions {
   /// fuzzy stage tractable; 0 = unlimited).
   size_t max_distinct_values = 500;
   /// Edit-distance kernel for the fuzzy stage. Both kernels score
-  /// identically; kNaive is the pre-optimization reference kept for the
-  /// bench A/B and equivalence tests.
+  /// identically; kNaive is the pre-optimization reference kept for
+  /// equivalence tests and kernel benchmarks.
   LevenshteinKernel kernel = LevenshteinKernel::kBanded;
   /// Candidate pruning (off at 0): column pairs whose fuzzy-Jaccard
   /// score cannot reach this threshold are skipped and never added to

@@ -35,14 +35,12 @@ Result<MatchResult> ColumnMatcher::Score(const PreparedTable& source,
 Result<MatchResult> ColumnMatcher::MatchWithContext(
     const Table& source, const Table& target,
     const MatchContext& context) const {
-  // Pipelined matchers match by composing their two stages. The
-  // context's profiles (when a ProfileCache supplied them) accelerate
-  // Prepare without changing its artifact.
+  // Pipelined matchers match by composing their two stages.
   Result<PreparedTablePtr> prepared_source =
-      Prepare(source, context.source_profile, context);
+      Prepare(source, /*profile=*/nullptr, context);
   VALENTINE_RETURN_NOT_OK(prepared_source.status());
   Result<PreparedTablePtr> prepared_target =
-      Prepare(target, context.target_profile, context);
+      Prepare(target, /*profile=*/nullptr, context);
   VALENTINE_RETURN_NOT_OK(prepared_target.status());
   return Score(**prepared_source, **prepared_target, context);
 }

@@ -17,6 +17,8 @@
 
 namespace valentine {
 
+class TableProfile;  // stats/column_profile.h
+
 /// The six match-type capabilities of paper Table I.
 enum class MatchType {
   kAttributeOverlap,
@@ -106,10 +108,10 @@ class ColumnMatcher {
 
   /// Stage 1: builds this family's immutable per-table artifact.
   /// `profile` is an optional precomputed column profile for `table`
-  /// (from stats::ProfileCache); passing one must not change the
-  /// artifact's content, only the cost of building it (the PR 3 serving
-  /// contract). The default wraps the table in a state-less artifact,
-  /// which the default Score degrades to the monolithic path.
+  /// (the discovery store keeps one per registered table); passing one
+  /// must not change the artifact's content, only the cost of building
+  /// it. The default wraps the table in a state-less artifact, which
+  /// the default Score degrades to the monolithic path.
   [[nodiscard]] virtual Result<PreparedTablePtr> Prepare(
       const Table& table, const TableProfile* profile,
       const MatchContext& context) const;
@@ -126,9 +128,8 @@ class ColumnMatcher {
 
   /// The monolithic hook: ranked matches for a raw table pair. Check
   /// `context` at iteration boundaries of any loop whose trip count
-  /// depends on the data. The default composes Prepare (with the
-  /// context's profiles) and Score; monolithic matchers override it
-  /// directly.
+  /// depends on the data. The default composes Prepare (without a
+  /// profile) and Score; monolithic matchers override it directly.
   [[nodiscard]] virtual Result<MatchResult> MatchWithContext(
       const Table& source, const Table& target,
       const MatchContext& context) const;

@@ -15,12 +15,12 @@
 ///
 /// Contract: artifacts are deep (they own their derived state and never
 /// borrow mutable parts of the table), but they *borrow* the Table they
-/// were built from, so an artifact must not outlive its table — the same
-/// lifetime rule as `stats::ProfileCache`. Artifacts are identified by
-/// (family name, prepare key): `Score` accepts an artifact only when the
-/// dynamic type matches and `prepare_key()` equals the matcher's current
-/// `PrepareKey()`; on any mismatch it falls back to re-preparing inline,
-/// so a wrong or stale artifact can cost time but never changes bytes.
+/// were built from, so an artifact must not outlive its table. Artifacts
+/// are identified by (family name, prepare key): `Score` accepts an
+/// artifact only when the dynamic type matches and `prepare_key()`
+/// equals the matcher's current `PrepareKey()`; on any mismatch it falls
+/// back to re-preparing inline, so a wrong or stale artifact can cost
+/// time but never changes bytes.
 
 #include <memory>
 #include <string>

@@ -10,9 +10,22 @@
 
 namespace valentine {
 
-std::pair<size_t, double> SemPropMatcher::LinkToOntology(
+namespace {
+
+constexpr size_t kNoLink = static_cast<size_t>(-1);
+
+/// A raw best link cut at the semantic threshold: links below it count
+/// as no link at all.
+std::pair<size_t, double> CutLink(const std::pair<size_t, double>& link,
+                                  double threshold) {
+  if (link.second < threshold) return {kNoLink, 0.0};
+  return link;
+}
+
+}  // namespace
+
+std::pair<size_t, double> SemPropMatcher::BestOntologyLink(
     const std::string& name) const {
-  constexpr size_t kNoLink = static_cast<size_t>(-1);
   if (ontology_ == nullptr) return {kNoLink, 0.0};
   Embedding name_emb = embedder_.EmbedText(JoinTokens(
       TokenizeIdentifier(name)));
@@ -27,15 +40,20 @@ std::pair<size_t, double> SemPropMatcher::LinkToOntology(
       }
     }
   }
-  if (best_sim < options_.semantic_threshold) return {kNoLink, 0.0};
   return {best_class, best_sim};
+}
+
+std::pair<size_t, double> SemPropMatcher::LinkToOntology(
+    const std::string& name) const {
+  return CutLink(BestOntologyLink(name), options_.semantic_threshold);
 }
 
 namespace {
 
-/// Per-table artifact: the expensive embedding-based ontology links and
-/// the MinHash signatures. Coherence is recomputed from the links at
-/// score time (it is a cheap fold over one vector).
+/// Per-table artifact: the expensive embedding-based ontology links,
+/// before the semantic threshold, and the MinHash signatures. The
+/// threshold and coherence are applied at score time (cheap folds over
+/// one vector).
 struct SemPropPrepared : PreparedTable {
   using PreparedTable::PreparedTable;
   std::vector<std::pair<size_t, double>> links;
@@ -45,15 +63,14 @@ struct SemPropPrepared : PreparedTable {
 }  // namespace
 
 std::string SemPropMatcher::PrepareKey() const {
-  // Links depend on the ontology content, the embedder dimension (seed
-  // is fixed), and the semantic threshold; signatures depend on the
-  // value cap and permutation count. The remaining options are
+  // Links depend on the ontology content and the embedder dimension
+  // (seed is fixed); signatures depend on the value cap and permutation
+  // count. The remaining options, the semantic threshold included, are
   // score-stage.
   return "ont=" +
          (ontology_ != nullptr ? std::to_string(ontology_->Fingerprint())
                                : "none") +
          ";dim=" + std::to_string(options_.embedding_dim) +
-         ";sem=" + std::to_string(options_.semantic_threshold) +
          ";cap=" + std::to_string(options_.max_values) +
          ";hashes=" + std::to_string(options_.minhash_hashes);
 }
@@ -66,11 +83,10 @@ Result<PreparedTablePtr> SemPropMatcher::Prepare(
   const size_t n = table.num_columns();
 
   // --- Semantic stage: link every column name to an ontology class. ---
-  constexpr size_t kNoLink = static_cast<size_t>(-1);
   prepared->links.assign(n, {kNoLink, 0.0});
   for (size_t i = 0; i < n; ++i) {
     VALENTINE_RETURN_NOT_OK(context.Check("semprop ontology linking"));
-    prepared->links[i] = LinkToOntology(table.column(i).name());
+    prepared->links[i] = BestOntologyLink(table.column(i).name());
   }
 
   // --- Syntactic stage inputs: MinHash signatures over value sets. ---
@@ -116,11 +132,20 @@ Result<MatchResult> SemPropMatcher::Score(const PreparedTable& source,
   }
   VALENTINE_RETURN_NOT_OK(context.Check("semprop score"));
 
-  constexpr size_t kNoLink = static_cast<size_t>(-1);
   const Table& source_table = src->table();
   const Table& target_table = tgt->table();
-  const size_t ns = src->links.size();
-  const size_t nt = tgt->links.size();
+  auto cut = [&](const std::vector<std::pair<size_t, double>>& raw) {
+    std::vector<std::pair<size_t, double>> links;
+    links.reserve(raw.size());
+    for (const auto& link : raw) {
+      links.push_back(CutLink(link, options_.semantic_threshold));
+    }
+    return links;
+  };
+  const std::vector<std::pair<size_t, double>> src_links = cut(src->links);
+  const std::vector<std::pair<size_t, double>> tgt_links = cut(tgt->links);
+  const size_t ns = src_links.size();
+  const size_t nt = tgt_links.size();
 
   // Coherent-group score per table: the fraction of linked columns.
   // A table whose links are scattered/absent gets its semantic matches
@@ -133,20 +158,20 @@ Result<MatchResult> SemPropMatcher::Score(const PreparedTable& source,
     }
     return static_cast<double>(linked) / static_cast<double>(links.size());
   };
-  bool coherent = coherence(src->links) >= options_.coherent_group_threshold &&
-                  coherence(tgt->links) >= options_.coherent_group_threshold;
+  bool coherent = coherence(src_links) >= options_.coherent_group_threshold &&
+                  coherence(tgt_links) >= options_.coherent_group_threshold;
 
   std::vector<std::vector<double>> sem_score(ns, std::vector<double>(nt, 0.0));
   if (coherent && ontology_ != nullptr) {
     for (size_t i = 0; i < ns; ++i) {
-      if (src->links[i].first == kNoLink) continue;
+      if (src_links[i].first == kNoLink) continue;
       for (size_t j = 0; j < nt; ++j) {
-        if (tgt->links[j].first == kNoLink) continue;
-        auto dist = ontology_->HierarchyDistance(src->links[i].first,
-                                                 tgt->links[j].first);
+        if (tgt_links[j].first == kNoLink) continue;
+        auto dist = ontology_->HierarchyDistance(src_links[i].first,
+                                                 tgt_links[j].first);
         if (!dist || *dist > options_.max_class_distance) continue;
         double link_strength =
-            0.5 * (src->links[i].second + tgt->links[j].second);
+            0.5 * (src_links[i].second + tgt_links[j].second);
         // Nearby-but-not-identical classes relate more weakly.
         double decay = 1.0 / (1.0 + static_cast<double>(*dist));
         sem_score[i][j] = link_strength * decay;

@@ -54,9 +54,11 @@ class SemPropMatcher : public ColumnMatcher {
     return {MatchType::kAttributeOverlap, MatchType::kValueOverlap,
             MatchType::kEmbeddings};
   }
-  /// Artifact: per-column ontology links (the expensive embedding
-  /// sweep) and MinHash signatures. Keyed on the ontology fingerprint —
-  /// links are a function of the knowledge base, not just the table.
+  /// Artifact: per-column best ontology links before the semantic
+  /// threshold (the expensive embedding sweep) and MinHash signatures.
+  /// Keyed on the ontology fingerprint — links are a function of the
+  /// knowledge base, not just the table. The threshold is a score-stage
+  /// cutoff, so one artifact serves every semantic_threshold.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
       const Table& table, const TableProfile* profile,
@@ -70,6 +72,11 @@ class SemPropMatcher : public ColumnMatcher {
   std::pair<size_t, double> LinkToOntology(const std::string& name) const;
 
  private:
+  /// The embedding sweep behind LinkToOntology, before the semantic
+  /// threshold: (class index, cosine) of the most similar class label,
+  /// or (npos, 0) when there is no ontology or no positive similarity.
+  std::pair<size_t, double> BestOntologyLink(const std::string& name) const;
+
   const Ontology* ontology_;
   SemPropOptions options_;
   HashEmbedder embedder_;

@@ -243,8 +243,6 @@ DiscoveryOptions DiscoveryService::EngineOptions() const {
   opt.min_containment = options_.min_containment;
   opt.union_evidence_columns = options_.union_evidence_columns;
   opt.store = options_.store;
-  opt.joinable_path = options_.joinable_path;
-  opt.unionable_path = options_.unionable_path;
   opt.clock = options_.clock;
   opt.tracer = options_.tracer;
   opt.metrics = options_.metrics;

@@ -106,9 +106,6 @@ struct ServiceOptions {
   /// touch the store — and what lets a restarted process warm up from disk
   /// without rebuilding sketches or profiles.
   ArtifactStore* store = nullptr;
-  /// Candidate front-end per query mode (see DiscoveryOptions).
-  CandidatePath joinable_path = CandidatePath::kLsh;
-  CandidatePath unionable_path = CandidatePath::kLsh;
 };
 
 /// \brief Routes HTTP requests onto a copy-on-write DiscoveryEngine.

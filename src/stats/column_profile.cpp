@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "text/string_similarity.h"
 #include "text/tokenizer.h"
 
@@ -89,56 +87,6 @@ TableProfile TableProfile::Build(const Table& table, const ProfileSpec& spec) {
     tp.columns_.push_back(ColumnProfile::Build(c, spec));
   }
   return tp;
-}
-
-std::shared_ptr<const TableProfile> ProfileCache::GetOrBuild(
-    const Table& table) {
-  {
-    MutexLock lock(&mutex_);
-    auto it = map_.find(&table);
-    if (it != map_.end()) return it->second;
-  }
-  // Build outside the lock: profiles are pure functions of the table, so
-  // a racing duplicate build wastes work but cannot diverge.
-  auto built = std::make_shared<const TableProfile>(
-      TableProfile::Build(table, spec_));
-  MutexLock lock(&mutex_);
-  auto [it, inserted] = map_.emplace(&table, std::move(built));
-  return it->second;
-}
-
-std::shared_ptr<const TableProfile> ProfileCache::GetOrBuild(
-    const Table& table, Tracer* tracer, const std::string& trace_id,
-    uint64_t parent_span, MetricsRegistry* metrics) {
-  std::shared_ptr<const TableProfile> hit;
-  {
-    MutexLock lock(&mutex_);
-    auto it = map_.find(&table);
-    if (it != map_.end()) hit = it->second;
-  }
-  if (hit != nullptr) {
-    // Counter bump deliberately outside the critical section: the
-    // registry takes its own lock, and cache locks stay leaf-level —
-    // no lock is ever acquired while a cache mutex is held (DESIGN.md
-    // §11 lock-rank table).
-    if (metrics != nullptr) {
-      metrics->CounterFor("valentine_profile_cache_hits_total")->Increment();
-    }
-    return hit;
-  }
-  SpanScope build_span(tracer, trace_id, "cache-build",
-                       "profile/" + table.name(), parent_span);
-  build_span.Attr("cache", "profile");
-  std::shared_ptr<const TableProfile> result = GetOrBuild(table);
-  if (metrics != nullptr) {
-    metrics->CounterFor("valentine_profile_cache_builds_total")->Increment();
-  }
-  return result;
-}
-
-size_t ProfileCache::size() const {
-  MutexLock lock(&mutex_);
-  return map_.size();
 }
 
 }  // namespace valentine

@@ -2,16 +2,15 @@
 #define VALENTINE_STATS_COLUMN_PROFILE_H_
 
 /// \file column_profile.h
-/// Shared, immutable per-column profiles.
+/// Immutable per-column profiles.
 ///
 /// Table IV of the paper shows instance-based matcher cost growing with
-/// value counts, and every instance-based matcher in this repo used to
-/// re-derive the same per-column artifacts (distinct values, value sets,
-/// quantile histograms, MinHash sketches, text/numeric statistics) from
-/// scratch inside each Match call — once per grid configuration, per
-/// family, per campaign. A ColumnProfile computes each artifact once per
-/// column; the harness threads profiles through MatchContext so every
-/// configuration of every family reuses them.
+/// value counts. A ColumnProfile computes the per-column artifacts the
+/// instance-based matchers start from (distinct values, value sets,
+/// quantile histograms, MinHash sketches, text/numeric statistics) in
+/// one pass. The persistent discovery store (io/artifact_store.h) keeps
+/// one TableProfile per stored table; the discovery reranker hands it to
+/// Prepare, so a restarted service serves those artifacts from disk.
 ///
 /// Contracts (DESIGN.md §8):
 ///  * Profiles are immutable after Build and safe to share across
@@ -21,28 +20,18 @@
 ///    so consuming a profile is byte-identical to not consuming one.
 ///    Matchers verify cap/parameter compatibility via CanServe* before
 ///    consuming and fall back to inline extraction otherwise.
-///  * ProfileCache borrows its tables: a cached profile is keyed by the
-///    Table's address, so the cache must not outlive the suite whose
-///    tables it profiles.
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/mutex.h"
 #include "core/table.h"
-#include "core/thread_annotations.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/minhash.h"
 
 namespace valentine {
-
-class Tracer;           // obs/trace.h
-class MetricsRegistry;  // obs/metrics.h
 
 /// Parameters the derived artifacts are built with. Defaults mirror the
 /// default options of the consuming matchers (COMA / SemProp value-set
@@ -160,7 +149,7 @@ class TableProfile {
   const ProfileSpec& spec() const { return spec_; }
 
   /// Sanity guard for matchers: a profile only serves a table with the
-  /// same column count (the harness keys profiles by table identity, so
+  /// same column count (the store keys profiles by table content, so
   /// this only fails on caller error).
   bool Matches(const Table& table) const {
     return columns_.size() == table.num_columns();
@@ -178,43 +167,6 @@ class TableProfile {
 /// fresh Build (a profile only substitutes for one built under an
 /// identical spec).
 bool ProfileSpecsEqual(const ProfileSpec& a, const ProfileSpec& b);
-
-/// \brief Thread-safe build-once cache of TableProfiles, keyed by table
-/// identity (address). Borrowed tables must outlive the cache; the
-/// harness scopes one cache to one campaign/suite run.
-class ProfileCache {
- public:
-  explicit ProfileCache(ProfileSpec spec = {}) : spec_(spec) {}
-  ProfileCache(const ProfileCache&) = delete;
-  ProfileCache& operator=(const ProfileCache&) = delete;
-
-  /// Returns the cached profile for the table, building it on first
-  /// request. Concurrent callers for the same table may race to build;
-  /// the first insert wins and Build is deterministic, so either result
-  /// is identical.
-  std::shared_ptr<const TableProfile> GetOrBuild(const Table& table)
-      EXCLUDES(mutex_);
-
-  /// Observable variant: on a build (cache miss) emits a "cache-build"
-  /// span (attr cache="profile") under `parent_span` in `trace_id`, and
-  /// bumps valentine_profile_cache_{hits,builds}_total. All obs
-  /// arguments may be null; results are identical either way.
-  std::shared_ptr<const TableProfile> GetOrBuild(const Table& table,
-                                                 Tracer* tracer,
-                                                 const std::string& trace_id,
-                                                 uint64_t parent_span,
-                                                 MetricsRegistry* metrics)
-      EXCLUDES(mutex_);
-
-  const ProfileSpec& spec() const { return spec_; }
-  size_t size() const EXCLUDES(mutex_);
-
- private:
-  const ProfileSpec spec_;  // lint:allow(guarded-by-coverage) immutable
-  mutable Mutex mutex_{LockRank::kProfileCache, "ProfileCache"};
-  std::unordered_map<const Table*, std::shared_ptr<const TableProfile>> map_
-      GUARDED_BY(mutex_);
-};
 
 }  // namespace valentine
 

@@ -77,8 +77,8 @@ TEST_F(LockRankTest, EqualRankCountsAsInversion) {
   // X-then-Y and thread B does Y-then-X, ranks alone cannot break the
   // tie, so "strictly increasing" is the invariant.
   int a = 0, b = 0;
-  LockRankTracker::Acquired(&a, LockRank::kProfileCache, "cache-a");
-  LockRankTracker::CheckAcquire(&b, LockRank::kProfileCache, "cache-b");
+  LockRankTracker::Acquired(&a, LockRank::kArtifactCache, "cache-a");
+  LockRankTracker::CheckAcquire(&b, LockRank::kArtifactCache, "cache-b");
   ASSERT_EQ(recorded_.size(), 1u);
   EXPECT_EQ(recorded_[0].kind, LockRankViolation::Kind::kRankInversion);
   LockRankTracker::Released(&a);
@@ -155,7 +155,6 @@ TEST(LockRankNameTest, CoversEveryRank) {
   EXPECT_STREQ(LockRankName(LockRank::kJournal), "kJournal");
   EXPECT_STREQ(LockRankName(LockRank::kFaultInjection), "kFaultInjection");
   EXPECT_STREQ(LockRankName(LockRank::kArtifactCache), "kArtifactCache");
-  EXPECT_STREQ(LockRankName(LockRank::kProfileCache), "kProfileCache");
   EXPECT_STREQ(LockRankName(LockRank::kCupidMemo), "kCupidMemo");
   EXPECT_STREQ(LockRankName(LockRank::kMetrics), "kMetrics");
   EXPECT_STREQ(LockRankName(LockRank::kTracer), "kTracer");
@@ -230,7 +229,7 @@ TEST_F(LockRankTest, ConcurrentInOrderLockingIsClean) {
   // The shape the library actually uses — per-subsystem mutexes
   // acquired leaf-last from many threads at once. Runs under the tsan
   // label: TSan watches the data, the tracker watches the order.
-  Mutex cache(LockRank::kProfileCache, "cache");
+  Mutex cache(LockRank::kArtifactCache, "cache");
   Mutex metrics(LockRank::kMetrics, "metrics");
   int guarded = 0;
   std::vector<std::thread> threads;

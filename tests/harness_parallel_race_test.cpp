@@ -154,8 +154,8 @@ INSTANTIATE_TEST_SUITE_P(
 // kConfig granularity slices work per (pair, configuration) and folds
 // per-config results with ReducePairOutcome; the fold — and therefore
 // the bytes — must still match the sequential runner. A shared
-// ProfileCache rides along so TSan also sees concurrent GetOrBuild and
-// concurrent artifact reads.
+// ArtifactCache rides along, as in a real campaign, so TSan also sees
+// concurrent GetOrPrepare and concurrent artifact reads.
 class ConfigGranularityDeterminismTest
     : public ::testing::TestWithParam<RaceParam> {};
 
@@ -165,9 +165,9 @@ TEST_P(ConfigGranularityDeterminismTest, ConfigSlicingMatchesSequentialBytes) {
   ASSERT_FALSE(SharedSuite().empty());
 
   MethodFamily family = MakeFamily(family_name);
-  ProfileCache cache;
+  ArtifactCache cache;
   FamilyRunContext run = ClockedRun();
-  run.profiles = &cache;
+  run.artifacts = &cache;
   for (int repeat = 0; repeat < 3; ++repeat) {
     auto outcomes =
         RunFamilyOnSuiteParallel(family, SharedSuite(), num_threads, run,

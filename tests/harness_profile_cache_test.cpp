@@ -1,10 +1,11 @@
-// Byte-identity contract of the shared ProfileCache (runner.h,
-// campaign.h): attaching profiles to a family run changes where
-// per-column artifacts are computed, never what they contain, so
-// canonical outcomes must be bit-for-bit identical with and without a
-// cache — for every family, and at campaign level across every
-// (use_profile_cache, granularity) combination. Runs under TSan with the
-// cache shared across worker threads.
+// Byte-identity contract of the campaign's shared ArtifactCache
+// (runner.h, campaign.h): serving prepared artifacts to a family run
+// changes where per-table work is done, never what it produces, so
+// canonical outcomes must be bit-for-bit identical with and without the
+// cache — for every family, cold and warm, and at campaign level across
+// every (use_artifact_cache, granularity, threads) combination. Runs
+// under TSan with the cache shared across worker threads. Also pins the
+// Jaccard-Levenshtein reference kernel to the default banded one.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "harness/json_export.h"
 #include "harness/parallel.h"
 #include "matchers/embdi.h"
+#include "matchers/jaccard_levenshtein.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 
@@ -91,12 +93,11 @@ const std::vector<DatasetPair>& SharedSuite() {
   return kSuite;
 }
 
-class ProfileCacheFamilyTest : public ::testing::TestWithParam<std::string> {};
+class ArtifactCacheFamilyTest
+    : public ::testing::TestWithParam<std::string> {};
 
-// Every family: cached == uncached, bit for bit. Instance-based families
-// actually consume the artifacts; schema-based ones must simply ignore
-// them unchanged.
-TEST_P(ProfileCacheFamilyTest, CachedRunMatchesUncachedBytes) {
+// Every family: cached == uncached, bit for bit.
+TEST_P(ArtifactCacheFamilyTest, CachedRunMatchesUncachedBytes) {
   const std::string family_name = GetParam();
   MethodFamily family = MakeFamily(family_name);
   ASSERT_FALSE(SharedSuite().empty());
@@ -104,20 +105,10 @@ TEST_P(ProfileCacheFamilyTest, CachedRunMatchesUncachedBytes) {
   const std::string uncached =
       ToJson(RunFamilyOnSuite(family, SharedSuite(), ClockedRun()));
 
-  ProfileCache cache;
-  FamilyRunContext run = ClockedRun();
-  run.profiles = &cache;
-  EXPECT_EQ(ToJson(RunFamilyOnSuite(family, SharedSuite(), run)), uncached)
-      << family_name << " diverged when served from the profile cache";
-  EXPECT_GT(cache.size(), 0u) << "cache was never consulted";
-
-  // A warm cache (second pass over the same tables) must also agree.
-  EXPECT_EQ(ToJson(RunFamilyOnSuite(family, SharedSuite(), run)), uncached)
-      << family_name << " diverged on a warm cache";
-
-  // Prepared-artifact fast path: profile cache + artifact cache stacked
-  // must still match the monolithic bytes, cold and warm.
+  // Prepared-artifact fast path: must match the monolithic bytes, cold
+  // and warm.
   ArtifactCache artifacts;
+  FamilyRunContext run = ClockedRun();
   run.artifacts = &artifacts;
   EXPECT_EQ(ToJson(RunFamilyOnSuite(family, SharedSuite(), run)), uncached)
       << family_name << " diverged when scored from cached artifacts";
@@ -127,16 +118,35 @@ TEST_P(ProfileCacheFamilyTest, CachedRunMatchesUncachedBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, ProfileCacheFamilyTest,
+    AllFamilies, ArtifactCacheFamilyTest,
     ::testing::Values("Cupid", "SimilarityFlooding", "COMA", "Distribution",
                       "SemProp", "EmbDI", "JaccardLevenshtein"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
 
+// The reference full-matrix Levenshtein kernel and the default banded
+// one score bit-identically, so the whole Jaccard-Levenshtein grid
+// yields the same canonical outcomes on either.
+TEST(JaccardLevenshteinKernelTest, NaiveKernelMatchesBandedOutcomes) {
+  const MethodFamily banded = JaccardLevenshteinFamily();
+  const std::vector<double> thresholds = {0.4, 0.5, 0.6, 0.7, 0.8};
+  ASSERT_EQ(banded.grid.size(), thresholds.size());
+  MethodFamily naive{banded.name, {}};
+  for (size_t i = 0; i < thresholds.size(); ++i) {
+    JaccardLevenshteinOptions opt;
+    opt.threshold = thresholds[i];
+    opt.kernel = LevenshteinKernel::kNaive;
+    naive.grid.push_back({banded.grid[i].description,
+                          std::make_shared<JaccardLevenshteinMatcher>(opt)});
+  }
+  EXPECT_EQ(ToJson(RunFamilyOnSuite(naive, SharedSuite(), ClockedRun())),
+            ToJson(RunFamilyOnSuite(banded, SharedSuite(), ClockedRun())));
+}
+
 // Campaign level: the report is byte-identical across every combination
-// of profile caching and work-slicing granularity, threaded or not.
-TEST(ProfileCacheCampaignTest, ReportInvariantUnderCacheAndGranularity) {
+// of artifact caching and work-slicing granularity, threaded or not.
+TEST(CampaignCacheTest, ReportInvariantUnderCacheAndGranularity) {
   std::vector<MethodFamily> families = {
       MakeFamily("JaccardLevenshtein"),
       MakeFamily("Distribution"),
@@ -146,68 +156,37 @@ TEST(ProfileCacheCampaignTest, ReportInvariantUnderCacheAndGranularity) {
   CampaignOptions baseline;
   baseline.num_threads = 1;
   baseline.clock = &SharedFakeClock();
-  baseline.use_profile_cache = false;
   baseline.use_artifact_cache = false;
   baseline.granularity = ParallelGranularity::kPair;
   const std::string expected =
       ToJson(RunCampaignOnSuite(SharedSuite(), families, baseline));
 
-  for (bool use_cache : {false, true}) {
-    for (bool use_artifacts : {false, true}) {
-      for (ParallelGranularity granularity :
-           {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
-        for (size_t threads : {size_t{1}, size_t{2}, size_t{0}}) {
-          CampaignOptions options;
-          options.num_threads = threads;
-          options.clock = &SharedFakeClock();
-          options.use_profile_cache = use_cache;
-          options.use_artifact_cache = use_artifacts;
-          options.granularity = granularity;
-          EXPECT_EQ(
-              ToJson(RunCampaignOnSuite(SharedSuite(), families, options)),
-              expected)
-              << "cache=" << use_cache << " artifacts=" << use_artifacts
-              << " granularity="
-              << (granularity == ParallelGranularity::kConfig ? "config"
-                                                              : "pair")
-              << " threads=" << threads;
-        }
+  for (bool use_artifacts : {false, true}) {
+    for (ParallelGranularity granularity :
+         {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{0}}) {
+        CampaignOptions options;
+        options.num_threads = threads;
+        options.clock = &SharedFakeClock();
+        options.use_artifact_cache = use_artifacts;
+        options.granularity = granularity;
+        EXPECT_EQ(
+            ToJson(RunCampaignOnSuite(SharedSuite(), families, options)),
+            expected)
+            << "artifacts=" << use_artifacts << " granularity="
+            << (granularity == ParallelGranularity::kConfig ? "config"
+                                                            : "pair")
+            << " threads=" << threads;
       }
     }
   }
-}
-
-// A non-default spec only changes artifact parameters the matchers
-// reject via CapsEquivalent/parameter checks — they fall back to inline
-// extraction, so even a deliberately mismatched cache cannot change the
-// report.
-TEST(ProfileCacheCampaignTest, MismatchedSpecFallsBackToInline) {
-  std::vector<MethodFamily> families = {MakeFamily("JaccardLevenshtein"),
-                                        MakeFamily("SemProp")};
-
-  CampaignOptions baseline;
-  baseline.num_threads = 1;
-  baseline.clock = &SharedFakeClock();
-  baseline.use_profile_cache = false;
-  const std::string expected =
-      ToJson(RunCampaignOnSuite(SharedSuite(), families, baseline));
-
-  CampaignOptions mismatched;
-  mismatched.num_threads = 1;
-  mismatched.clock = &SharedFakeClock();
-  mismatched.use_profile_cache = true;
-  mismatched.profile_spec.set_cap = 3;       // far below any matcher cap
-  mismatched.profile_spec.distinct_cap = 5;  // truncated storage
-  mismatched.profile_spec.minhash_hashes = 8;
-  EXPECT_EQ(ToJson(RunCampaignOnSuite(SharedSuite(), families, mismatched)),
-            expected);
 }
 
 // The per-family artifact-cache counters live on the MetricsRegistry
 // (the single exclusion point from the byte-identity contract), never
 // on the report: present when the cache is on, absent when it is off,
 // and the report JSON carries no cache diagnostics either way.
-TEST(ProfileCacheCampaignTest, ArtifactCacheCountersOnMetricsRegistry) {
+TEST(CampaignCacheTest, ArtifactCacheCountersOnMetricsRegistry) {
   std::vector<MethodFamily> families = {MakeFamily("JaccardLevenshtein"),
                                         MakeFamily("Distribution")};
 

@@ -1,8 +1,10 @@
 // Byte-identity contract of the two-stage matcher pipeline (matcher.h):
 // for every family and every grid configuration, Prepare(src) +
 // Prepare(tgt) + Score must produce the same serialized MatchResult as
-// the monolithic Match — and Score must degrade gracefully (identical
-// bytes, by re-preparing inline) when handed foreign or stale artifacts.
+// the monolithic Match — with or without a column profile handed to
+// Prepare, matching spec or not — and Score must degrade gracefully
+// (identical bytes, by re-preparing inline) when handed foreign or
+// stale artifacts.
 // Also covers the ArtifactCache: build-once semantics, value keying,
 // failure propagation, stats counters, and concurrent GetOrPrepare
 // (tsan-labeled); and the knowledge-base fingerprints PrepareKeys embed:
@@ -11,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +33,7 @@
 #include "matchers/matcher.h"
 #include "matchers/semprop.h"
 #include "matchers/similarity_flooding.h"
+#include "stats/column_profile.h"
 
 namespace valentine {
 namespace {
@@ -81,31 +85,88 @@ std::vector<MethodFamily> AllTestFamilies() {
 
 class PrepareScoreFamilyTest : public ::testing::TestWithParam<size_t> {};
 
-// Prepare + Score == Match, bit for bit, for every configuration.
+/// Match's bytes on SharedPair() per (family, configuration), computed
+/// once per process: both parameterized tests compare against them, and
+/// EmbDI's Match trains word2vec, which dominates this binary's run time
+/// under the sanitizers.
+const std::string& MatchBytes(const MethodFamily& family,
+                              const ConfiguredMatcher& cm) {
+  static std::map<std::string, std::string> memo;
+  const std::string key = family.name + '\x1f' + cm.description;
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    const DatasetPair& pair = SharedPair();
+    it = memo.emplace(key, ToJson(cm.matcher->Match(pair.source,
+                                                     pair.target)))
+             .first;
+  }
+  return it->second;
+}
+
+// The profiles Prepare may be handed, per table: none, one built under
+// the default spec (what the discovery store serves), and one whose caps,
+// hash count and bins match no matcher default, so every consumer must
+// decline the mismatched artifacts and extract inline.
+struct ProfileInput {
+  const char* name;
+  std::shared_ptr<const TableProfile> source;
+  std::shared_ptr<const TableProfile> target;
+};
+
+std::vector<ProfileInput> ProfileInputs(const DatasetPair& pair) {
+  ProfileSpec mismatched;
+  mismatched.set_cap = 3;
+  mismatched.distinct_cap = 5;
+  mismatched.minhash_hashes = 8;
+  mismatched.num_bins = 16;
+  auto build = [](const Table& table, const ProfileSpec& spec) {
+    return std::make_shared<const TableProfile>(
+        TableProfile::Build(table, spec));
+  };
+  return {
+      {"no profile", nullptr, nullptr},
+      {"default profile", build(pair.source, {}), build(pair.target, {})},
+      {"mismatched profile", build(pair.source, mismatched),
+       build(pair.target, mismatched)},
+  };
+}
+
+// Prepare + Score == Match, bit for bit, for every configuration and
+// every profile input.
 TEST_P(PrepareScoreFamilyTest, PipelineMatchesMonolithicBytes) {
   const MethodFamily family = AllTestFamilies()[GetParam()];
   const DatasetPair& pair = SharedPair();
+  const std::vector<ProfileInput> inputs = ProfileInputs(pair);
   for (const ConfiguredMatcher& cm : family.grid) {
     const ColumnMatcher& m = *cm.matcher;
-    const std::string expected = ToJson(m.Match(pair.source, pair.target));
+    const std::string& expected = MatchBytes(family, cm);
 
     MatchContext context;
-    Result<PreparedTablePtr> ps = m.Prepare(pair.source, nullptr, context);
-    Result<PreparedTablePtr> pt = m.Prepare(pair.target, nullptr, context);
-    ASSERT_TRUE(ps.ok()) << family.name << " " << cm.description;
-    ASSERT_TRUE(pt.ok()) << family.name << " " << cm.description;
-    Result<MatchResult> scored = m.Score(**ps, **pt, context);
-    ASSERT_TRUE(scored.ok()) << family.name << " " << cm.description;
-    EXPECT_EQ(ToJson(*scored), expected)
-        << family.name << " " << cm.description
-        << " diverged on the prepared fast path";
+    for (const ProfileInput& input : inputs) {
+      Result<PreparedTablePtr> ps =
+          m.Prepare(pair.source, input.source.get(), context);
+      Result<PreparedTablePtr> pt =
+          m.Prepare(pair.target, input.target.get(), context);
+      ASSERT_TRUE(ps.ok()) << family.name << " " << cm.description << " "
+                           << input.name;
+      ASSERT_TRUE(pt.ok()) << family.name << " " << cm.description << " "
+                           << input.name;
+      Result<MatchResult> scored = m.Score(**ps, **pt, context);
+      ASSERT_TRUE(scored.ok()) << family.name << " " << cm.description << " "
+                               << input.name;
+      EXPECT_EQ(ToJson(*scored), expected)
+          << family.name << " " << cm.description << " " << input.name
+          << " diverged on the prepared fast path";
 
-    // Artifacts are reusable: scoring again must not consume state.
-    Result<MatchResult> again = m.Score(**ps, **pt, context);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(ToJson(*again), expected)
-        << family.name << " " << cm.description
-        << " diverged on artifact reuse";
+      // Artifacts are reusable: scoring again must not consume state.
+      // Once per configuration is enough (EmbDI retrains per Score).
+      if (input.source != nullptr) continue;
+      Result<MatchResult> again = m.Score(**ps, **pt, context);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(ToJson(*again), expected)
+          << family.name << " " << cm.description
+          << " diverged on artifact reuse";
+    }
   }
 }
 
@@ -115,7 +176,7 @@ TEST_P(PrepareScoreFamilyTest, ForeignArtifactFallsBackToIdenticalBytes) {
   const MethodFamily family = AllTestFamilies()[GetParam()];
   const DatasetPair& pair = SharedPair();
   const ColumnMatcher& m = *family.grid[0].matcher;
-  const std::string expected = ToJson(m.Match(pair.source, pair.target));
+  const std::string& expected = MatchBytes(family, family.grid[0]);
 
   // Base-class artifacts: right tables, wrong dynamic type.
   auto foreign_src = std::make_shared<const PreparedTable>(
@@ -173,8 +234,8 @@ TEST(ArtifactCacheTest, BuildOnceThenServe) {
 }
 
 TEST(ArtifactCacheTest, ValueKeyingServesTableCopies) {
-  // Same content at a different address must hit (value keys, not the
-  // pointer keys ProfileCache uses).
+  // Same content at a different address must hit (value keys, not
+  // address keys).
   Table original = MakeTpcdiProspect(25, 5);
   Table copy = original;
   JaccardLevenshteinMatcher matcher;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "datasets/chembl.h"
+#include "harness/json_export.h"
 
 namespace valentine {
 namespace {
@@ -111,6 +115,39 @@ TEST(SemPropTest, CoherenceGateSuppressesSparseLinks) {
   SemPropMatcher m(&o, opt);
   MatchResult r = m.Match(src, tgt2);
   EXPECT_TRUE(r.empty());  // semantic stage gated off by coherence
+}
+
+// The semantic threshold is a score-stage cutoff: matchers that differ
+// only in it share one prepare key, and an artifact pair prepared under
+// one threshold scores to each matcher's own Match bytes.
+TEST(SemPropTest, SemanticThresholdIsAppliedAtScore) {
+  Ontology efo = MakeEfoLikeOntology();
+  Table assays = MakeChemblAssays(60, 99);
+  Table other = MakeChemblAssays(60, 7);
+  other.set_name("other");
+  SemPropOptions prepare_opt;
+  prepare_opt.semantic_threshold = 0.5;
+  SemPropMatcher preparer(&efo, prepare_opt);
+  MatchContext context;
+  Result<PreparedTablePtr> ps = preparer.Prepare(assays, nullptr, context);
+  Result<PreparedTablePtr> pt = preparer.Prepare(other, nullptr, context);
+  ASSERT_TRUE(ps.ok());
+  ASSERT_TRUE(pt.ok());
+
+  std::set<std::string> outputs;
+  for (double threshold : {0.4, 0.5, 0.6}) {
+    SemPropOptions opt;
+    opt.semantic_threshold = threshold;
+    SemPropMatcher m(&efo, opt);
+    EXPECT_EQ(m.PrepareKey(), preparer.PrepareKey()) << threshold;
+    const std::string expected = ToJson(m.Match(assays, other));
+    Result<MatchResult> scored = m.Score(**ps, **pt, context);
+    ASSERT_TRUE(scored.ok()) << threshold;
+    EXPECT_EQ(ToJson(*scored), expected) << threshold;
+    outputs.insert(expected);
+  }
+  EXPECT_EQ(outputs.size(), 3u)
+      << "the thresholds must disagree on this pair for the test to bite";
 }
 
 TEST(SemPropTest, MetadataDeclared) {

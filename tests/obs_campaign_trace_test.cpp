@@ -233,8 +233,12 @@ TEST(CampaignTraceTest, MetricsCountersMatchReportOutcomes) {
   EXPECT_EQ(
       metrics.CounterValue("valentine_experiments_replayed_total", labels),
       0u);
-  EXPECT_EQ(metrics.CounterValue("valentine_profile_cache_builds_total"),
-            2u * report.num_pairs);  // source + target per pair, built once
+  // Source + target per pair, each prepared once: the grid shares one
+  // prepare key. The cache labels series by matcher Name().
+  EXPECT_EQ(metrics.CounterValue(
+                "valentine_artifact_cache_builds_total",
+                {{"family", families[0].grid[0].matcher->Name()}}),
+            2u * report.num_pairs);
   std::string text = metrics.RenderPrometheusText();
   EXPECT_NE(text.find("# HELP valentine_experiments_total"),
             std::string::npos);

@@ -1,8 +1,8 @@
-// ColumnProfile's contract (column_profile.h): every cached artifact is
+// ColumnProfile's contract (column_profile.h): every profile artifact is
 // bit-compatible with what a matcher's inline extraction would compute,
 // so serving a profile can never change a score. These tests pin that
 // equivalence artifact by artifact, plus the serving predicates the
-// matchers gate on and the cache's build-once identity semantics.
+// matchers gate on.
 
 #include "stats/column_profile.h"
 
@@ -174,27 +174,13 @@ TEST(TableProfileTest, ProfilesEveryColumnAndChecksShape) {
   EXPECT_FALSE(tp.Matches(other));
 }
 
-TEST(ProfileCacheTest, GetOrBuildReturnsSameInstance) {
-  Table a = MakeTestTable();
-  Table b = MakeTestTable();
-  ProfileCache cache;
-  auto pa1 = cache.GetOrBuild(a);
-  auto pa2 = cache.GetOrBuild(a);
-  auto pb = cache.GetOrBuild(b);
-  EXPECT_EQ(pa1.get(), pa2.get());  // cached, not rebuilt
-  EXPECT_NE(pa1.get(), pb.get());   // keyed by table identity
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(pa1->Matches(a));
-}
-
-TEST(ProfileCacheTest, SpecIsAppliedToBuilds) {
+TEST(TableProfileTest, SpecIsAppliedToBuilds) {
   Table t = MakeTestTable();
   ProfileSpec spec;
   spec.minhash_hashes = 16;
-  ProfileCache cache(spec);
-  auto tp = cache.GetOrBuild(t);
-  EXPECT_EQ(tp->spec().minhash_hashes, 16u);
-  EXPECT_EQ(tp->column(0).minhash().size(), 16u);
+  TableProfile tp = TableProfile::Build(t, spec);
+  EXPECT_EQ(tp.spec().minhash_hashes, 16u);
+  EXPECT_EQ(tp.column(0).minhash().size(), 16u);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ class LeakyExportCache {
     writes_ = 0;
   }
 
-  mutable Mutex mu_{LockRank::kProfileCache, "LeakyExportCache"};
+  mutable Mutex mu_{LockRank::kArtifactCache, "LeakyExportCache"};
   std::map<std::string, double> scores_ GUARDED_BY(mu_);
   size_t writes_ GUARDED_BY(mu_) = 0;
 };

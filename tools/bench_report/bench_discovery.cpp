@@ -15,8 +15,8 @@
 // Prepare, scored by cheap EMD) and ComaInstances (token profiles in
 // Prepare). Matchers whose Score *is* the full pairwise comparison
 // (fuzzy Jaccard-Levenshtein) cannot amortize anything here by
-// construction; their kernel-level A/B lives in bench_report /
-// BENCH_table4.json instead.
+// construction; their kernels are timed by tools/bench_kernels
+// (BENCH_kernels.json) instead.
 //
 // Usage: bench_discovery [--tables N] [--rows N] [--repeats R]
 //                        [--out PATH] [--smoke]

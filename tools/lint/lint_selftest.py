@@ -91,10 +91,11 @@ def main() -> int:
            ["--pretend-rel", "src/harness/prepared_registry.cpp",
             pointer_fixture],
            1, "3 violation(s)")
-    # ...but the sanctioned stats::ProfileCache location is exempt.
-    expect("pointer-cache-key-profile-cache-exempt",
+    # No file in src/ is exempt, src/stats/ included.
+    expect("pointer-cache-key-no-exemption",
            ["--pretend-rel", "src/stats/column_profile.cpp",
-            pointer_fixture], 0)
+            pointer_fixture],
+           1, "3 violation(s)")
 
     # Raw steady_clock::now() reads bypass the injectable Clock: flagged
     # in ordinary src/ library code, with the lint:allow'd read excluded
@@ -128,7 +129,7 @@ def main() -> int:
            1, "wallclock-time")
     # Outside src/ the rule does not apply at all.
     expect("raw-steady-clock-out-of-scope",
-           ["--pretend-rel", "tools/bench_report/bench_report.cpp",
+           ["--pretend-rel", "tools/bench_kernels/bench_kernels.cpp",
             clock_fixture], 0)
 
     # Raw std::mutex / std::lock_guard in src/ library code bypass the
@@ -152,7 +153,7 @@ def main() -> int:
     expect("naked-mutex-wrapper-exempt",
            ["--pretend-rel", "src/core/mutex.cpp", naked_fixture], 0)
     expect("naked-mutex-out-of-scope",
-           ["--pretend-rel", "tools/bench_report/bench_report.cpp",
+           ["--pretend-rel", "tools/bench_kernels/bench_kernels.cpp",
             naked_fixture], 0)
 
     # Members sharing a class with a Mutex must declare GUARDED_BY or

@@ -37,7 +37,7 @@ class StatsExportCache {
  private:
   static constexpr size_t kMaxEntries = 1024;
   const ExportSpec spec_;  // lint:allow(guarded-by-coverage) immutable
-  mutable Mutex mu_{LockRank::kProfileCache, "StatsExportCache"};
+  mutable Mutex mu_{LockRank::kArtifactCache, "StatsExportCache"};
   std::map<std::string, double> scores_;  // finding 1: no GUARDED_BY
   std::vector<std::string> export_order_ GUARDED_BY(mu_);
   std::map<std::string, std::vector<double>> by_family_

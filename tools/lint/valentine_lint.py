@@ -27,11 +27,10 @@ machine-checks the repo-wide invariants that protect it:
                         src/ includes its own header first (catches
                         headers that are not self-contained).
   pointer-cache-key     std::map/std::unordered_map keyed on a pointer
-                        type in src/ library code, outside the sanctioned
-                        stats::ProfileCache (src/stats/column_profile.*).
-                        Address keys go stale when the pointee's storage
-                        moves or is recycled; caches must key on content
-                        (cf. matchers::ArtifactCache).
+                        type in src/ library code. Address keys go stale
+                        when the pointee's storage moves or is recycled;
+                        caches must key on content (cf.
+                        matchers::ArtifactCache).
   naked-mutex           Raw std::mutex / std::lock_guard / std::unique_lock
                         (and <mutex>-family includes) in src/ outside the
                         sanctioned wrapper (src/core/mutex.*). Library
@@ -330,19 +329,14 @@ POINTER_KEY_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:unordered_)?(?:multi)?map\s*<\s*(?:const\s+)?"
     r"[\w:]+\s*(?:const\s*)?\*")
 
-# The one sanctioned pointer-keyed cache: stats::ProfileCache keys on the
-# Table's address by design — the harness guarantees every profiled table
-# outlives the campaign, and the serving-predicate tests pin down its
-# aliasing semantics. Everything else must key on content (fingerprint +
-# name + prepare key, cf. src/matchers/artifact_cache.*): an address key
+# Caches in src/ key on content (fingerprint + name + prepare key, cf.
+# src/matchers/artifact_cache.*), never on an address: an address key
 # silently ties a cache entry to storage that can move (vector growth) or
 # be reused (allocator recycling), producing stale hits.
-POINTER_KEY_EXEMPT = {"src/stats/column_profile.h",
-                      "src/stats/column_profile.cpp"}
 
 
 def check_pointer_cache_key(path: Path, rel: str, text: str, out: list):
-    if not rel.startswith("src/") or rel in POINTER_KEY_EXEMPT:
+    if not rel.startswith("src/"):
         return
     for lineno, raw, code in iter_code_lines(text):
         if POINTER_KEY_RE.search(code) and not allowed(raw, "pointer-cache-key"):
