@@ -52,11 +52,12 @@ ColumnValues ExtractValues(const Table& t, const TableProfile* profile,
   return out;
 }
 
-/// Per-table artifact: owned capped distinct lists, plus MinHash
-/// sketches when the opt-in prune needs them.
+/// Per-table artifact: per column, the capped distinct list with its
+/// fuzzy-Jaccard kernel inputs (lengths, sorted hashes, folded bags),
+/// plus MinHash sketches when the opt-in prune needs them.
 struct JlPrepared : PreparedTable {
   using PreparedTable::PreparedTable;
-  std::vector<std::vector<std::string>> values;
+  std::vector<FuzzyJaccardColumn> columns;
   std::vector<MinHashSignature> sigs;  ///< empty unless pruning
 };
 
@@ -77,8 +78,10 @@ Result<PreparedTablePtr> JaccardLevenshteinMatcher::Prepare(
   const size_t n = table.num_columns();
   ColumnValues vals =
       ExtractValues(table, profile, options_.max_distinct_values);
-  prepared->values.resize(n);
-  for (size_t i = 0; i < n; ++i) prepared->values[i] = *vals.views[i];
+  prepared->columns.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    prepared->columns.push_back(FuzzyJaccardColumn::Build(*vals.views[i]));
+  }
 
   // MinHash sketches for the opt-in prune: reuse the profile sketch when
   // it was built over exactly our value set, else build from the lists
@@ -98,8 +101,8 @@ Result<PreparedTablePtr> JaccardLevenshteinMatcher::Prepare(
           continue;
         }
       }
-      std::unordered_set<std::string> set(prepared->values[i].begin(),
-                                          prepared->values[i].end());
+      const std::vector<std::string>& values = prepared->columns[i].values;
+      std::unordered_set<std::string> set(values.begin(), values.end());
       prepared->sigs.push_back(MinHashSignature::Build(set, sketch_hashes));
     }
   }
@@ -123,17 +126,19 @@ Result<MatchResult> JaccardLevenshteinMatcher::Score(
   const Table& target_table = tgt->table();
   const bool pruning = options_.prune_below > 0.0;
   MatchResult result;
-  for (size_t i = 0; i < src->values.size(); ++i) {
+  for (size_t i = 0; i < src->columns.size(); ++i) {
     // Each row of the matrix is a batch of fuzzy set intersections —
     // the quadratic hot loop — so the budget check lives here.
     VALENTINE_RETURN_NOT_OK(context.Check("fuzzy-jaccard column sweep"));
-    for (size_t j = 0; j < tgt->values.size(); ++j) {
-      const std::vector<std::string>& a = src->values[i];
-      const std::vector<std::string>& b = tgt->values[j];
-      if (pruning && !a.empty() && !b.empty()) {
+    for (size_t j = 0; j < tgt->columns.size(); ++j) {
+      const FuzzyJaccardColumn& a = src->columns[i];
+      const FuzzyJaccardColumn& b = tgt->columns[j];
+      const size_t na = a.values.size();
+      const size_t nb = b.values.size();
+      if (pruning && na > 0 && nb > 0) {
         // Exact bound: matched <= min(|A|,|B|), union >= max(|A|,|B|).
-        double ratio = static_cast<double>(std::min(a.size(), b.size())) /
-                       static_cast<double>(std::max(a.size(), b.size()));
+        double ratio = static_cast<double>(std::min(na, nb)) /
+                       static_cast<double>(std::max(na, nb));
         if (ratio < options_.prune_below) continue;
         double est = src->sigs[i].EstimateJaccard(tgt->sigs[j]);
         if (est + options_.prune_slack < options_.prune_below) continue;

@@ -17,6 +17,8 @@ const char* OpName(Op op) {
       return "ngram_emissions";
     case Op::kEmdSweepIterations:
       return "emd_sweep_iterations";
+    case Op::kLevenshteinBitParallelSteps:
+      return "levenshtein_bitparallel_steps";
   }
   return "unknown";
 }
@@ -26,6 +28,7 @@ const std::array<Op, kNumOps>& AllOps() {
       Op::kLevenshteinCells,    Op::kBagPrefilterHits,
       Op::kBagPrefilterMisses,  Op::kMinHashHashes,
       Op::kNGramEmissions,      Op::kEmdSweepIterations,
+      Op::kLevenshteinBitParallelSteps,
   };
   return kAll;
 }

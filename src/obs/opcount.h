@@ -3,8 +3,9 @@
 
 /// \file opcount.h
 /// Zero-cost-when-disabled operation counters for the score-side hot
-/// kernels (banded Levenshtein cells, bag-distance prefilter outcomes,
-/// MinHash hash evaluations, n-gram emissions, EMD sweep iterations).
+/// kernels (Levenshtein DP cells and bit-parallel steps, bag-bound
+/// prefilter outcomes, MinHash hash evaluations, n-gram emissions, EMD
+/// sweep iterations).
 ///
 /// The counters exist so the SIMD/cache-layout work planned for the
 /// kernels (ROADMAP item 2) has an *algorithmic* regression fence in
@@ -52,14 +53,16 @@ namespace opcount {
 /// and metric labels — do not renumber.
 enum class Op : int {
   kLevenshteinCells = 0,   ///< DP cells visited (full + banded kernels)
-  kBagPrefilterHits = 1,   ///< bag-distance gate pruned a pair
-  kBagPrefilterMisses = 2, ///< bag-distance gate passed a pair through
+  kBagPrefilterHits = 1,   ///< folded bag bound pruned a pair
+  kBagPrefilterMisses = 2, ///< folded bag bound passed a pair through
   kMinHashHashes = 3,      ///< per-(value, slot) hash evaluations
   kNGramEmissions = 4,     ///< character n-grams emitted
   kEmdSweepIterations = 5, ///< merged-support positions swept
+  kLevenshteinBitParallelSteps = 6,  ///< text bytes the bit-parallel
+                                     ///< Levenshtein kernel stepped
 };
 
-inline constexpr int kNumOps = 6;
+inline constexpr int kNumOps = 7;
 
 /// True when this translation unit was built with counting compiled in.
 inline constexpr bool kEnabled = (VALENTINE_OPCOUNT_ENABLED == 1);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <unordered_map>
+#include <cstdlib>
+#include <functional>
 
 #include "obs/opcount.h"
 
@@ -10,34 +11,154 @@ namespace valentine {
 
 namespace {
 
-/// True when the bag (character-multiset) distance between a and b
-/// provably exceeds `bound`. Bag distance — max(#chars of a unmatched in
-/// b, #chars of b unmatched in a), counting multiplicity — is a lower
-/// bound on Levenshtein distance: a deletion removes one unmatched char
-/// of a, an insertion one of b, a substitution one of each, so each edit
-/// reduces either count by at most 1. Costs O(|a|+|b|) with no DP and no
-/// allocation, which makes it a profitable gate in front of the banded
-/// kernel where most candidate pairs are far apart.
-bool BagDistanceExceeds(const std::string& a, const std::string& b,
-                        size_t bound) {
-  // a/b here are std::strings; the lint keys on same-named set parameters
-  // elsewhere in this file. Counting is commutative over order anyway.
-  thread_local std::array<int, 256> counts{};  // invariant: all zero between calls
-  for (unsigned char c : a) ++counts[c];  // lint:allow(unordered-iteration)
-  for (unsigned char c : b) --counts[c];  // lint:allow(unordered-iteration)
-  size_t surplus_a = 0;  // chars of a with no partner in b
-  size_t surplus_b = 0;  // chars of b with no partner in a
-  for (unsigned char c : a) {  // lint:allow(unordered-iteration)
-    int v = counts[c];
-    if (v > 0) surplus_a += static_cast<size_t>(v);
-    counts[c] = 0;
+/// Bucket of each byte in a FoldedBag: the ASCII digits own buckets
+/// 0-9 (ids, codes and dates are full of them), every other byte folds
+/// into 10 + byte % 22. Any fold keeps FoldedBagDistance a lower bound.
+constexpr std::array<uint8_t, 256> kBagBucket = [] {
+  std::array<uint8_t, 256> bucket{};
+  for (size_t c = 0; c < bucket.size(); ++c) {
+    bucket[c] = static_cast<uint8_t>(
+        c >= '0' && c <= '9' ? c - '0' : 10 + c % 22);
   }
-  for (unsigned char c : b) {  // lint:allow(unordered-iteration)
-    int v = counts[c];
-    if (v < 0) surplus_b += static_cast<size_t>(-v);
-    counts[c] = 0;
+  return bucket;
+}();
+
+/// Longest pattern the bit-parallel kernel takes: one bit per byte.
+constexpr size_t kBitParallelMaxPattern = 64;
+
+/// Myers/Hyyro state for one pattern: per byte value, the mask of the
+/// pattern positions holding it. SetPattern and ClearPattern touch only
+/// the pattern's bytes, so one zeroed table serves every pattern a
+/// thread sets.
+class BitParallelPattern {
+ public:
+  void SetPattern(const std::string& pattern) {
+    size_ = pattern.size();
+    for (size_t i = 0; i < size_; ++i) {
+      peq_[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
+    }
   }
-  return std::max(surplus_a, surplus_b) > bound;
+  void ClearPattern(const std::string& pattern) {
+    for (unsigned char c : pattern) peq_[c] = 0;
+  }
+
+  /// Exact distance from the set 1-64 byte pattern to `text`. Column
+  /// j of the DP is kept as vertical delta bit vectors (pv: +1, mv: -1);
+  /// `score` tracks its last row, D[size_][j].
+  size_t Distance(const std::string& text) const {
+    const uint64_t last = uint64_t{1} << (size_ - 1);
+    uint64_t pv = ~uint64_t{0};
+    uint64_t mv = 0;
+    size_t score = size_;
+    for (unsigned char c : text) {
+      const uint64_t eq = peq_[c];
+      const uint64_t xv = eq | mv;
+      const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+      uint64_t ph = mv | ~(xh | pv);
+      uint64_t mh = pv & xh;
+      score += (ph & last) != 0;
+      score -= (mh & last) != 0;
+      // Row 0 is D[0][j] = j: its horizontal delta is always +1.
+      ph = (ph << 1) | 1;
+      mh <<= 1;
+      pv = mh | ~(xv | ph);
+      mv = ph & xv;
+    }
+    return score;
+  }
+
+ private:
+  std::array<uint64_t, 256> peq_{};
+  size_t size_ = 0;
+};
+
+BitParallelPattern& ThreadPattern() {
+  thread_local BitParallelPattern pattern;  // invariant: cleared between uses
+  return pattern;
+}
+
+/// Marks the exact matches inside one run of equal hashes, `ra` and
+/// `rb` holding the run's indices in input order. Returns the pairs
+/// marked.
+size_t MatchHashRun(const FuzzyJaccardColumn& a, const FuzzyJaccardColumn& b,
+                    std::vector<uint32_t>& ra, std::vector<uint32_t>& rb,
+                    std::vector<char>& a_hit, std::vector<char>& b_hit) {
+  if (ra.size() == 1 && rb.size() == 1) {
+    if (a.values[ra[0]] != b.values[rb[0]]) return 0;
+    a_hit[ra[0]] = b_hit[rb[0]] = 1;
+    return 1;
+  }
+  // Duplicates or a hash collision: group each side by string. The
+  // stable sort keeps equal strings in input order.
+  std::stable_sort(ra.begin(), ra.end(), [&](uint32_t x, uint32_t y) {
+    return a.values[x] < a.values[y];
+  });
+  std::stable_sort(rb.begin(), rb.end(), [&](uint32_t x, uint32_t y) {
+    return b.values[x] < b.values[y];
+  });
+  size_t matched = 0;
+  size_t p = 0;
+  size_t q = 0;
+  while (p < ra.size() && q < rb.size()) {
+    const std::string& s = a.values[ra[p]];
+    const int order = s.compare(b.values[rb[q]]);
+    size_t p_end = p + 1;
+    size_t q_end = q + 1;
+    if (order <= 0) {
+      while (p_end < ra.size() && a.values[ra[p_end]] == s) ++p_end;
+    }
+    if (order >= 0) {
+      while (q_end < rb.size() && b.values[rb[q_end]] == b.values[rb[q]]) {
+        ++q_end;
+      }
+    }
+    if (order == 0) {
+      // The first k occurrences in a meet the last k in b.
+      const size_t k = std::min(p_end - p, q_end - q);
+      for (size_t i = p; i < p + k; ++i) a_hit[ra[i]] = 1;
+      for (size_t j = q_end - k; j < q_end; ++j) b_hit[rb[j]] = 1;
+      matched += k;
+    }
+    if (order <= 0) p = p_end;
+    if (order >= 0) q = q_end;
+  }
+  return matched;
+}
+
+/// Marks every exact match between the two columns (see FuzzyJaccard)
+/// by merging their sorted hashes. Returns the pairs marked.
+size_t MarkExactMatches(const FuzzyJaccardColumn& a,
+                        const FuzzyJaccardColumn& b, std::vector<char>& a_hit,
+                        std::vector<char>& b_hit) {
+  thread_local std::vector<uint32_t> run_a;
+  thread_local std::vector<uint32_t> run_b;
+  a_hit.assign(a.values.size(), 0);
+  b_hit.assign(b.values.size(), 0);
+  size_t matched = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.by_hash.size() && j < b.by_hash.size()) {
+    const uint64_t ha = a.by_hash[i].hash;
+    const uint64_t hb = b.by_hash[j].hash;
+    if (ha != hb) {
+      if (ha < hb) {
+        ++i;
+      } else {
+        ++j;
+      }
+      continue;
+    }
+    run_a.clear();
+    run_b.clear();
+    for (; i < a.by_hash.size() && a.by_hash[i].hash == ha; ++i) {
+      run_a.push_back(a.by_hash[i].index);
+    }
+    for (; j < b.by_hash.size() && b.by_hash[j].hash == hb; ++j) {
+      run_b.push_back(b.by_hash[j].index);
+    }
+    matched += MatchHashRun(a, b, run_a, run_b, a_hit, b_hit);
+  }
+  return matched;
 }
 
 }  // namespace
@@ -125,6 +246,50 @@ size_t LevenshteinWithin(const std::string& a, const std::string& b,
   opcount::Add(opcount::Op::kLevenshteinCells, cells);
   const size_t d = prev_row[lb];
   return d <= max_dist ? d : too_far;
+}
+
+size_t LevenshteinBitParallel(const std::string& pattern,
+                              const std::string& text) {
+  if (pattern.empty()) return text.size();
+  if (pattern.size() > kBitParallelMaxPattern) {
+    return LevenshteinDistance(pattern, text);
+  }
+  BitParallelPattern& bits = ThreadPattern();
+  bits.SetPattern(pattern);
+  const size_t d = bits.Distance(text);
+  bits.ClearPattern(pattern);
+  opcount::Add(opcount::Op::kLevenshteinBitParallelSteps, text.size());
+  return d;
+}
+
+FoldedBag FoldBag(const std::string& s) {
+  FoldedBag bag{};
+  for (unsigned char c : s) {
+    uint8_t& count = bag[kBagBucket[c]];
+    if (count != UINT8_MAX) ++count;
+  }
+  return bag;
+}
+
+size_t FoldedBagDistance(const FoldedBag& a, const FoldedBag& b) {
+  // With surplus_a = sum of max(a_k - b_k, 0) and surplus_b likewise,
+  // sum |a_k - b_k| = surplus_a + surplus_b and sum a_k - sum b_k =
+  // surplus_a - surplus_b, so the larger surplus is half of
+  // sum |a_k - b_k| + |sum a_k - sum b_k|. Written this way both loops
+  // vectorize to byte-wise sums; 16-bit totals hold 32 x 255.
+  unsigned abs_diff = 0;
+  for (size_t k = 0; k < a.size(); ++k) {
+    abs_diff += static_cast<unsigned>(std::abs(int{a[k]} - int{b[k]}));
+  }
+  uint16_t total_a = 0;
+  uint16_t total_b = 0;
+  for (size_t k = 0; k < a.size(); ++k) {
+    total_a += a[k];
+    total_b += b[k];
+  }
+  const unsigned net =
+      total_a > total_b ? total_a - total_b : total_b - total_a;
+  return (abs_diff + net) / 2;
 }
 
 double LevenshteinSimilarity(const std::string& a, const std::string& b) {
@@ -264,6 +429,117 @@ double Containment(const std::unordered_set<std::string>& a,
   return static_cast<double>(inter) / static_cast<double>(a.size());
 }
 
+FuzzyJaccardColumn FuzzyJaccardColumn::Build(std::vector<std::string> values) {
+  FuzzyJaccardColumn column;
+  const size_t n = values.size();
+  column.lengths.reserve(n);
+  column.by_hash.reserve(n);
+  column.bags.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& v = values[i];
+    column.lengths.push_back(static_cast<uint32_t>(v.size()));
+    column.by_hash.push_back(
+        {std::hash<std::string>{}(v), static_cast<uint32_t>(i)});
+    column.bags.push_back(FoldBag(v));
+  }
+  std::sort(column.by_hash.begin(), column.by_hash.end(),
+            [](const HashedIndex& x, const HashedIndex& y) {
+              return x.hash != y.hash ? x.hash < y.hash : x.index < y.index;
+            });
+  column.values = std::move(values);
+  return column;
+}
+
+double FuzzyJaccard(const FuzzyJaccardColumn& a, const FuzzyJaccardColumn& b,
+                    double max_distance, LevenshteinKernel kernel) {
+  if (a.values.empty() && b.values.empty()) return 1.0;
+  if (a.values.empty() || b.values.empty()) return 0.0;
+  // Per-thread scratch: the campaign scores column pairs on several
+  // threads, each reusing its own buffers.
+  thread_local std::vector<char> a_hit;
+  thread_local std::vector<char> b_hit;
+  thread_local std::vector<uint32_t> a_left;
+  thread_local std::vector<uint32_t> b_left;
+  thread_local std::vector<char> b_used;
+  size_t matched = MarkExactMatches(a, b, a_hit, b_hit);
+  a_left.clear();
+  b_left.clear();
+  for (uint32_t i = 0; i < a_hit.size(); ++i) {
+    if (!a_hit[i]) a_left.push_back(i);
+  }
+  for (uint32_t j = 0; j < b_hit.size(); ++j) {
+    if (!b_hit[j]) b_left.push_back(j);
+  }
+  b_used.assign(b_left.size(), 0);
+  // Kernel op counts, flushed once per call.
+  uint64_t bag_hits = 0;
+  uint64_t bag_misses = 0;
+  uint64_t steps = 0;
+  if (max_distance > 0.0) {
+    BitParallelPattern& bits = ThreadPattern();
+    for (uint32_t ia : a_left) {
+      const std::string& s = a.values[ia];
+      const size_t la = a.lengths[ia];
+      const bool bit_parallel = la >= 1 && la <= kBitParallelMaxPattern;
+      bool pattern_set = false;
+      for (size_t k = 0; k < b_left.size(); ++k) {
+        if (b_used[k]) continue;
+        const uint32_t ib = b_left[k];
+        const size_t lb = b.lengths[ib];
+        const size_t max_len = std::max(la, lb);
+        if (max_len == 0) continue;
+        // Length prefilter: the edit distance is at least the length
+        // difference, so such pairs can never clear the threshold.
+        const size_t min_len = std::min(la, lb);
+        const double limit = max_distance * static_cast<double>(max_len);
+        if (static_cast<double>(max_len - min_len) > limit) continue;
+        size_t dist;
+        if (kernel == LevenshteinKernel::kBanded) {
+          // floor(max_distance * max_len) + 1 over-covers every distance
+          // the floating-point accept test below could admit (float
+          // rounding can only misplace the product by far less than 1),
+          // so cutting off there never changes a score.
+          const size_t bound = static_cast<size_t>(limit) + 1;
+          // The folded bag bound never exceeds the true distance, so a
+          // pair it rejects could never pass the accept test below.
+          if (FoldedBagDistance(a.bags[ia], b.bags[ib]) > bound) {
+            ++bag_hits;
+            continue;
+          }
+          ++bag_misses;
+          if (bit_parallel) {
+            if (!pattern_set) {
+              bits.SetPattern(s);
+              pattern_set = true;
+            }
+            dist = bits.Distance(b.values[ib]);
+            steps += lb;
+          } else {
+            dist = LevenshteinWithin(s, b.values[ib], bound);
+            if (dist > bound) continue;
+          }
+        } else {
+          dist = LevenshteinDistance(s, b.values[ib]);
+        }
+        const double norm =
+            static_cast<double>(dist) / static_cast<double>(max_len);
+        if (norm <= max_distance) {
+          b_used[k] = 1;
+          ++matched;
+          break;
+        }
+      }
+      if (pattern_set) bits.ClearPattern(s);
+    }
+  }
+  opcount::Add(opcount::Op::kBagPrefilterHits, bag_hits);
+  opcount::Add(opcount::Op::kBagPrefilterMisses, bag_misses);
+  opcount::Add(opcount::Op::kLevenshteinBitParallelSteps, steps);
+  const size_t uni = a.values.size() + b.values.size() - matched;
+  if (uni == 0) return 1.0;
+  return static_cast<double>(matched) / static_cast<double>(uni);
+}
+
 double FuzzyJaccard(const std::vector<std::string>& a,
                     const std::vector<std::string>& b, double max_distance) {
   return FuzzyJaccard(a, b, max_distance, LevenshteinKernel::kBanded);
@@ -272,87 +548,8 @@ double FuzzyJaccard(const std::vector<std::string>& a,
 double FuzzyJaccard(const std::vector<std::string>& a,
                     const std::vector<std::string>& b, double max_distance,
                     LevenshteinKernel kernel) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  // Resolve exact matches cheaply first; pair off leftovers fuzzily.
-  // `a` and `b` are the input vectors here (the set-overload parameters
-  // of the same names are what the lint heuristic keys on); iteration
-  // follows input order by construction.
-  std::unordered_map<std::string, size_t> b_counts;
-  for (const auto& s : b) ++b_counts[s];  // lint:allow(unordered-iteration)
-  std::vector<std::string> a_left;
-  size_t matched = 0;
-  for (const auto& s : a) {  // lint:allow(unordered-iteration)
-    auto it = b_counts.find(s);
-    if (it != b_counts.end() && it->second > 0) {
-      --it->second;
-      ++matched;
-    } else {
-      a_left.push_back(s);
-    }
-  }
-  // Replay b against the leftover multiplicities so b_left comes out in
-  // first-seen input order. Greedy pairing below is order-sensitive:
-  // emitting leftovers by iterating b_counts would tie scores (and the
-  // Recall@GT built on them) to hash iteration order, which varies
-  // across standard libraries.
-  std::vector<std::string> b_left;
-  for (const auto& s : b) {  // lint:allow(unordered-iteration)
-    auto it = b_counts.find(s);
-    if (it != b_counts.end() && it->second > 0) {
-      --it->second;
-      b_left.push_back(s);
-    }
-  }
-  std::vector<bool> b_used(b_left.size(), false);
-  if (max_distance > 0.0) {
-    for (const auto& s : a_left) {
-      for (size_t j = 0; j < b_left.size(); ++j) {
-        if (b_used[j]) continue;
-        size_t max_len = std::max(s.size(), b_left[j].size());
-        if (max_len == 0) continue;
-        // Length prefilter: the edit distance is at least the length
-        // difference, so such pairs can never clear the threshold.
-        size_t min_len = std::min(s.size(), b_left[j].size());
-        if (static_cast<double>(max_len - min_len) >
-            max_distance * static_cast<double>(max_len)) {
-          continue;
-        }
-        size_t dist;
-        if (kernel == LevenshteinKernel::kBanded) {
-          // floor(max_distance * max_len) + 1 over-covers every distance
-          // the floating-point accept test below could admit (float
-          // rounding can only misplace the product by far less than 1),
-          // so bounding the DP there never changes a score — it only
-          // lets hopeless pairs exit early.
-          size_t bound = static_cast<size_t>(
-                             max_distance * static_cast<double>(max_len)) +
-                         1;
-          // Bag distance never exceeds the true distance, so a pair it
-          // rejects could never have passed the accept test below.
-          if (BagDistanceExceeds(s, b_left[j], bound)) {
-            opcount::Add(opcount::Op::kBagPrefilterHits, 1);
-            continue;
-          }
-          opcount::Add(opcount::Op::kBagPrefilterMisses, 1);
-          dist = LevenshteinWithin(s, b_left[j], bound);
-          if (dist > bound) continue;
-        } else {
-          dist = LevenshteinDistance(s, b_left[j]);
-        }
-        double norm = static_cast<double>(dist) /
-                      static_cast<double>(max_len);
-        if (norm <= max_distance) {
-          b_used[j] = true;
-          ++matched;
-          break;
-        }
-      }
-    }
-  }
-  size_t uni = a.size() + b.size() - matched;
-  if (uni == 0) return 1.0;
-  return static_cast<double>(matched) / static_cast<double>(uni);
+  return FuzzyJaccard(FuzzyJaccardColumn::Build(a),
+                      FuzzyJaccardColumn::Build(b), max_distance, kernel);
 }
 
 size_t LongestCommonSubstring(const std::string& a, const std::string& b) {

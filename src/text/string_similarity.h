@@ -7,6 +7,7 @@
 /// trigram similarity (COMA name matcher), Jaro-Winkler (Cupid linguistic
 /// matching), and set-overlap measures.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -24,6 +25,31 @@ size_t LevenshteinDistance(const std::string& a, const std::string& b);
 /// DP's O(len_a * len_b) and allocates nothing on the steady state.
 size_t LevenshteinWithin(const std::string& a, const std::string& b,
                          size_t max_dist);
+
+/// Exact Levenshtein distance by Myers' bit-parallel algorithm in
+/// Hyyrö's formulation (Myers, J. ACM 1999; Hyyrö 2001): one pass over
+/// `text` with a handful of word operations per byte, for a `pattern` of
+/// at most 64 bytes, one bit per byte of a machine word. Longer patterns
+/// fall back to LevenshteinDistance. An empty pattern's distance is
+/// text.size().
+size_t LevenshteinBitParallel(const std::string& pattern,
+                              const std::string& text);
+
+/// Character-bag signature of one value: its byte counts folded into 32
+/// buckets, each count saturating at 255. The ten ASCII digits keep a
+/// bucket each; every other byte shares one of the remaining 22.
+using FoldedBag = std::array<uint8_t, 32>;
+
+/// The FoldedBag of `s`.
+FoldedBag FoldBag(const std::string& s);
+
+/// Lower bound on the Levenshtein distance of the two values the bags
+/// came from: the larger of the two sides' surpluses summed over
+/// buckets. Each edit removes at most one unmatched byte per side, so
+/// the byte-wise bag distance bounds the edit distance from below;
+/// folding bytes together and capping counts can only shrink a bucket's
+/// surplus, so this never exceeds the byte-wise bag distance.
+size_t FoldedBagDistance(const FoldedBag& a, const FoldedBag& b);
 
 /// 1 - distance / max(len); 1.0 for two empty strings.
 double LevenshteinSimilarity(const std::string& a, const std::string& b);
@@ -63,26 +89,55 @@ double Containment(const std::unordered_set<std::string>& a,
                    const std::unordered_set<std::string>& b);
 
 /// Edit-distance kernel used by FuzzyJaccard's leftover pairing stage.
-/// Both kernels produce identical scores (the banded one converts the
-/// normalized threshold to a rounding-safe integer bound and reuses the
-/// exact distance for the original floating-point accept test); kNaive
-/// exists as the reference implementation and the bench A/B baseline.
+/// Both kernels produce identical scores: every gate in front of the
+/// banded kernel's distance is a lower bound checked against a
+/// rounding-safe integer cutoff, and the accept test is the same
+/// floating-point comparison of an exact distance. kNaive exists as the
+/// reference implementation and the bench A/B baseline.
 enum class LevenshteinKernel {
-  kBanded,  ///< LevenshteinWithin: Ukkonen band + early exit (default)
-  kNaive,   ///< full-matrix LevenshteinDistance
+  /// Folded bag bound, then LevenshteinBitParallel when the `a`-side
+  /// value is 1-64 bytes and LevenshteinWithin (Ukkonen band + early
+  /// exit) otherwise (default).
+  kBanded,
+  kNaive,  ///< no bag bound; full-matrix LevenshteinDistance
+};
+
+/// Per-value inputs of the fuzzy-Jaccard kernel for one list of values,
+/// built once per column and compared against many columns.
+struct FuzzyJaccardColumn {
+  struct HashedIndex {
+    uint64_t hash;
+    uint32_t index;
+  };
+  std::vector<std::string> values;  ///< in input order
+  std::vector<uint32_t> lengths;    ///< values[i].size()
+  /// One (hash of values[i], i) per value, sorted by hash, then index.
+  /// The kernel confirms every equal hash with a string compare, so
+  /// scores never depend on the hash function.
+  std::vector<HashedIndex> by_hash;
+  std::vector<FoldedBag> bags;  ///< FoldBag(values[i])
+
+  static FuzzyJaccardColumn Build(std::vector<std::string> values);
 };
 
 /// Fuzzy Jaccard: values match when normalized Levenshtein distance
 /// (distance / max len) is at most `max_distance`. This is the core of
-/// the paper's Jaccard-Levenshtein baseline; exact matches are resolved
-/// via hashing and only leftovers pay the quadratic comparison. Greedy
-/// pairing consumes both leftover lists in first-seen input order, so
-/// the score is a pure function of the input sequences (never of hash
-/// iteration order).
+/// the paper's Jaccard-Levenshtein baseline. Exact matches come from a
+/// merge of the two columns' sorted hashes: for a string held k =
+/// min(count in a, count in b) times by both, its first k occurrences
+/// in `a` pair with its last k in `b`. Only leftovers pay the quadratic
+/// comparison: each `a` leftover, in input order, takes the first
+/// unused `b` leftover, in input order, within the threshold. The score
+/// is therefore a pure function of the input sequences.
+double FuzzyJaccard(const FuzzyJaccardColumn& a, const FuzzyJaccardColumn& b,
+                    double max_distance, LevenshteinKernel kernel);
+
+/// FuzzyJaccard over two value lists with the default kernel.
 double FuzzyJaccard(const std::vector<std::string>& a,
                     const std::vector<std::string>& b, double max_distance);
 
-/// FuzzyJaccard with an explicit edit-distance kernel.
+/// FuzzyJaccard over two value lists with an explicit edit-distance
+/// kernel: builds both FuzzyJaccardColumns and runs the column kernel.
 double FuzzyJaccard(const std::vector<std::string>& a,
                     const std::vector<std::string>& b, double max_distance,
                     LevenshteinKernel kernel);

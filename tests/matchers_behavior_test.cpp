@@ -20,8 +20,10 @@ namespace valentine {
 namespace {
 
 TEST(FuzzyJaccardPropertyTest, MonotoneInThreshold) {
-  // A looser distance threshold can only match more value pairs, so the
-  // fuzzy Jaccard score is non-decreasing in the threshold.
+  // On this corpus the fuzzy Jaccard score is non-decreasing in the
+  // threshold. That is not true in general: greedy first-fit can spend
+  // a looser threshold on an earlier, worse pairing (see
+  // GreedyFirstFitOrderIsPinned).
   Rng rng(55);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<std::string> a, b;
@@ -35,6 +37,23 @@ TEST(FuzzyJaccardPropertyTest, MonotoneInThreshold) {
       EXPECT_GE(score, prev) << "trial " << trial << " th " << th;
       prev = score;
     }
+  }
+}
+
+TEST(FuzzyJaccardPropertyTest, GreedyFirstFitOrderIsPinned) {
+  // Each `a` leftover, in input order, takes the first unused `b`
+  // leftover, in input order, within the threshold. At 0.25 "abcd"
+  // skips "abxy" (distance 2 of 4) for "abce" and "qbxy" takes "abxy":
+  // 2 matches. At 0.5 "abcd" takes "abxy" first and "qbxy" has nothing
+  // left within 0.5 of it ("abce" is 3 edits away): 1 match, 1/3. A
+  // kernel that reorders leftovers changes these scores even while its
+  // banded and naive paths still agree.
+  const std::vector<std::string> a = {"abcd", "qbxy"};
+  const std::vector<std::string> b = {"abxy", "abce"};
+  for (LevenshteinKernel kernel :
+       {LevenshteinKernel::kBanded, LevenshteinKernel::kNaive}) {
+    EXPECT_EQ(FuzzyJaccard(a, b, 0.25, kernel), 1.0);
+    EXPECT_EQ(FuzzyJaccard(a, b, 0.5, kernel), 1.0 / 3.0);
   }
 }
 

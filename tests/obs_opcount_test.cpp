@@ -43,6 +43,8 @@ TEST(OpCount, NamesAndOrderAreStable) {
                "ngram_emissions");
   EXPECT_STREQ(opcount::OpName(opcount::Op::kEmdSweepIterations),
                "emd_sweep_iterations");
+  EXPECT_STREQ(opcount::OpName(opcount::Op::kLevenshteinBitParallelSteps),
+               "levenshtein_bitparallel_steps");
   const auto& all = opcount::AllOps();
   ASSERT_EQ(all.size(), static_cast<size_t>(opcount::kNumOps));
   for (int i = 0; i < opcount::kNumOps; ++i) {
@@ -100,6 +102,24 @@ TEST(OpCount, BandedLevenshteinVisitsFewerCells) {
   EXPECT_LT(banded_cells, full_cells);  // ...for strictly fewer cells
 }
 
+TEST(OpCount, BitParallelLevenshteinCountsTextBytes) {
+  if (!opcount::kEnabled) GTEST_SKIP() << "opcounts compiled out";
+  opcount::Snapshot before = opcount::ThreadSnapshot();
+  EXPECT_EQ(LevenshteinBitParallel("kitten", "sitting"), 3u);
+  opcount::Snapshot d = Delta(before);
+  // One step per text byte, and no DP cells.
+  EXPECT_EQ(d.value(opcount::Op::kLevenshteinBitParallelSteps), 7u);
+  EXPECT_EQ(d.value(opcount::Op::kLevenshteinCells), 0u);
+
+  // A pattern past 64 bytes runs the full DP instead.
+  const std::string long_pattern(70, 'q');
+  before = opcount::ThreadSnapshot();
+  LevenshteinBitParallel(long_pattern, "qq");
+  d = Delta(before);
+  EXPECT_EQ(d.value(opcount::Op::kLevenshteinBitParallelSteps), 0u);
+  EXPECT_EQ(d.value(opcount::Op::kLevenshteinCells), 70u * 2u);
+}
+
 TEST(OpCount, CharNGramsCountsEmissions) {
   if (!opcount::kEnabled) GTEST_SKIP() << "opcounts compiled out";
   opcount::Snapshot before = opcount::ThreadSnapshot();
@@ -132,8 +152,8 @@ TEST(OpCount, EmdCountsSweepIterations) {
 TEST(OpCount, FuzzyJaccardBandedUsesThePrefilter) {
   if (!opcount::kEnabled) GTEST_SKIP() << "opcounts compiled out";
   // Disjoint token lists: every pair reaches the leftover stage, where
-  // the bag-distance gate either prunes (hit) or forwards to the
-  // banded kernel (miss).
+  // the folded bag bound either prunes (hit) or forwards to the
+  // bit-parallel kernel (miss).
   std::vector<std::string> a = {"alpha", "bravo", "charlie", "delta"};
   std::vector<std::string> b = {"echo", "foxtrot", "golf", "hotel"};
   opcount::Snapshot before = opcount::ThreadSnapshot();
@@ -149,6 +169,7 @@ TEST(OpCount, FuzzyJaccardBandedUsesThePrefilter) {
   d = Delta(before);
   EXPECT_EQ(d.value(opcount::Op::kBagPrefilterHits), 0u);
   EXPECT_EQ(d.value(opcount::Op::kBagPrefilterMisses), 0u);
+  EXPECT_EQ(d.value(opcount::Op::kLevenshteinBitParallelSteps), 0u);
   EXPECT_GT(d.value(opcount::Op::kLevenshteinCells), 0u);
 }
 

@@ -311,6 +311,46 @@ TEST(LevenshteinWithinTest, ZeroBudgetIsEqualityTest) {
   EXPECT_EQ(LevenshteinWithin("", "", 0), 0u);
 }
 
+// Myers/Hyyro against the full DP: patterns of 0-64 bytes, texts of
+// 0-149 bytes, over small alphabets (many matches, long carry chains)
+// and bytes >= 0xC0 (sign-extension bugs would index the wrong mask).
+TEST(LevenshteinBitParallelTest, MatchesFullDp) {
+  const std::vector<std::string> alphabets = {
+      "ab", "abc", "acgt", "0123456789",
+      std::string("a\xc0\xc3\xff") + '\0'};
+  Rng rng(1999);
+  auto random_string = [&](const std::string& alphabet, size_t len) {
+    std::string s(len, ' ');
+    for (char& c : s) c = alphabet[rng.Index(alphabet.size())];
+    return s;
+  };
+  for (int trial = 0; trial < 6000; ++trial) {
+    const std::string& alphabet = alphabets[rng.Index(alphabets.size())];
+    const std::string pattern = random_string(alphabet, rng.Index(65));
+    std::string text = random_string(alphabet, rng.Index(150));
+    if (trial % 3 == 0) {
+      // A light mutation of the pattern: small distances, long matches.
+      text = pattern;
+      for (size_t k = rng.Index(4); k > 0 && !text.empty(); --k) {
+        text[rng.Index(text.size())] = alphabet[rng.Index(alphabet.size())];
+      }
+    }
+    ASSERT_EQ(LevenshteinBitParallel(pattern, text),
+              LevenshteinDistance(pattern, text))
+        << "trial " << trial << " sizes " << pattern.size() << "/"
+        << text.size();
+  }
+  EXPECT_EQ(LevenshteinBitParallel("", "abc"), 3u);
+  EXPECT_EQ(LevenshteinBitParallel("abc", ""), 3u);
+  EXPECT_EQ(LevenshteinBitParallel("kitten", "sitting"), 3u);
+  const std::string full(64, 'q');
+  EXPECT_EQ(LevenshteinBitParallel(full, full), 0u);
+  EXPECT_EQ(LevenshteinBitParallel(full, std::string(64, 'r')), 64u);
+  // Past 64 bytes the pattern no longer fits a word: full DP fallback.
+  const std::string long_pattern(70, 'q');
+  EXPECT_EQ(LevenshteinBitParallel(long_pattern, "qq"), 68u);
+}
+
 TEST(LongestCommonSubstringTest, Basic) {
   EXPECT_EQ(LongestCommonSubstring("abcdef", "zcdefz"), 4u);
   EXPECT_EQ(LongestCommonSubstring("abc", "xyz"), 0u);
