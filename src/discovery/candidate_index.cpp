@@ -1,5 +1,6 @@
 #include "discovery/candidate_index.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -37,6 +38,108 @@ RetrievedCandidates FallbackToExhaustive(const TableRepository& repository,
 LshCandidateIndex::LshCandidateIndex(Options options)
     : options_(options), tail_(options_.lsh) {}
 
+size_t LshCandidateIndex::SealedSegment::HomeBucket(uint32_t position,
+                                                    uint64_t min) const {
+  // Min values are avalanche-mixed hashes, but small ones dominate (a
+  // minimum has leading zeros); multiplying and keeping the top bits
+  // spreads every input bit over the bucket number.
+  const uint64_t key = min ^ (position * 0x9e3779b97f4a7c15ULL);
+  return static_cast<size_t>((key * 0xff51afd7ed558ccdULL) >> shift);
+}
+
+void LshCandidateIndex::SealedSegment::BuildPostings(size_t signature_size) {
+  width = signature_size;
+  // Column ids follow banding order; empty value sets never band.
+  std::vector<const uint64_t*> mins_of;
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    if (slots[slot].artifact == nullptr) continue;
+    for (const ColumnDiscoveryArtifact& c : slots[slot].artifact->columns) {
+      if (c.sketch.cardinality == 0 || c.sketch.signature.empty_set()) {
+        continue;
+      }
+      columns.push_back({static_cast<uint32_t>(slot), c.sketch.cardinality});
+      mins_of.push_back(c.sketch.signature.mins().data());
+    }
+  }
+  // Ids and offsets are 32-bit: 2^32 postings would need more than
+  // 96 GiB of buckets, so memory runs out long before they could wrap.
+  const size_t postings = columns.size() * width;
+  if (postings == 0) return;
+  // At most `postings` distinct keys: a load factor of at most 2/3.
+  size_t capacity = 2;
+  unsigned log2_capacity = 1;
+  while (capacity < postings + postings / 2) {
+    capacity *= 2;
+    ++log2_capacity;
+  }
+  shift = 64 - log2_capacity;
+  buckets.assign(capacity, Bucket{});
+  const size_t mask = capacity - 1;
+
+  // Pass 1: claim each (signature slot, min) key's bucket and count its
+  // ids in `run` (0 = free while counting).
+  std::vector<uint32_t> bucket_of(postings);
+  for (size_t id = 0; id < columns.size(); ++id) {
+    for (uint32_t position = 0; position < width; ++position) {
+      const uint64_t min = mins_of[id][position];
+      size_t b = HomeBucket(position, min);
+      while (buckets[b].run != 0 &&
+             (buckets[b].min != min || buckets[b].position != position)) {
+        b = (b + 1) & mask;
+      }
+      if (buckets[b].run == 0) {
+        buckets[b].min = min;
+        buckets[b].position = position;
+      }
+      ++buckets[b].run;
+      bucket_of[id * width + position] = static_cast<uint32_t>(b);
+    }
+  }
+  // Runs in bucket order, each one count long.
+  uint32_t offset = 0;
+  for (Bucket& bucket : buckets) {
+    if (bucket.run == 0) {
+      bucket.run = kNoRun;
+      continue;
+    }
+    const uint32_t count = bucket.run;
+    bucket.run = static_cast<uint32_t>(run_begin.size());
+    run_begin.push_back(offset);
+    offset += count;
+  }
+  run_begin.push_back(offset);
+  // Pass 2: fill the runs; ids arrive in ascending order.
+  ids.resize(offset);
+  std::vector<uint32_t> fill(run_begin.begin(), run_begin.end() - 1);
+  for (size_t id = 0; id < columns.size(); ++id) {
+    for (size_t position = 0; position < width; ++position) {
+      const uint32_t run = buckets[bucket_of[id * width + position]].run;
+      ids[fill[run]++] = static_cast<uint32_t>(id);
+    }
+  }
+}
+
+template <typename Hit>
+void LshCandidateIndex::SealedSegment::ForEachAgreement(
+    const std::vector<uint64_t>& mins, Hit hit) const {
+  if (buckets.empty()) return;
+  const size_t mask = buckets.size() - 1;
+  for (uint32_t position = 0; position < width; ++position) {
+    const uint64_t min = mins[position];
+    for (size_t b = HomeBucket(position, min);; b = (b + 1) & mask) {
+      const Bucket& bucket = buckets[b];
+      if (bucket.run == kNoRun) break;
+      if (bucket.min == min && bucket.position == position) {
+        for (uint32_t i = run_begin[bucket.run]; i < run_begin[bucket.run + 1];
+             ++i) {
+          hit(ids[i]);
+        }
+        break;
+      }
+    }
+  }
+}
+
 bool LshCandidateIndex::Indexes(const std::string& table) const {
   if (tail_.slot_of.count(table) != 0) return true;
   for (const Run& run : sealed_) {
@@ -48,17 +151,8 @@ bool LshCandidateIndex::Indexes(const std::string& table) const {
   return false;
 }
 
-void LshCandidateIndex::Band(Segment* segment, Slot slot) {
+void LshCandidateIndex::Enroll(Segment* segment, Slot slot) {
   const size_t slot_index = segment->slots.size();
-  for (const ColumnDiscoveryArtifact& c : slot.artifact->columns) {
-    // Add validated this slot's widths and column names, and no live
-    // table of this name is banded anywhere, so the key is fresh and
-    // takes the next id.
-    Status added =
-        segment->index.AddSketch(ColumnKey(slot.table, c.name), c.sketch);
-    (void)added;
-    segment->slot_of_id.push_back(slot_index);
-  }
   for (const std::string& token : slot.tokens) {
     segment->token_slots[token].insert(slot_index);
   }
@@ -67,14 +161,29 @@ void LshCandidateIndex::Band(Segment* segment, Slot slot) {
   ++banded_entries_;
 }
 
+void LshCandidateIndex::Band(Slot slot) {
+  const size_t slot_index = tail_.slots.size();
+  for (const ColumnDiscoveryArtifact& c : slot.artifact->columns) {
+    // Add validated this slot's widths and column names, and no live
+    // table of this name is banded anywhere, so the key is fresh and
+    // takes the next id.
+    Status added =
+        tail_.index.AddSketch(ColumnKey(slot.table, c.name), c.sketch);
+    (void)added;
+    tail_.slot_of_id.push_back(slot_index);
+  }
+  Enroll(&tail_, std::move(slot));
+}
+
 LshCandidateIndex::Run LshCandidateIndex::Rebuild(
     const std::vector<const Run*>& runs) {
-  auto segment = std::make_shared<Segment>(options_.lsh);
+  auto segment = std::make_shared<SealedSegment>();
   for (const Run* run : runs) {
     for (size_t i = 0; i < run->segment->slots.size(); ++i) {
-      if (!run->removed[i]) Band(segment.get(), run->segment->slots[i]);
+      if (!run->removed[i]) Enroll(segment.get(), run->segment->slots[i]);
     }
   }
+  segment->BuildPostings(signature_size());
   Run rebuilt;
   rebuilt.removed.assign(segment->slots.size(), 0);
   rebuilt.segment = std::move(segment);
@@ -112,7 +221,7 @@ Status LshCandidateIndex::Add(const RegisteredTable& entry) {
     tokens.insert(column_tokens.begin(), column_tokens.end());
   }
   slot.tokens.assign(tokens.begin(), tokens.end());
-  Band(&tail_, std::move(slot));
+  Band(std::move(slot));
   return Status::OK();
 }
 
@@ -173,8 +282,13 @@ void LshCandidateIndex::Seal() {
     frozen.removed.assign(tail_.slots.size(), 1);
     for (const auto& [table, slot] : tail_.slot_of) frozen.removed[slot] = 0;
     frozen.removed_count = tail_.slots.size() - tail_.slot_of.size();
-    frozen.segment = std::make_shared<const Segment>(std::move(tail_));
-    tail_ = Segment(options_.lsh);
+    auto segment = std::make_shared<SealedSegment>();
+    segment->slots = std::move(tail_.slots);
+    segment->slot_of = std::move(tail_.slot_of);
+    segment->token_slots = std::move(tail_.token_slots);
+    segment->BuildPostings(signature_size());
+    frozen.segment = std::move(segment);
+    tail_ = Tail(options_.lsh);
     sealed_.push_back(std::move(frozen));
     CompactIfHalfRemoved(sealed_.size() - 1);
   }
@@ -217,16 +331,10 @@ RetrievedCandidates LshCandidateIndex::Retrieve(
     const TableRepository& repository) const {
   RetrievedCandidates out;
   out.index = Name();
-  // Every segment with its removal marks (none for the tail: a tail
-  // removal erases the table's postings outright).
-  std::vector<std::pair<const Segment*, const std::vector<uint8_t>*>>
-      segments;
-  for (const Run& run : sealed_) {
-    segments.emplace_back(run.segment.get(), &run.removed);
-  }
-  if (!tail_.slots.empty()) segments.emplace_back(&tail_, nullptr);
   // A hit nominates its table only while this index has not removed it
-  // and the repository still maps the name to the entry that was banded.
+  // (`removed` is null for the tail: a tail removal erases the table's
+  // postings outright) and the repository still maps the name to the
+  // entry that was banded.
   auto nominate = [&](const Segment& segment,
                       const std::vector<uint8_t>* removed, size_t slot) {
     if (removed != nullptr && (*removed)[slot]) return;
@@ -238,6 +346,14 @@ RetrievedCandidates LshCandidateIndex::Retrieve(
       out.tables.insert(banded.table);
     }
   };
+  // Sealed probes count agreeing signature slots per column id; the
+  // ids touched are reset after each probe.
+  size_t most_columns = 0;
+  for (const Run& run : sealed_) {
+    most_columns = std::max(most_columns, run.segment->columns.size());
+  }
+  std::vector<uint32_t> agree(most_columns, 0);
+  std::vector<uint32_t> touched;
   // Empty value sets never band (scaling/lsh_index.h), so a query whose
   // every column sketches empty is invisible to this index. For value
   // channels that is a degraded query, not an empty answer.
@@ -247,28 +363,50 @@ RetrievedCandidates LshCandidateIndex::Retrieve(
     if (!values.empty()) {
       any_nonempty_column = true;
       const LazoSketch sketch = LazoSketch::Build(values, signature_size());
-      for (const auto& [segment, removed] : segments) {
-        // Joinable: containment-filtered. Unionable: every slot-level
-        // collision (the recall end of the S-curve) — unionable columns
-        // share values but rarely whole domains, so Jaccard banding's
-        // ~0.7 threshold would miss most of them.
+      // Joinable: containment-filtered. Unionable: every slot-level
+      // collision (the recall end of the S-curve) — unionable columns
+      // share values but rarely whole domains, so Jaccard banding's
+      // ~0.7 threshold would miss most of them.
+      for (const Run& run : sealed_) {
+        const SealedSegment& segment = *run.segment;
+        segment.ForEachAgreement(sketch.signature.mins(), [&](uint32_t id) {
+          if (agree[id]++ == 0) touched.push_back(id);
+        });
+        for (uint32_t id : touched) {
+          const double jaccard = static_cast<double>(agree[id]) /
+                                 static_cast<double>(segment.width);
+          agree[id] = 0;
+          const SealedSegment::PostedColumn& column = segment.columns[id];
+          if (mode == DiscoveryMode::kJoinable &&
+              EstimateLazoFromJaccard(jaccard, sketch.cardinality,
+                                      column.cardinality)
+                      .containment_a_in_b < options_.min_containment) {
+            continue;
+          }
+          nominate(segment, &run.removed, column.slot);
+        }
+        touched.clear();
+      }
+      if (!tail_.slots.empty()) {
         const std::vector<size_t> ids =
             mode == DiscoveryMode::kJoinable
-                ? segment->index.ContainmentIds(sketch,
-                                                options_.min_containment)
-                : segment->index.ContainmentCandidateIds(sketch);
-        for (size_t id : ids) {
-          nominate(*segment, removed, segment->slot_of_id[id]);
-        }
+                ? tail_.index.ContainmentIds(sketch, options_.min_containment)
+                : tail_.index.ContainmentCandidateIds(sketch);
+        for (size_t id : ids) nominate(tail_, nullptr, tail_.slot_of_id[id]);
       }
     }
     if (mode == DiscoveryMode::kUnionable && options_.union_name_candidates) {
       for (const std::string& token : TokenizeIdentifier(c.name())) {
-        for (const auto& [segment, removed] : segments) {
-          auto it = segment->token_slots.find(token);
-          if (it == segment->token_slots.end()) continue;
-          for (size_t slot : it->second) nominate(*segment, removed, slot);
+        auto nominate_token = [&](const Segment& segment,
+                                  const std::vector<uint8_t>* removed) {
+          auto it = segment.token_slots.find(token);
+          if (it == segment.token_slots.end()) return;
+          for (size_t slot : it->second) nominate(segment, removed, slot);
+        };
+        for (const Run& run : sealed_) {
+          nominate_token(*run.segment, &run.removed);
         }
+        if (!tail_.slots.empty()) nominate_token(tail_, nullptr);
       }
     }
   }

@@ -72,14 +72,27 @@ class CandidateIndex {
 /// Storage is log-structured (the Bentley–Saxe logarithmic method).
 /// Nomination is decomposable: the union of what several smaller
 /// indexes nominate is exactly what one index over all their tables
-/// would nominate. So the index is a list of sealed segments, each an
-/// immutable LshIndex plus name-token postings, and one unsealed tail:
-///  * Add bands a table into the tail, in place. An index that is never
-///    sealed (DiscoveryEngine::AddTable, the two-argument
-///    FromRepository) bands every table once, into that one segment.
+/// would nominate. So the index is a list of sealed segments plus one
+/// unsealed tail, and each keeps name-token postings next to its value
+/// postings:
+///  * Add bands a table into the tail, in place. The tail's value
+///    postings are a mutable LshIndex. An index that is never sealed
+///    (DiscoveryEngine::AddTable, the two-argument FromRepository)
+///    bands every table once, into that one segment.
 ///  * Seal freezes the tail into a sealed segment, then merges every
 ///    segment that is no larger than all newer segments together with
-///    them, rebuilding one segment from their live tables.
+///    them, rebuilding one segment from their live tables. Freezing
+///    re-lays the tail's postings out; it is not a banding.
+///  * A sealed segment never changes, so its value postings are one
+///    flat open-addressed table: (signature slot, min value) -> a run
+///    of 32-bit column ids in one array, plus id -> (table slot, set
+///    cardinality). It holds no LshIndex, band buckets, key strings or
+///    sketch copies, and building it allocates per segment, not per
+///    posting. A probe counts, per column, the signature slots that
+///    agree with the query, which is exactly EstimateJaccard's
+///    numerator, so it nominates the very ids LshIndex's
+///    ContainmentCandidateIds / ContainmentIds would, without reading
+///    the candidates' sketches.
 ///  * Copies share sealed segments (`shared_ptr<const>`); only the tail
 ///    and the per-segment removal marks are copied. That is what lets
 ///    a serve snapshot apply a one-table delta to a copy of the
@@ -102,7 +115,8 @@ class CandidateIndex {
 ///  * after every Seal each segment holds more live tables than all
 ///    newer segments together, so a query column probes at most
 ///    floor(log2 N) + 1 segments (4 at 300 tables registered one by
-///    one: one per set bit of 300).
+///    one: one per set bit of 300), each with one table lookup per
+///    signature slot.
 class LshCandidateIndex : public CandidateIndex {
  public:
   struct Options {
@@ -167,12 +181,9 @@ class LshCandidateIndex : public CandidateIndex {
     std::shared_ptr<const TableDiscoveryArtifact> artifact;
     std::vector<std::string> tokens;  ///< distinct column-name tokens
   };
-  /// A run of banded tables. Mutable only while it is the tail.
+  /// The per-table half every segment keeps, sealed or not.
   struct Segment {
-    explicit Segment(const LshOptions& lsh) : index(lsh) {}
-    LshIndex index;  ///< keys are "<table>\x1f<column>"
     std::vector<Slot> slots;          ///< banding order
-    std::vector<size_t> slot_of_id;   ///< LshIndex id -> slot
     /// Table name -> the slot of its newest banding. Tail removals
     /// erase the name; sealed segments never change.
     std::map<std::string, size_t> slot_of;
@@ -181,9 +192,50 @@ class LshCandidateIndex : public CandidateIndex {
     /// iteration deterministic.
     std::map<std::string, std::set<size_t>> token_slots;
   };
+  /// The unsealed tail: value postings that take Add and Remove in
+  /// place.
+  struct Tail : Segment {
+    explicit Tail(const LshOptions& lsh) : index(lsh) {}
+    LshIndex index;  ///< keys are "<table>\x1f<column>"
+    std::vector<size_t> slot_of_id;  ///< LshIndex id -> slot
+  };
+  /// A sealed segment: immutable once BuildPostings returns, and shared
+  /// by every copy of the index.
+  struct SealedSegment : Segment {
+    /// One banded column (a non-empty value set of a live slot).
+    struct PostedColumn {
+      uint32_t slot = 0;
+      size_t cardinality = 0;
+    };
+    /// One (signature slot, min value) key of the open-addressed table;
+    /// `run` indexes run_begin, or is kNoRun in an empty bucket.
+    struct Bucket {
+      uint64_t min = 0;
+      uint32_t position = 0;
+      uint32_t run = 0;
+    };
+    static constexpr uint32_t kNoRun = 0xffffffffu;
+
+    /// Lays out the value postings of every slot that still holds its
+    /// artifact (a frozen tail keeps removed tables' slots without
+    /// one). Two counting passes over (column, signature slot).
+    void BuildPostings(size_t signature_size);
+    /// Calls `hit(column id)` once per signature slot at which that
+    /// column's min equals `mins` (width signature_size).
+    template <typename Hit>
+    void ForEachAgreement(const std::vector<uint64_t>& mins, Hit hit) const;
+    size_t HomeBucket(uint32_t position, uint64_t min) const;
+
+    size_t width = 0;
+    std::vector<PostedColumn> columns;  ///< column id -> its table
+    std::vector<Bucket> buckets;        ///< power-of-two size, or empty
+    unsigned shift = 0;                 ///< 64 - log2(buckets.size())
+    std::vector<uint32_t> run_begin;    ///< run -> first index into ids
+    std::vector<uint32_t> ids;          ///< column ids, ascending per run
+  };
   /// A sealed segment with this index's removal marks.
   struct Run {
-    std::shared_ptr<const Segment> segment;
+    std::shared_ptr<const SealedSegment> segment;
     std::vector<uint8_t> removed;  ///< slot -> removed?
     size_t removed_count = 0;
     size_t live() const { return segment->slots.size() - removed_count; }
@@ -191,8 +243,10 @@ class LshCandidateIndex : public CandidateIndex {
 
   /// True while some segment still indexes a live table named `table`.
   bool Indexes(const std::string& table) const;
-  /// Bands `slot` into `segment`; the slot passed Add's validation.
-  void Band(Segment* segment, Slot slot);
+  /// Records `slot` in `segment`'s per-table half and counts a banding.
+  void Enroll(Segment* segment, Slot slot);
+  /// Bands `slot` into the tail; the slot passed Add's validation.
+  void Band(Slot slot);
   /// One sealed run rebuilt from the live slots of `runs`, in order.
   Run Rebuild(const std::vector<const Run*>& runs);
   /// Compaction: once half of sealed_[r] is removed, rebuilds it from
@@ -201,7 +255,7 @@ class LshCandidateIndex : public CandidateIndex {
 
   Options options_;
   std::vector<Run> sealed_;  ///< oldest first
-  Segment tail_;
+  Tail tail_;
   uint64_t banded_entries_ = 0;
 };
 

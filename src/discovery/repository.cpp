@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "matchers/artifact_cache.h"
-#include "scaling/lazo.h"
 #include "text/normalizer.h"
 #include "text/tokenizer.h"
 
@@ -96,7 +95,8 @@ Result<std::shared_ptr<const RegisteredTable>> TableRepository::AddTable(
     } else {
       artifact = std::make_shared<const TableDiscoveryArtifact>(
           BuildDiscoveryArtifact(table, signature_size,
-                                 /*with_profiles=*/true, ProfileSpec{}));
+                                 /*with_profiles=*/true, ProfileSpec{},
+                                 fingerprint));
       Status persisted = options_.store->Put(artifact);
       // A failed persist degrades to in-memory registration: queries
       // stay correct, only the next cold start pays the rebuild.
@@ -108,21 +108,13 @@ Result<std::shared_ptr<const RegisteredTable>> TableRepository::AddTable(
       }
     }
   } else {
-    // No store: sketch-only artifact, built inline. Skipping the content
-    // fingerprint keeps in-memory registration as cheap as it was before
-    // the store existed; LazoSketch::Build here is byte-identical to the
-    // sketch LshIndex::Add would have built from the same value set.
-    auto built = std::make_shared<TableDiscoveryArtifact>();
-    built->table_name = table.name();
-    built->signature_size = signature_size;
-    built->columns.reserve(table.num_columns());
-    for (const Column& c : table.columns()) {
-      ColumnDiscoveryArtifact column;
-      column.name = c.name();
-      column.sketch = LazoSketch::Build(c.DistinctStringSet(), signature_size);
-      built->columns.push_back(std::move(column));
-    }
-    artifact = std::move(built);
+    // No store: sketch-only artifact. Skipping the content fingerprint
+    // (recorded as 0) keeps in-memory registration as cheap as it was
+    // before the store existed.
+    artifact = std::make_shared<const TableDiscoveryArtifact>(
+        BuildDiscoveryArtifact(table, signature_size,
+                               /*with_profiles=*/false, ProfileSpec{},
+                               /*fingerprint=*/0));
   }
 
   // Store-loaded profiles only substitute for fresh builds under an

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "matchers/artifact_cache.h"
 
@@ -316,25 +317,36 @@ std::shared_ptr<const TableProfile> TableProfileFromArtifact(
   return DiscoveryArtifactCodec::AssembleTableProfile(artifact);
 }
 
-TableDiscoveryArtifact BuildDiscoveryArtifact(const Table& table,
-                                              size_t signature_size,
-                                              bool with_profiles,
-                                              const ProfileSpec& spec) {
+TableDiscoveryArtifact BuildDiscoveryArtifact(
+    const Table& table, size_t signature_size, bool with_profiles,
+    const ProfileSpec& spec, std::optional<uint64_t> fingerprint) {
   TableDiscoveryArtifact artifact;
-  artifact.fingerprint = TableContentFingerprint(table);
+  artifact.fingerprint =
+      fingerprint.has_value() ? *fingerprint : TableContentFingerprint(table);
   artifact.table_name = table.name();
   artifact.signature_size = signature_size;
-  artifact.columns.reserve(table.num_columns());
-  for (const Column& c : table.columns()) {
-    artifact.columns.push_back(
-        {c.name(), LazoSketch::Build(c.DistinctStringSet(), signature_size)});
-  }
   if (with_profiles) {
     artifact.has_profiles = true;
     artifact.profile_spec = spec;
     artifact.profiles.reserve(table.num_columns());
     for (const Column& c : table.columns()) {
       artifact.profiles.push_back(ColumnProfile::Build(c, spec));
+    }
+  }
+  // A profile's MinHash is the column sketch whenever it was built over
+  // the whole distinct set at the sketch's width, so the column is
+  // sketched once; otherwise the sketch gets its own build.
+  artifact.columns.reserve(table.num_columns());
+  for (size_t i = 0; i < table.num_columns(); ++i) {
+    const Column& c = table.column(i);
+    const ColumnProfile* p = with_profiles ? &artifact.profiles[i] : nullptr;
+    if (p != nullptr && spec.minhash_hashes == signature_size &&
+        (spec.set_cap == 0 || p->full_distinct_count() <= spec.set_cap)) {
+      artifact.columns.push_back(
+          {c.name(), {p->minhash(), p->full_distinct_count()}});
+    } else {
+      artifact.columns.push_back(
+          {c.name(), LazoSketch::Build(c.DistinctStringSet(), signature_size)});
     }
   }
   return artifact;
@@ -401,6 +413,12 @@ Result<TableDiscoveryArtifact> ParseDiscoveryArtifact(
         !ReadSignature(&r, &c.sketch.signature)) {
       return Status::ParseError("artifact: truncated column " +
                                 std::to_string(i));
+    }
+    // Every column is banded at the header's width; a file mixing
+    // widths cannot be served, so it is rejected here and rebuilt.
+    if (c.sketch.signature.size() != a.signature_size) {
+      return Status::ParseError("artifact: column " + std::to_string(i) +
+                                " signature width differs from header");
     }
     c.sketch.cardinality = cardinality;
     a.columns.push_back(std::move(c));

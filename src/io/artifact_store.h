@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,10 +72,21 @@ struct TableDiscoveryArtifact {
 /// Derives a table's artifact from scratch: fingerprint, per-column
 /// Lazo sketches at `signature_size`, and (when `with_profiles`) full
 /// ColumnProfiles under `spec`. Pure function of its arguments.
-TableDiscoveryArtifact BuildDiscoveryArtifact(const Table& table,
-                                              size_t signature_size,
-                                              bool with_profiles,
-                                              const ProfileSpec& spec = {});
+///
+/// Each column is sketched once. When the column's profile hashed its
+/// whole distinct set at the sketch's width (`spec.minhash_hashes ==
+/// signature_size`, and `spec.set_cap` is 0 or at least the column's
+/// distinct count), the sketch is that profile's MinHash with the
+/// distinct count; otherwise the sketch is built from the column's
+/// value set, byte-identical either way.
+///
+/// `fingerprint` is recorded as given; a caller that already hashed the
+/// table passes it (the repository records 0 for a store-less entry),
+/// and by default the table is fingerprinted here.
+TableDiscoveryArtifact BuildDiscoveryArtifact(
+    const Table& table, size_t signature_size, bool with_profiles,
+    const ProfileSpec& spec = {},
+    std::optional<uint64_t> fingerprint = std::nullopt);
 
 /// Assembles a shareable TableProfile from an artifact's stored
 /// ColumnProfiles (nullptr when the artifact carries none). The result
@@ -89,7 +101,8 @@ std::shared_ptr<const TableProfile> TableProfileFromArtifact(
 std::string SerializeDiscoveryArtifact(const TableDiscoveryArtifact& artifact);
 
 /// Inverse of SerializeDiscoveryArtifact. ParseError on bad magic,
-/// unsupported version, truncation, or trailing bytes.
+/// unsupported version, truncation, trailing bytes, or a column whose
+/// signature width differs from the header's `signature_size`.
 Result<TableDiscoveryArtifact> ParseDiscoveryArtifact(
     const std::string& bytes);
 

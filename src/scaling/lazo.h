@@ -39,6 +39,13 @@ struct LazoSketch {
 /// Estimates Jaccard and containment between two sketched sets.
 LazoEstimate EstimateLazo(const LazoSketch& a, const LazoSketch& b);
 
+/// The same estimate from an already known Jaccard estimate of two
+/// non-empty sets, e.g. agreeing slots / width counted while probing
+/// slot postings. EstimateLazo of two non-empty sketches is exactly
+/// this of their EstimateJaccard.
+LazoEstimate EstimateLazoFromJaccard(double jaccard, size_t cardinality_a,
+                                     size_t cardinality_b);
+
 }  // namespace valentine
 
 #endif  // VALENTINE_SCALING_LAZO_H_

@@ -26,15 +26,15 @@
 ///    postings, so an index that tracked a mutating repository serves
 ///    exactly the live keys.
 ///
-/// Cost model in serving: discovery's LshCandidateIndex
-/// (discovery/candidate_index.h) is log-structured, and each of its
-/// segments is one LshIndex that is never mutated once sealed. A
-/// registry mutation bands amortised O(log N) table entries instead of
-/// re-banding every table; a removal from a sealed segment is lazy, and
-/// the segment is rebuilt from its live tables once half of them are
-/// removed; a query column probes at most floor(log2 N) + 1 segments (4
-/// at 300 tables), sketched once and matched through the id-level
-/// probes below.
+/// Cost model. Add allocates per posting: one key string, one sketch
+/// copy, and a hash-map node plus id vector in `bands` band maps and in
+/// `bands * rows_per_band` slot maps; Remove frees them again. That is
+/// the price of in-place mutation. Discovery's LshCandidateIndex
+/// (discovery/candidate_index.h) pays it only in its unsealed tail: its
+/// sealed segments never change, so they keep the slot postings as one
+/// flat table instead of an LshIndex, and nothing in discovery probes
+/// the band maps. Only the scaling layer's QueryJaccard / Candidates
+/// read them.
 
 #include <cstdint>
 #include <string>

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/rng.h"
 #include "datasets/chembl.h"
 #include "datasets/opendata.h"
 #include "datasets/tpcdi.h"
@@ -222,6 +223,86 @@ TEST_F(CandidateIndexContractTest, ValueBlindQueryDegradesLoudly) {
       exhaustive.Retrieve(blind, DiscoveryMode::kJoinable, repository_);
   EXPECT_FALSE(all.fallback);
   EXPECT_EQ(all.tables, RepositoryNames());
+}
+
+// Sealed segments count agreeing signature slots per column instead of
+// reading sketches. The counts must nominate exactly what a never-sealed
+// LshIndex nominates, here on inputs built to sit at the edges: query
+// containments spread across min_containment, and many unionable hits
+// resting on a single agreeing slot (the lake's columns share few
+// values). One column per table, and no name postings, so every table
+// nomination is one column's id.
+TEST(SealedSegmentTest, NominatesLikeANeverSealedIndex) {
+  Rng rng(1818);
+  auto tagged = [](const std::string& tag, size_t n) {
+    std::string out = tag;
+    out += std::to_string(n);
+    return out;
+  };
+  auto make_table = [](const std::string& name,
+                       const std::vector<std::string>& values) {
+    Table table(name);
+    Column column("values", DataType::kString);
+    for (const std::string& v : values) column.Append(Value::String(v));
+    EXPECT_TRUE(table.AddColumn(std::move(column)).ok());
+    return table;
+  };
+  auto universe_sample = [&](size_t count) {
+    std::set<std::string> picked;
+    while (picked.size() < count) {
+      picked.insert(tagged("u", rng.Index(3000)));
+    }
+    return std::vector<std::string>(picked.begin(), picked.end());
+  };
+
+  LshCandidateIndex::Options options;
+  options.union_name_candidates = false;
+  LshCandidateIndex sealed(options);
+  LshCandidateIndex never_sealed(options);
+  TableRepository repository;
+  std::vector<std::vector<std::string>> lake;
+  for (size_t i = 0; i < 48; ++i) {
+    lake.push_back(universe_sample(20 + rng.Index(101)));
+    auto entry = repository.AddTable(make_table(tagged("t", i), lake.back()));
+    ASSERT_TRUE(entry.ok());
+    ASSERT_TRUE(sealed.Add(**entry).ok());
+    ASSERT_TRUE(never_sealed.Add(**entry).ok());
+    sealed.Seal();
+  }
+  ASSERT_GE(sealed.Segments().size(), 2u);
+  for (const LshCandidateIndex::SegmentStats& segment : sealed.Segments()) {
+    EXPECT_TRUE(segment.sealed);
+  }
+
+  size_t nominated = 0;
+  for (size_t q = 0; q < 200; ++q) {
+    // A random share of one lake column, a few lake-universe values and
+    // some values no table holds.
+    std::vector<std::string> base = lake[rng.Index(lake.size())];
+    rng.Shuffle(&base);
+    const double share = rng.UniformDouble(0.05, 0.7);
+    std::vector<std::string> values(
+        base.begin(),
+        base.begin() + static_cast<ptrdiff_t>(share * base.size()));
+    for (const std::string& v : universe_sample(rng.Index(30))) {
+      values.push_back(v);
+    }
+    for (size_t k = rng.Index(40); k > 0; --k) {
+      values.push_back(tagged(tagged("q", q) + "_", k));
+    }
+    const Table query = make_table("query", values);
+    for (DiscoveryMode mode :
+         {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
+      RetrievedCandidates got = sealed.Retrieve(query, mode, repository);
+      RetrievedCandidates want =
+          never_sealed.Retrieve(query, mode, repository);
+      EXPECT_EQ(got.tables, want.tables)
+          << "query " << q << " " << DiscoveryModeName(mode);
+      EXPECT_EQ(got.fallback, want.fallback);
+      nominated += got.tables.size();
+    }
+  }
+  EXPECT_GT(nominated, 0u);
 }
 
 TEST_F(CandidateIndexContractTest, ExhaustiveNominatesEverythingAlways) {

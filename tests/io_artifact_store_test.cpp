@@ -17,6 +17,7 @@
 #include "datasets/tpcdi.h"
 #include "discovery/discovery.h"
 #include "matchers/artifact_cache.h"
+#include "serve/service.h"
 
 namespace valentine {
 namespace {
@@ -38,6 +39,25 @@ Table SmallTable(const std::string& name, int salt) {
   EXPECT_TRUE(t.AddColumn(std::move(id)).ok());
   EXPECT_TRUE(t.AddColumn(std::move(city)).ok());
   return t;
+}
+
+/// A well-formed VDA1 file whose header says width 128 while its second
+/// column holds a 64-slot signature.
+std::string MixedWidthBytes(const Table& t) {
+  TableDiscoveryArtifact artifact = BuildDiscoveryArtifact(t, 128, false);
+  artifact.columns[1].sketch =
+      LazoSketch::Build(t.column(1).DistinctStringSet(), 64);
+  return SerializeDiscoveryArtifact(artifact);
+}
+
+/// Writes MixedWidthBytes(t) where a store keeps t's artifact.
+void PlantMixedWidthFile(const std::string& dir, const Table& t) {
+  ArtifactStore store(dir);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(TableContentFingerprint(t)));
+  std::ofstream out(dir + "/" + hex + ".vda", std::ios::binary);
+  out << MixedWidthBytes(t);
 }
 
 TEST(ArtifactCodecTest, RoundTripIsByteIdentical) {
@@ -96,6 +116,35 @@ TEST(ArtifactCodecTest, LoadedProfileServesLikeFreshBuild) {
   }
 }
 
+// A column's sketch is its profile's MinHash only when that signature
+// covers the whole value set at the sketch's width; under every spec it
+// equals the sketch of the column's value set.
+TEST(ArtifactCodecTest, SketchesEqualValueSetSketchesUnderAnySpec) {
+  Table t = MakeTpcdiProspect(80, 31);
+  ProfileSpec below_cap;
+  below_cap.set_cap = 5;
+  ProfileSpec uncapped;
+  uncapped.set_cap = 0;
+  ProfileSpec narrow;
+  narrow.minhash_hashes = 64;
+  for (const ProfileSpec& spec : {ProfileSpec{}, below_cap, uncapped, narrow}) {
+    for (bool with_profiles : {true, false}) {
+      TableDiscoveryArtifact artifact =
+          BuildDiscoveryArtifact(t, 128, with_profiles, spec);
+      ASSERT_EQ(artifact.columns.size(), t.num_columns());
+      for (size_t i = 0; i < t.num_columns(); ++i) {
+        const LazoSketch want =
+            LazoSketch::Build(t.column(i).DistinctStringSet(), 128);
+        const LazoSketch& got = artifact.columns[i].sketch;
+        EXPECT_EQ(got.signature.mins(), want.signature.mins())
+            << "set_cap=" << spec.set_cap << " column " << i;
+        EXPECT_EQ(got.signature.empty_set(), want.signature.empty_set());
+        EXPECT_EQ(got.cardinality, want.cardinality);
+      }
+    }
+  }
+}
+
 TEST(ArtifactCodecTest, RejectsCorruptBytes) {
   Table t = SmallTable("corrupt", 1);
   std::string bytes =
@@ -121,6 +170,9 @@ TEST(ArtifactCodecTest, RejectsCorruptBytes) {
             StatusCode::kParseError);
   // Trailing garbage.
   EXPECT_EQ(ParseDiscoveryArtifact(bytes + "x").status().code(),
+            StatusCode::kParseError);
+  // A column whose signature width differs from the header's.
+  EXPECT_EQ(ParseDiscoveryArtifact(MixedWidthBytes(t)).status().code(),
             StatusCode::kParseError);
 }
 
@@ -269,6 +321,63 @@ TEST(ArtifactStoreTest, StaleArtifactIsRebuiltNotServed) {
     auto reloaded = store.Get(TableContentFingerprint(t));
     ASSERT_TRUE(reloaded.ok());
     EXPECT_EQ((*reloaded)->signature_size, 128u);
+  }
+}
+
+// A stored file mixing signature widths is not served: registration
+// rebuilds and overwrites it, and the table is indexed like any other.
+TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByEngine) {
+  std::string dir = FreshDir("mixed_engine");
+  Table t = SmallTable("mixed_t", 5);
+  PlantMixedWidthFile(dir, t);
+  ArtifactStore store(dir);
+  MetricsRegistry metrics;
+  DiscoveryOptions opt;
+  opt.store = &store;
+  opt.metrics = &metrics;
+  DiscoveryEngine engine(std::move(opt));
+  ASSERT_TRUE(engine.AddTable(t).ok());
+  EXPECT_EQ(engine.num_tables(), 1u);
+  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                 {{"event", "build"}}),
+            1u);
+  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                 {{"event", "hit"}}),
+            0u);
+  RetrievedCandidates nominated = engine.lsh_index().Retrieve(
+      t, DiscoveryMode::kJoinable, engine.repository());
+  EXPECT_FALSE(nominated.fallback);
+  EXPECT_EQ(nominated.tables.count(t.name()), 1u);
+  auto rewritten = store.Get(TableContentFingerprint(t));
+  ASSERT_TRUE(rewritten.ok());
+  for (const ColumnDiscoveryArtifact& c : (*rewritten)->columns) {
+    EXPECT_EQ(c.sketch.signature.size(), 128u);
+  }
+}
+
+TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByService) {
+  std::string dir = FreshDir("mixed_service");
+  Table t = SmallTable("mixed_s", 6);
+  PlantMixedWidthFile(dir, t);
+  ArtifactStore store(dir);
+  MetricsRegistry metrics;
+  serve::ServiceOptions options;
+  options.store = &store;
+  options.metrics = &metrics;
+  serve::DiscoveryService service(options);
+  ASSERT_TRUE(service.RegisterTable(t).ok());
+  EXPECT_EQ(service.num_tables(), 1u);
+  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                 {{"event", "build"}}),
+            1u);
+  std::shared_ptr<const DiscoveryEngine> snapshot = service.Snapshot();
+  for (DiscoveryMode mode :
+       {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
+    RetrievedCandidates nominated =
+        snapshot->lsh_index().Retrieve(t, mode, snapshot->repository());
+    EXPECT_FALSE(nominated.fallback);
+    EXPECT_EQ(nominated.tables.count(t.name()), 1u)
+        << DiscoveryModeName(mode);
   }
 }
 

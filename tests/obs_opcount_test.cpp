@@ -16,6 +16,7 @@
 
 #include "datasets/tpcdi.h"
 #include "harness/campaign.h"
+#include "io/artifact_store.h"
 #include "obs/metrics.h"
 #include "stats/emd.h"
 #include "stats/minhash.h"
@@ -136,6 +137,38 @@ TEST(OpCount, MinHashCountsHashEvaluations) {
   MinHashSignature::Build(set, 32);
   EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes),
             set.size() * 32);
+}
+
+TEST(OpCount, DiscoveryArtifactSketchesEachColumnOnce) {
+  if (!opcount::kEnabled) GTEST_SKIP() << "opcounts compiled out";
+  const Table t = MakeTpcdiProspect(60, 7);
+  constexpr size_t kSetCap = 5;
+  size_t distinct = 0;
+  size_t capped_builds = 0;  // hashed values under a set_cap of kSetCap
+  for (const Column& c : t.columns()) {
+    const size_t d = c.DistinctStringSet().size();
+    distinct += d;
+    capped_builds += d <= kSetCap ? d : kSetCap + d;
+  }
+  ASSERT_GT(capped_builds, distinct);  // some column exceeds the cap
+
+  // The profile's MinHash covers the whole set at the sketch's width,
+  // so it is the column sketch: one build per column, profiled or not.
+  opcount::Snapshot before = opcount::ThreadSnapshot();
+  BuildDiscoveryArtifact(t, 128, /*with_profiles=*/true);
+  EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes), distinct * 128);
+  before = opcount::ThreadSnapshot();
+  BuildDiscoveryArtifact(t, 128, /*with_profiles=*/false);
+  EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes), distinct * 128);
+
+  // A profile capped below a column's distinct count hashed only a
+  // prefix, so every column is sketched again in full.
+  ProfileSpec spec;
+  spec.set_cap = kSetCap;
+  before = opcount::ThreadSnapshot();
+  BuildDiscoveryArtifact(t, 128, /*with_profiles=*/true, spec);
+  EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes),
+            capped_builds * 128);
 }
 
 TEST(OpCount, EmdCountsSweepIterations) {

@@ -25,8 +25,9 @@
 // --smoke runs in every build configuration and emits no baseline: each
 // kernel's inputs go through the kernel once and the results are
 // checked against a reference (banded == full Levenshtein, packed ==
-// string trigrams, ...); where op counters are compiled in, two runs of
-// each workload must also count the same nonzero ops.
+// string trigrams, MinHash == the serial per-seed hash family, sealed ==
+// never-sealed LSH nominations, ...); where op counters are compiled
+// in, two runs of each workload must also count the same nonzero ops.
 //
 // Usage: bench_kernels [--out PATH] [--repeats N] [--pessimize]
 //        bench_kernels --smoke
@@ -48,6 +49,8 @@
 #include "core/status.h"
 #include "core/table.h"
 #include "datasets/chembl.h"
+#include "discovery/candidate_index.h"
+#include "discovery/repository.h"
 #include "fabrication/fabricator.h"
 #include "matchers/coma.h"
 #include "matchers/jaccard_levenshtein.h"
@@ -174,6 +177,75 @@ MatchResult JlScore(LevenshteinKernel kernel) {
   return std::move(scored).ValueOrDie();
 }
 
+/// MinHash as first defined, one FNV-1a chain per seed: the reference
+/// the multi-lane kernel must reproduce bit for bit.
+std::vector<uint64_t> SerialMinHash(const std::unordered_set<std::string>& set,
+                                    size_t num_hashes) {
+  std::vector<uint64_t> mins(num_hashes, UINT64_MAX);
+  for (const std::string& s : set) {  // lint:allow(unordered-iteration)
+    for (size_t seed = 0; seed < num_hashes; ++seed) {
+      uint64_t hash = 1469598103934665603ULL ^ (seed * 0x9e3779b97f4a7c15ULL);
+      for (unsigned char c : s) {
+        hash ^= c;
+        hash *= 1099511628211ULL;
+      }
+      hash ^= hash >> 33;
+      hash *= 0xff51afd7ed558ccdULL;
+      hash ^= hash >> 33;
+      mins[seed] = std::min(mins[seed], hash);
+    }
+  }
+  return mins;
+}
+
+/// Shard `shard` of family `family`: two columns that carry the
+/// family's 24 core words and 8 shard-private ones, named by one
+/// family-unique token, so both modes nominate the family.
+Table LshShard(size_t family, size_t shard) {
+  const std::string token = MakeWords(1, 900 + family)[0];
+  const std::vector<std::string> core = MakeWords(24, 1000 + family);
+  const std::vector<std::string> own = MakeWords(8, 5000 + 64 * family + shard);
+  Table table("f" + std::to_string(family) + "_s" + std::to_string(shard));
+  for (const std::string suffix : {"key", "val"}) {
+    Column c(token + suffix, DataType::kString);
+    for (const std::string& w : core) c.Append(Value::String(w + suffix));
+    for (const std::string& w : own) c.Append(Value::String(w + suffix));
+    if (!table.AddColumn(std::move(c)).ok()) std::abort();
+  }
+  return table;
+}
+
+/// 100 tables (10 families x 10 shards) registered one by one, plus
+/// one query shard from each of four families.
+struct LshLake {
+  TableRepository repository;
+  LshCandidateIndex sealed{LshCandidateIndex::Options()};
+  LshCandidateIndex never_sealed{LshCandidateIndex::Options()};
+  std::vector<Table> queries;
+};
+
+const LshLake& FixedLshLake() {
+  static const LshLake kLake = [] {
+    LshLake lake;
+    for (size_t family = 0; family < 10; ++family) {
+      for (size_t shard = 0; shard < 10; ++shard) {
+        Result<std::shared_ptr<const RegisteredTable>> entry =
+            lake.repository.AddTable(LshShard(family, shard));
+        if (!entry.ok() || !lake.sealed.Add(**entry).ok() ||
+            !lake.never_sealed.Add(**entry).ok()) {
+          std::abort();
+        }
+        lake.sealed.Seal();
+      }
+    }
+    for (size_t family : {0, 3, 6, 9}) {
+      lake.queries.push_back(LshShard(family, 10));
+    }
+    return lake;
+  }();
+  return kLake;
+}
+
 std::vector<Kernel> MakeKernels() {
   std::vector<Kernel> kernels;
 
@@ -243,13 +315,16 @@ std::vector<Kernel> MakeKernels() {
     MinHashSignature sig = MinHashSignature::Build(set, 64);
     if (sig.empty_set() && !set.empty()) std::abort();
   }, [] {
-    // Building is deterministic: two builds of one set estimate 1.0.
+    // The persisted hash family, bit for bit (a width that is not a
+    // multiple of the kernel's eight lanes runs its tail loop too).
     std::vector<std::string> values = MakeWords(1000, 41);
     std::unordered_set<std::string> set(values.begin(), values.end());
-    MinHashSignature a = MinHashSignature::Build(set, 64);
-    MinHashSignature b = MinHashSignature::Build(set, 64);
-    if (a.empty_set() || a.EstimateJaccard(b) != 1.0) {
-      return std::string("rebuilt signature differs");
+    for (size_t width : {64, 67}) {
+      if (MinHashSignature::Build(set, width).mins() !=
+          SerialMinHash(set, width)) {
+        return "signature != serial per-seed FNV-1a at width " +
+               std::to_string(width);
+      }
     }
     return std::string();
   }});
@@ -372,6 +447,45 @@ std::vector<Kernel> MakeKernels() {
     for (size_t i = 0; i < banded.size(); ++i) {
       if (!banded[i].SamePair(naive[i]) || banded[i].score != naive[i].score) {
         return "banded != naive at rank " + std::to_string(i);
+      }
+    }
+    return std::string();
+  }});
+
+  // Retrieve, both modes, over a fixed index sealed once per
+  // registration as the serving registry builds it: query sketching
+  // (the minhash_hashes ops) plus flat sealed-segment probes.
+  kernels.push_back({"lsh_retrieve", [] {
+    const LshLake& lake = FixedLshLake();
+    size_t nominated = 0;
+    for (const Table& query : lake.queries) {
+      for (DiscoveryMode mode :
+           {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
+        nominated +=
+            lake.sealed.Retrieve(query, mode, lake.repository).tables.size();
+      }
+    }
+    if (nominated == 0) std::abort();
+  }, [] {
+    const LshLake& lake = FixedLshLake();
+    for (const LshCandidateIndex::SegmentStats& segment :
+         lake.sealed.Segments()) {
+      if (!segment.sealed) return std::string("unsealed segment");
+    }
+    if (lake.sealed.Segments().size() < 2) {
+      return std::string("expected several sealed segments");
+    }
+    for (const Table& query : lake.queries) {
+      for (DiscoveryMode mode :
+           {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
+        RetrievedCandidates got =
+            lake.sealed.Retrieve(query, mode, lake.repository);
+        RetrievedCandidates want =
+            lake.never_sealed.Retrieve(query, mode, lake.repository);
+        if (got.tables != want.tables || got.fallback != want.fallback) {
+          return "sealed != never-sealed nominations for " + query.name() +
+                 " " + DiscoveryModeName(mode);
+        }
       }
     }
     return std::string();
