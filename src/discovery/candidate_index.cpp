@@ -5,17 +5,12 @@
 #include <unordered_set>
 #include <utility>
 
+#include "scaling/lazo.h"
 #include "text/tokenizer.h"
 
 namespace valentine {
 
 namespace {
-
-constexpr char kKeySeparator = '\x1f';
-
-std::string ColumnKey(const std::string& table, const std::string& column) {
-  return table + kKeySeparator + column;
-}
 
 /// Degraded nomination: the whole repository, flagged. Used when the
 /// index cannot see the query at all — the caller counts the event in
@@ -35,11 +30,10 @@ RetrievedCandidates FallbackToExhaustive(const TableRepository& repository,
 
 }  // namespace
 
-LshCandidateIndex::LshCandidateIndex(Options options)
-    : options_(options), tail_(options_.lsh) {}
+LshCandidateIndex::LshCandidateIndex(Options options) : options_(options) {}
 
-size_t LshCandidateIndex::SealedSegment::HomeBucket(uint32_t position,
-                                                    uint64_t min) const {
+size_t LshCandidateIndex::Segment::HomeBucket(uint32_t position,
+                                              uint64_t min) const {
   // Min values are avalanche-mixed hashes, but small ones dominate (a
   // minimum has leading zeros); multiplying and keeping the top bits
   // spreads every input bit over the bucket number.
@@ -47,12 +41,11 @@ size_t LshCandidateIndex::SealedSegment::HomeBucket(uint32_t position,
   return static_cast<size_t>((key * 0xff51afd7ed558ccdULL) >> shift);
 }
 
-void LshCandidateIndex::SealedSegment::BuildPostings(size_t signature_size) {
-  width = signature_size;
+void LshCandidateIndex::Segment::BuildPostings() {
+  constexpr size_t width = kDiscoverySignatureSize;
   // Column ids follow banding order; empty value sets never band.
   std::vector<const uint64_t*> mins_of;
   for (size_t slot = 0; slot < slots.size(); ++slot) {
-    if (slots[slot].artifact == nullptr) continue;
     for (const ColumnDiscoveryArtifact& c : slots[slot].artifact->columns) {
       if (c.sketch.cardinality == 0 || c.sketch.signature.empty_set()) {
         continue;
@@ -120,11 +113,12 @@ void LshCandidateIndex::SealedSegment::BuildPostings(size_t signature_size) {
 }
 
 template <typename Hit>
-void LshCandidateIndex::SealedSegment::ForEachAgreement(
+void LshCandidateIndex::Segment::ForEachAgreement(
     const std::vector<uint64_t>& mins, Hit hit) const {
   if (buckets.empty()) return;
   const size_t mask = buckets.size() - 1;
-  for (uint32_t position = 0; position < width; ++position) {
+  for (uint32_t position = 0; position < kDiscoverySignatureSize;
+       ++position) {
     const uint64_t min = mins[position];
     for (size_t b = HomeBucket(position, min);; b = (b + 1) & mask) {
       const Bucket& bucket = buckets[b];
@@ -141,8 +135,7 @@ void LshCandidateIndex::SealedSegment::ForEachAgreement(
 }
 
 bool LshCandidateIndex::Indexes(const std::string& table) const {
-  if (tail_.slot_of.count(table) != 0) return true;
-  for (const Run& run : sealed_) {
+  for (const Run& run : segments_) {
     auto it = run.segment->slot_of.find(table);
     if (it != run.segment->slot_of.end() && !run.removed[it->second]) {
       return true;
@@ -151,60 +144,20 @@ bool LshCandidateIndex::Indexes(const std::string& table) const {
   return false;
 }
 
-void LshCandidateIndex::Enroll(Segment* segment, Slot slot) {
-  const size_t slot_index = segment->slots.size();
-  for (const std::string& token : slot.tokens) {
-    segment->token_slots[token].insert(slot_index);
-  }
-  segment->slot_of[slot.table] = slot_index;
-  segment->slots.push_back(std::move(slot));
-  ++banded_entries_;
-}
-
-void LshCandidateIndex::Band(Slot slot) {
-  const size_t slot_index = tail_.slots.size();
-  for (const ColumnDiscoveryArtifact& c : slot.artifact->columns) {
-    // Add validated this slot's widths and column names, and no live
-    // table of this name is banded anywhere, so the key is fresh and
-    // takes the next id.
-    Status added =
-        tail_.index.AddSketch(ColumnKey(slot.table, c.name), c.sketch);
-    (void)added;
-    tail_.slot_of_id.push_back(slot_index);
-  }
-  Enroll(&tail_, std::move(slot));
-}
-
-LshCandidateIndex::Run LshCandidateIndex::Rebuild(
-    const std::vector<const Run*>& runs) {
-  auto segment = std::make_shared<SealedSegment>();
-  for (const Run* run : runs) {
-    for (size_t i = 0; i < run->segment->slots.size(); ++i) {
-      if (!run->removed[i]) Enroll(segment.get(), run->segment->slots[i]);
-    }
-  }
-  segment->BuildPostings(signature_size());
-  Run rebuilt;
-  rebuilt.removed.assign(segment->slots.size(), 0);
-  rebuilt.segment = std::move(segment);
-  return rebuilt;
-}
-
-Status LshCandidateIndex::Add(const RegisteredTable& entry) {
+Status LshCandidateIndex::Validate(const RegisteredTable& entry) const {
   const std::string& table_name = entry.table.name();
   if (Indexes(table_name)) {
     return Status::InvalidArgument("LshCandidateIndex: table '" + table_name +
                                    "' is already indexed");
   }
-  // Validate-then-commit: once these pass, banding cannot fail.
   std::set<std::string> columns;
   for (const ColumnDiscoveryArtifact& c : entry.artifact->columns) {
-    if (c.sketch.signature.mins().size() != signature_size()) {
+    if (c.sketch.signature.mins().size() != kDiscoverySignatureSize) {
       return Status::InvalidArgument(
           "LshCandidateIndex: sketch width " +
           std::to_string(c.sketch.signature.mins().size()) + " of '" +
           table_name + "' does not match signature size " +
-          std::to_string(signature_size()));
+          std::to_string(kDiscoverySignatureSize));
     }
     if (!columns.insert(c.name).second) {
       return Status::InvalidArgument("LshCandidateIndex: duplicate column '" +
@@ -212,8 +165,42 @@ Status LshCandidateIndex::Add(const RegisteredTable& entry) {
                                      "'");
     }
   }
+  return Status::OK();
+}
+
+LshCandidateIndex::Run LshCandidateIndex::Band(std::vector<Slot> slots) {
+  auto segment = std::make_shared<Segment>();
+  for (Slot& slot : slots) {
+    const size_t slot_index = segment->slots.size();
+    for (const std::string& token : slot.tokens) {
+      segment->token_slots[token].insert(slot_index);
+    }
+    segment->slot_of[slot.table] = slot_index;
+    segment->slots.push_back(std::move(slot));
+  }
+  banded_entries_ += segment->slots.size();
+  segment->BuildPostings();
+  Run run;
+  run.removed.assign(segment->slots.size(), 0);
+  run.segment = std::move(segment);
+  return run;
+}
+
+LshCandidateIndex::Run LshCandidateIndex::Rebuild(
+    const std::vector<const Run*>& runs) {
+  std::vector<Slot> live;
+  for (const Run* run : runs) {
+    for (size_t i = 0; i < run->segment->slots.size(); ++i) {
+      if (!run->removed[i]) live.push_back(run->segment->slots[i]);
+    }
+  }
+  return Band(std::move(live));
+}
+
+LshCandidateIndex::Slot LshCandidateIndex::SlotFor(
+    const RegisteredTable& entry) {
   Slot slot;
-  slot.table = table_name;
+  slot.table = entry.table.name();
   slot.registration = entry.registration;
   slot.artifact = entry.artifact;
   std::set<std::string> tokens;
@@ -221,35 +208,35 @@ Status LshCandidateIndex::Add(const RegisteredTable& entry) {
     tokens.insert(column_tokens.begin(), column_tokens.end());
   }
   slot.tokens.assign(tokens.begin(), tokens.end());
-  Band(std::move(slot));
+  return slot;
+}
+
+Status LshCandidateIndex::Add(const RegisteredTable& entry) {
+  // Validate-then-commit: once this passes, banding cannot fail.
+  VALENTINE_RETURN_NOT_OK(Validate(entry));
+  segments_.push_back(Band({SlotFor(entry)}));
+  Merge();
+  return Status::OK();
+}
+
+Status LshCandidateIndex::AddAll(const TableRepository& repository) {
+  std::vector<Slot> slots;
+  for (size_t i = 0; i < repository.size(); ++i) {
+    // Repository names are unique, so checking each entry against the
+    // existing segments validates the whole batch.
+    VALENTINE_RETURN_NOT_OK(Validate(repository.entry(i)));
+    slots.push_back(SlotFor(repository.entry(i)));
+  }
+  if (slots.empty()) return Status::OK();
+  segments_.push_back(Band(std::move(slots)));
+  Merge();
   return Status::OK();
 }
 
 Status LshCandidateIndex::Remove(const RegisteredTable& entry) {
   const std::string& table_name = entry.table.name();
-  auto tail_it = tail_.slot_of.find(table_name);
-  if (tail_it != tail_.slot_of.end() &&
-      tail_.slots[tail_it->second].registration == entry.registration) {
-    Slot& slot = tail_.slots[tail_it->second];
-    for (const ColumnDiscoveryArtifact& c : slot.artifact->columns) {
-      VALENTINE_RETURN_NOT_OK(
-          tail_.index.Remove(ColumnKey(table_name, c.name)));
-    }
-    for (const std::string& token : slot.tokens) {
-      auto it = tail_.token_slots.find(token);
-      if (it == tail_.token_slots.end()) continue;
-      it->second.erase(tail_it->second);
-      if (it->second.empty()) tail_.token_slots.erase(it);
-    }
-    tail_.slot_of.erase(tail_it);
-    // The slot stays (slot numbers are positions) but is never banded
-    // again, so it need not keep the artifact alive.
-    slot.artifact.reset();
-    slot.tokens.clear();
-    return Status::OK();
-  }
-  for (size_t r = sealed_.size(); r-- > 0;) {
-    Run& run = sealed_[r];
+  for (size_t r = segments_.size(); r-- > 0;) {
+    Run& run = segments_[r];
     auto it = run.segment->slot_of.find(table_name);
     if (it == run.segment->slot_of.end() || run.removed[it->second] ||
         run.segment->slots[it->second].registration != entry.registration) {
@@ -258,6 +245,7 @@ Status LshCandidateIndex::Remove(const RegisteredTable& entry) {
     run.removed[it->second] = 1;
     ++run.removed_count;
     CompactIfHalfRemoved(r);
+    Merge();
     return Status::OK();
   }
   return Status::NotFound("LshCandidateIndex: table '" + table_name +
@@ -265,63 +253,42 @@ Status LshCandidateIndex::Remove(const RegisteredTable& entry) {
 }
 
 void LshCandidateIndex::CompactIfHalfRemoved(size_t r) {
-  Run& run = sealed_[r];
+  Run& run = segments_[r];
   if (2 * run.removed_count < run.segment->slots.size()) return;
   if (run.live() == 0) {
-    sealed_.erase(sealed_.begin() + static_cast<ptrdiff_t>(r));
+    segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(r));
   } else {
     run = Rebuild({&run});
   }
 }
 
-void LshCandidateIndex::Seal() {
-  if (!tail_.slots.empty()) {
-    // Tables removed from the tail keep their (posting-free) slots;
-    // frozen, they count as removed like any lazy removal.
-    Run frozen;
-    frozen.removed.assign(tail_.slots.size(), 1);
-    for (const auto& [table, slot] : tail_.slot_of) frozen.removed[slot] = 0;
-    frozen.removed_count = tail_.slots.size() - tail_.slot_of.size();
-    auto segment = std::make_shared<SealedSegment>();
-    segment->slots = std::move(tail_.slots);
-    segment->slot_of = std::move(tail_.slot_of);
-    segment->token_slots = std::move(tail_.token_slots);
-    segment->BuildPostings(signature_size());
-    frozen.segment = std::move(segment);
-    tail_ = Tail(options_.lsh);
-    sealed_.push_back(std::move(frozen));
-    CompactIfHalfRemoved(sealed_.size() - 1);
-  }
+void LshCandidateIndex::Merge() {
   // Merge the newest segments into the oldest one that is no larger
   // than all newer segments together. Afterwards every segment is
   // larger than everything newer, so there are at most floor(log2 N)+1.
   size_t newer = 0;
-  size_t oldest_violation = sealed_.size();
-  for (size_t r = sealed_.size(); r-- > 0;) {
-    if (r + 1 < sealed_.size() && sealed_[r].live() <= newer) {
+  size_t oldest_violation = segments_.size();
+  for (size_t r = segments_.size(); r-- > 0;) {
+    if (r + 1 < segments_.size() && segments_[r].live() <= newer) {
       oldest_violation = r;
     }
-    newer += sealed_[r].live();
+    newer += segments_[r].live();
   }
-  if (oldest_violation == sealed_.size()) return;
+  if (oldest_violation == segments_.size()) return;
   std::vector<const Run*> runs;
-  for (size_t r = oldest_violation; r < sealed_.size(); ++r) {
-    runs.push_back(&sealed_[r]);
+  for (size_t r = oldest_violation; r < segments_.size(); ++r) {
+    runs.push_back(&segments_[r]);
   }
   Run merged = Rebuild(runs);
-  sealed_.resize(oldest_violation);
-  sealed_.push_back(std::move(merged));
+  segments_.resize(oldest_violation);
+  segments_.push_back(std::move(merged));
 }
 
 std::vector<LshCandidateIndex::SegmentStats> LshCandidateIndex::Segments()
     const {
   std::vector<SegmentStats> out;
-  for (const Run& run : sealed_) {
-    out.push_back({run.segment->slots.size(), run.removed_count, true});
-  }
-  if (!tail_.slots.empty()) {
-    out.push_back({tail_.slots.size(),
-                   tail_.slots.size() - tail_.slot_of.size(), false});
+  for (const Run& run : segments_) {
+    out.push_back({run.segment->slots.size(), run.removed_count});
   }
   return out;
 }
@@ -332,13 +299,10 @@ RetrievedCandidates LshCandidateIndex::Retrieve(
   RetrievedCandidates out;
   out.index = Name();
   // A hit nominates its table only while this index has not removed it
-  // (`removed` is null for the tail: a tail removal erases the table's
-  // postings outright) and the repository still maps the name to the
-  // entry that was banded.
-  auto nominate = [&](const Segment& segment,
-                      const std::vector<uint8_t>* removed, size_t slot) {
-    if (removed != nullptr && (*removed)[slot]) return;
-    const Slot& banded = segment.slots[slot];
+  // and the repository still maps the name to the entry that was banded.
+  auto nominate = [&](const Run& run, size_t slot) {
+    if (run.removed[slot]) return;
+    const Slot& banded = run.segment->slots[slot];
     if (out.tables.count(banded.table) != 0) return;
     std::optional<size_t> position = repository.PositionOf(banded.table);
     if (position.has_value() &&
@@ -346,67 +310,57 @@ RetrievedCandidates LshCandidateIndex::Retrieve(
       out.tables.insert(banded.table);
     }
   };
-  // Sealed probes count agreeing signature slots per column id; the
-  // ids touched are reset after each probe.
+  // Probes count agreeing signature slots per column id; the ids
+  // touched are reset after each probe.
   size_t most_columns = 0;
-  for (const Run& run : sealed_) {
+  for (const Run& run : segments_) {
     most_columns = std::max(most_columns, run.segment->columns.size());
   }
   std::vector<uint32_t> agree(most_columns, 0);
   std::vector<uint32_t> touched;
-  // Empty value sets never band (scaling/lsh_index.h), so a query whose
-  // every column sketches empty is invisible to this index. For value
-  // channels that is a degraded query, not an empty answer.
+  // Empty value sets never band, so a query whose every column sketches
+  // empty is invisible to this index. For value channels that is a
+  // degraded query, not an empty answer.
   bool any_nonempty_column = false;
   for (const Column& c : query.columns()) {
     const std::unordered_set<std::string> values = c.DistinctStringSet();
     if (!values.empty()) {
       any_nonempty_column = true;
-      const LazoSketch sketch = LazoSketch::Build(values, signature_size());
+      const LazoSketch sketch =
+          LazoSketch::Build(values, kDiscoverySignatureSize);
       // Joinable: containment-filtered. Unionable: every slot-level
       // collision (the recall end of the S-curve) — unionable columns
       // share values but rarely whole domains, so Jaccard banding's
       // ~0.7 threshold would miss most of them.
-      for (const Run& run : sealed_) {
-        const SealedSegment& segment = *run.segment;
+      for (const Run& run : segments_) {
+        const Segment& segment = *run.segment;
         segment.ForEachAgreement(sketch.signature.mins(), [&](uint32_t id) {
           if (agree[id]++ == 0) touched.push_back(id);
         });
         for (uint32_t id : touched) {
-          const double jaccard = static_cast<double>(agree[id]) /
-                                 static_cast<double>(segment.width);
+          const double jaccard =
+              static_cast<double>(agree[id]) /
+              static_cast<double>(kDiscoverySignatureSize);
           agree[id] = 0;
-          const SealedSegment::PostedColumn& column = segment.columns[id];
+          const Segment::PostedColumn& column = segment.columns[id];
           if (mode == DiscoveryMode::kJoinable &&
               EstimateLazoFromJaccard(jaccard, sketch.cardinality,
                                       column.cardinality)
                       .containment_a_in_b < options_.min_containment) {
             continue;
           }
-          nominate(segment, &run.removed, column.slot);
+          nominate(run, column.slot);
         }
         touched.clear();
-      }
-      if (!tail_.slots.empty()) {
-        const std::vector<size_t> ids =
-            mode == DiscoveryMode::kJoinable
-                ? tail_.index.ContainmentIds(sketch, options_.min_containment)
-                : tail_.index.ContainmentCandidateIds(sketch);
-        for (size_t id : ids) nominate(tail_, nullptr, tail_.slot_of_id[id]);
       }
     }
     if (mode == DiscoveryMode::kUnionable && options_.union_name_candidates) {
       for (const std::string& token : TokenizeIdentifier(c.name())) {
-        auto nominate_token = [&](const Segment& segment,
-                                  const std::vector<uint8_t>* removed) {
-          auto it = segment.token_slots.find(token);
-          if (it == segment.token_slots.end()) return;
-          for (size_t slot : it->second) nominate(segment, removed, slot);
-        };
-        for (const Run& run : sealed_) {
-          nominate_token(*run.segment, &run.removed);
+        for (const Run& run : segments_) {
+          auto it = run.segment->token_slots.find(token);
+          if (it == run.segment->token_slots.end()) continue;
+          for (size_t slot : it->second) nominate(run, slot);
         }
-        if (!tail_.slots.empty()) nominate_token(tail_, nullptr);
       }
     }
   }

@@ -11,18 +11,15 @@ namespace {
 
 LshCandidateIndex::Options LshIndexOptions(const DiscoveryOptions& options) {
   LshCandidateIndex::Options out;
-  out.lsh = options.lsh;
   out.min_containment = options.min_containment;
   out.union_name_candidates = options.union_name_candidates;
   return out;
 }
 
-RepositoryOptions RepositoryOptionsFor(const DiscoveryOptions& options,
-                                       size_t signature_size) {
+RepositoryOptions RepositoryOptionsFor(const DiscoveryOptions& options) {
   RepositoryOptions out;
   out.store = options.store;
   out.metrics = options.metrics;
-  out.signature_size = signature_size;
   return out;
 }
 
@@ -40,8 +37,7 @@ const char* DiscoveryModeName(DiscoveryMode mode) {
 
 DiscoveryEngine::DiscoveryEngine(DiscoveryOptions options)
     : options_(std::move(options)),
-      repository_(RepositoryOptionsFor(
-          options_, options_.lsh.bands * options_.lsh.rows_per_band)),
+      repository_(RepositoryOptionsFor(options_)),
       lsh_index_(LshIndexOptions(options_)) {
   if (options_.reranker == nullptr) {
     ExactReranker::Options exact;
@@ -56,11 +52,9 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
     DiscoveryOptions options, TableRepository repository) {
   auto engine = std::make_unique<DiscoveryEngine>(std::move(options));
   engine->repository_ = std::move(repository);
-  // Re-band every entry's already-built sketches: cheap re-indexing,
-  // no fingerprinting, no store IO, no value re-sketching.
-  for (size_t i = 0; i < engine->repository_.size(); ++i) {
-    VALENTINE_RETURN_NOT_OK(engine->lsh_index_.Add(engine->repository_.entry(i)));
-  }
+  // Band every entry's already-built sketches into one segment: no
+  // fingerprinting, no store IO, no value re-sketching.
+  VALENTINE_RETURN_NOT_OK(engine->lsh_index_.AddAll(engine->repository_));
   return engine;
 }
 
@@ -69,10 +63,7 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
     LshCandidateIndex index) {
   const LshCandidateIndex::Options expected = LshIndexOptions(options);
   const LshCandidateIndex::Options& got = index.options();
-  if (got.lsh.bands != expected.lsh.bands ||
-      got.lsh.rows_per_band != expected.lsh.rows_per_band ||
-      got.lsh.cardinality_partitions != expected.lsh.cardinality_partitions ||
-      got.min_containment != expected.min_containment ||
+  if (got.min_containment != expected.min_containment ||
       got.union_name_candidates != expected.union_name_candidates) {
     return Status::InvalidArgument(
         "DiscoveryEngine: adopted LSH index options differ from the "

@@ -40,6 +40,7 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+// Unused here; kept because callers get LshOptions through this header.
 #include "scaling/lsh_index.h"
 
 namespace valentine {
@@ -62,8 +63,6 @@ struct DiscoveryOptions {
   /// Column matcher used to verify/score candidate tables. When null, a
   /// default COMA-Instances matcher is used.
   MatcherPtr matcher;
-  /// LSH settings for the joinability candidate index.
-  LshOptions lsh;
   /// Minimum estimated containment for a query column to nominate a
   /// candidate table in FindJoinable.
   double min_containment = 0.3;
@@ -123,9 +122,9 @@ class DiscoveryEngine {
 
   /// Builds an engine over an existing repository snapshot: every entry
   /// is banded once, from its already-built sketches, into a single
-  /// unsealed index segment (no fingerprinting, no store IO, no value
-  /// re-sketching). Fails when the snapshot's sketches disagree with
-  /// `options.lsh`'s signature width.
+  /// index segment (no fingerprinting, no store IO, no value
+  /// re-sketching). Fails when the snapshot's sketches are not
+  /// kDiscoverySignatureSize wide.
   static Result<std::unique_ptr<DiscoveryEngine>> FromRepository(
       DiscoveryOptions options, TableRepository repository);
 
@@ -133,7 +132,7 @@ class DiscoveryEngine {
   /// already holds exactly its tables, adopting the index instead of
   /// re-banding anything: the serving layer applies each mutation's
   /// delta to a copy of the previous snapshot's index (which shares its
-  /// sealed segments) and publishes it here. Fails when the index was
+  /// segments) and publishes it here. Fails when the index was
   /// built under options other than `options` would give it.
   static Result<std::unique_ptr<DiscoveryEngine>> FromRepository(
       DiscoveryOptions options, TableRepository repository,
@@ -141,14 +140,16 @@ class DiscoveryEngine {
 
   /// Registers a table. Fails on duplicate table names, empty tables,
   /// duplicate column names within the table, and names (table or
-  /// column) containing the reserved key separator '\x1f' — the engine
-  /// keys its column index as "<table>\x1f<column>", so an embedded
-  /// separator would let one table's keys impersonate another's.
+  /// column) containing the reserved separator '\x1f' — Cupid's memo
+  /// key joins two names with it, so such a name could make two name
+  /// pairs share one memo entry under a Cupid reranker.
   /// With a store attached, sketches/profiles are loaded by content
-  /// fingerprint when possible and persisted when built fresh.
+  /// fingerprint when possible and persisted when built fresh. The
+  /// index bands the table into a new segment and merges, as the
+  /// serving registry's does (candidate_index.h's cost model).
   Status AddTable(Table table);
 
-  /// Unregisters a table and erases its index postings; kNotFound when
+  /// Unregisters a table and removes it from the index; kNotFound when
   /// absent. The persistent store keeps its artifact (it is keyed by
   /// content, not by registration, and re-adding should stay free).
   Status RemoveTable(const std::string& name);
@@ -159,8 +160,9 @@ class DiscoveryEngine {
   /// snapshot (see discovery/repository.h).
   const TableRepository& repository() const { return repository_; }
 
-  /// The LSH candidate index over repository(). Copying it shares its
-  /// sealed segments (see discovery/candidate_index.h).
+  /// The LSH candidate index over repository(), sealed after every
+  /// mutation. Copying it shares its segments (see
+  /// discovery/candidate_index.h).
   const LshCandidateIndex& lsh_index() const { return lsh_index_; }
 
   /// Top-k tables joinable with the query: candidate tables are

@@ -12,9 +12,9 @@ namespace valentine {
 
 namespace {
 
-/// Reserved byte the candidate indexes key columns with
-/// ("<table>\x1f<column>"); an embedded separator would let one table's
-/// keys impersonate another's.
+/// Reserved in table and column names: Cupid's memo key joins two names
+/// with it (matchers/cupid.cpp), so a name holding it could make two
+/// name pairs share one memo entry under a Cupid reranker.
 constexpr char kKeySeparator = '\x1f';
 
 /// Source of RegisteredTable::registration, shared by every repository

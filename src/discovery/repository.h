@@ -63,15 +63,20 @@ struct RegisteredTable {
   std::vector<std::string> canon_names;               ///< per column
 };
 
+/// MinHash signature width of discovery sketches, and the only width
+/// LshCandidateIndex bands: nomination probes single signature slots,
+/// so no other LSH geometry reaches a query.
+constexpr size_t kDiscoverySignatureSize = 128;
+
 /// Repository configuration. All pointers are borrowed and optional.
 struct RepositoryOptions {
   /// Persistent artifact store consulted/updated by AddTable.
   ArtifactStore* store = nullptr;
   /// Sink for valentine_discovery_store_total{event} accounting.
   MetricsRegistry* metrics = nullptr;
-  /// MinHash signature width sketches are built at (must equal the
-  /// candidate index's signature_size()).
-  size_t signature_size = 128;
+  /// MinHash signature width sketches are built at (LshCandidateIndex
+  /// rejects any other).
+  size_t signature_size = kDiscoverySignatureSize;
 };
 
 /// \brief Owns registered tables and their derived artifacts.

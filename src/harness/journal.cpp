@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "harness/json_export.h"
+#include "obs/export.h"
 
 namespace valentine {
 

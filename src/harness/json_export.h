@@ -15,11 +15,9 @@
 #include "harness/experiment.h"
 #include "harness/runner.h"
 #include "matchers/match_result.h"
+#include "obs/export.h"  // JsonEscape
 
 namespace valentine {
-
-/// Escapes a string for embedding in JSON (quotes, control chars).
-std::string JsonEscape(const std::string& s);
 
 /// One experiment result as a JSON object.
 std::string ToJson(const ExperimentResult& result);

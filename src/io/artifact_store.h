@@ -10,8 +10,8 @@
 /// the serving registry — does not pay the sketch/profile build again.
 /// This store holds one artifact per *table content fingerprint*
 /// (matchers/artifact_cache.h): the table's Lazo sketches (one per
-/// column, ready for LshIndex::AddSketch) plus, optionally, its full
-/// ColumnProfiles under the ProfileSpec they were built with.
+/// column, ready for the discovery index to band) plus, optionally,
+/// its full ColumnProfiles under the ProfileSpec they were built with.
 ///
 /// Contracts:
 ///  * Serialization is canonical and byte-stable: the same artifact
@@ -47,8 +47,8 @@
 namespace valentine {
 
 /// One column's persisted discovery state: its name and Lazo sketch
-/// (MinHash signature + cardinality), ready to be re-inserted into an
-/// LshIndex without touching the column's values.
+/// (MinHash signature + cardinality), ready to be banded into the
+/// discovery index without touching the column's values.
 struct ColumnDiscoveryArtifact {
   std::string name;
   LazoSketch sketch;

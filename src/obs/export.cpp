@@ -7,10 +7,6 @@
 
 namespace valentine {
 
-namespace {
-
-/// Minimal JSON string escaping (obs must not depend on the harness'
-/// json_export helpers — the dependency points the other way).
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -43,6 +39,8 @@ std::string JsonEscape(const std::string& text) {
   }
   return out;
 }
+
+namespace {
 
 /// Microseconds with fixed millinanosecond precision — Chrome's `ts`
 /// unit. Fixed-format so output is byte-stable.

@@ -26,6 +26,12 @@
 
 namespace valentine {
 
+/// Escapes a string for embedding in a JSON string literal: quote,
+/// backslash, \n, \r and \t get short escapes, other control bytes
+/// \u00XX. The one escaper of the obs exporters, the harness's JSON
+/// export and the journal (the harness depends on obs, not the reverse).
+std::string JsonEscape(const std::string& text);
+
 /// Chrome trace-event JSON ({"traceEvents":[...]}) from a span snapshot.
 std::string ToChromeTraceJson(const std::vector<SpanRecord>& spans);
 

@@ -29,12 +29,12 @@
 /// Cost model. Add allocates per posting: one key string, one sketch
 /// copy, and a hash-map node plus id vector in `bands` band maps and in
 /// `bands * rows_per_band` slot maps; Remove frees them again. That is
-/// the price of in-place mutation. Discovery's LshCandidateIndex
-/// (discovery/candidate_index.h) pays it only in its unsealed tail: its
-/// sealed segments never change, so they keep the slot postings as one
-/// flat table instead of an LshIndex, and nothing in discovery probes
-/// the band maps. Only the scaling layer's QueryJaccard / Candidates
-/// read them.
+/// the price of in-place mutation. Discovery does not use this class:
+/// its LshCandidateIndex (discovery/candidate_index.h) keeps only
+/// immutable segments with flat slot postings, and no band maps. The
+/// scaling layer's ApproximateOverlapMatcher uses LshIndex, and the
+/// discovery tests use its ContainmentIds / ContainmentCandidateIds as
+/// an independent reference for the flat layout.
 
 #include <cstdint>
 #include <string>

@@ -250,11 +250,6 @@ void HttpServer::ServeConnection(int fd, double queue_wait_ms) {
     }
 
     const HttpRequest& request = parser.request();
-    // Request latency is measured against the real steady clock: it
-    // times socket+engine work of a live request, which no injectable
-    // clock can witness. (The access log's handler_ms runs on the
-    // telemetry clock instead — that one must be fake-clock stable.)
-    auto started = std::chrono::steady_clock::now();
     RequestLogEntry entry;
     // Queue wait belongs to the connection's admission; charge it to
     // the first request only — keep-alive successors never queued.
@@ -262,14 +257,6 @@ void HttpServer::ServeConnection(int fd, double queue_wait_ms) {
         service_, options_.telemetry, request, &drain_cancel_,
         served == 0 ? queue_wait_ms : 0.0,
         options_.telemetry != nullptr ? &entry : nullptr);
-    if (options_.metrics != nullptr) {
-      double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - started)
-              .count();
-      options_.metrics->HistogramFor("valentine_serve_request_ms")
-          ->Observe(elapsed_ms);
-    }
     ++served;
     bool close_after = request.WantsClose() ||
                        served >= options_.max_requests_per_connection ||

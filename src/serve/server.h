@@ -68,7 +68,7 @@ struct ServerOptions {
   /// Advertised in the Retry-After header of shed responses.
   int retry_after_s = 1;
   /// Borrowed; the transport publishes valentine_serve_shed_total,
-  /// _connections_total, _inflight, _queue_depth, _request_ms here.
+  /// _connections_total, _inflight and _queue_depth here.
   MetricsRegistry* metrics = nullptr;
   /// Borrowed request-telemetry spine (trace ids, serve.request spans,
   /// JSONL access log, queue-wait timing, /statusz server state).

@@ -112,10 +112,10 @@ Result<Table> TableFromJson(const JsonValue& value) {
   if (name == nullptr || !name->is_string() || name->string_value().empty()) {
     return Status::InvalidArgument("table requires a non-empty string 'name'");
   }
-  // The engine keys its column index as "<table>\x1f<column>"; a name
-  // smuggling the separator could impersonate another table's keys.
-  // Rejected here, at the wire boundary, so the client gets a clean 400
-  // instead of an engine-internal error.
+  // Cupid's memo key joins two names with '\x1f', so a name holding it
+  // could make two name pairs share one memo entry under a Cupid
+  // reranker. Rejected here, at the wire boundary, before any engine
+  // work; the repository checks again for direct callers.
   if (name->string_value().find('\x1f') != std::string::npos) {
     return Status::InvalidArgument(
         "table name contains reserved character U+001F");
@@ -229,7 +229,6 @@ DiscoveryService::DiscoveryService(ServiceOptions options)
   RepositoryOptions repo;
   repo.store = options_.store;
   repo.metrics = options_.metrics;
-  repo.signature_size = options_.lsh.bands * options_.lsh.rows_per_band;
   // An empty repository cannot fail to build.
   engine_ = DiscoveryEngine::FromRepository(EngineOptions(),
                                             TableRepository(repo))
@@ -239,7 +238,6 @@ DiscoveryService::DiscoveryService(ServiceOptions options)
 DiscoveryOptions DiscoveryService::EngineOptions() const {
   DiscoveryOptions opt;
   if (options_.matcher_factory) opt.matcher = options_.matcher_factory();
-  opt.lsh = options_.lsh;
   opt.min_containment = options_.min_containment;
   opt.union_evidence_columns = options_.union_evidence_columns;
   opt.store = options_.store;
@@ -252,7 +250,6 @@ DiscoveryOptions DiscoveryService::EngineOptions() const {
 Status DiscoveryService::Publish(
     TableRepository next, LshCandidateIndex index,
     std::shared_ptr<const DiscoveryEngine>* replaced) {
-  index.Seal();
   const uint64_t banded =
       index.banded_entries() - engine_->lsh_index().banded_entries();
   Result<std::unique_ptr<DiscoveryEngine>> built =
@@ -279,7 +276,7 @@ Status DiscoveryService::RegisterTable(Table table) {
   // Validate-then-commit: register into a snapshot and build the
   // replacement engine first, so a rejected table (e.g. zero columns)
   // leaves the registry untouched. The snapshot shares every existing
-  // entry and the index copy every sealed segment — only the new table
+  // entry and the index copy every segment — only the new table
   // pays fingerprinting, sketching (or a store lookup) and banding.
   TableRepository next = engine_->repository();
   Result<std::shared_ptr<const RegisteredTable>> added =

@@ -10,9 +10,9 @@
 /// non-copyable. The service therefore treats each engine as an
 /// immutable snapshot. On every mutation it copies the current
 /// snapshot's TableRepository (entries are immutable and shared) and
-/// its LshCandidateIndex (sealed segments are immutable and shared),
-/// applies the one-table delta to both copies, seals the index, and
-/// publishes a fresh engine adopting them through the three-argument
+/// its LshCandidateIndex (segments are immutable and shared), applies
+/// the one-table delta to both copies, and publishes a fresh engine
+/// adopting them through the three-argument
 /// DiscoveryEngine::FromRepository. The engine swaps in as a
 /// `shared_ptr<const DiscoveryEngine>` snapshot: queries grab it under
 /// a brief lock and then run entirely lock-free on an engine no
@@ -22,8 +22,8 @@
 ///
 /// Mutation cost: O(delta) artifact work (fingerprint, sketch, or a
 /// store hit) plus amortised O(log N) table entries banded, N = live
-/// tables. A removal from a sealed segment is lazy, and a segment is
-/// rebuilt from its live tables once half of them are removed. Queries
+/// tables. A removal is lazy, and a segment is rebuilt from its live
+/// tables once half of them are removed. Queries
 /// probe at most floor(log2 N) + 1 segments per column (4 at 300
 /// tables). See discovery/candidate_index.h for the segment rules.
 /// valentine_discovery_index_banded_total counts the banded entries.
@@ -81,7 +81,6 @@ struct ServiceOptions {
   /// Null uses the engine's built-in default (COMA-Instances).
   std::function<MatcherPtr()> matcher_factory;
   /// Passed through to every engine snapshot.
-  LshOptions lsh;
   double min_containment = 0.3;
   size_t union_evidence_columns = 3;
   /// Borrowed observability; /metrics renders this registry and the
@@ -146,10 +145,10 @@ class DiscoveryService {
   /// Engine options for the next snapshot (a fresh matcher per engine).
   DiscoveryOptions EngineOptions() const;
 
-  /// Seals `index` (the previous snapshot's index with this mutation's
-  /// delta applied), publishes an engine adopting it over `next`, and
-  /// hands the replaced snapshot to `replaced` so the caller frees it
-  /// after releasing mu_.
+  /// Publishes an engine adopting `index` (the previous snapshot's index
+  /// with this mutation's delta applied) over `next`, and hands the
+  /// replaced snapshot to `replaced` so the caller frees it after
+  /// releasing mu_.
   Status Publish(TableRepository next, LshCandidateIndex index,
                  std::shared_ptr<const DiscoveryEngine>* replaced)
       REQUIRES(mu_);
@@ -173,7 +172,7 @@ class DiscoveryService {
   mutable Mutex mu_{LockRank::kServeRegistry, "DiscoveryService"};
   /// The current snapshot; its repository() is the authoritative
   /// registry. Mutations copy the repository and the LSH index (cheap:
-  /// entries and sealed segments are shared), apply the delta to the
+  /// entries and segments are shared), apply the delta to the
   /// copies, and swap in an engine over them.
   std::shared_ptr<const DiscoveryEngine> engine_ GUARDED_BY(mu_);
 };

@@ -19,6 +19,7 @@
 #include "discovery/candidate_index.h"
 #include "discovery/repository.h"
 #include "fabrication/fabricator.h"
+#include "scaling/lsh_index.h"
 
 namespace valentine {
 namespace {
@@ -56,10 +57,6 @@ class CandidateIndexContractTest : public ::testing::Test {
     tables_.push_back(MakeOpenDataTable(150, 4711));
     tables_.push_back(MakeChemblAssays(150, 99));
 
-    RepositoryOptions opt;
-    opt.signature_size =
-        LshOptions().bands * LshOptions().rows_per_band;
-    repository_ = TableRepository(opt);
     for (const Table& t : tables_) {
       entries_.push_back(repository_.AddTable(t).ValueOrDie());
     }
@@ -146,18 +143,18 @@ TEST_F(CandidateIndexContractTest, RemoveUnNominatesUntilReAdd) {
     EXPECT_EQ(out.tables.count("planted_partner"), 1u) << maker.name;
   }
 
-  // The same contract on a sealed copy of the LSH index, re-adding the
-  // name with changed content. Sealed segments are shared by every
-  // copy, so the removal on the copy is lazy: the partner's postings
-  // stay banded, and only the repository check keeps them silent.
-  LshCandidateIndex sealed(LshCandidateIndex::Options{});
-  for (const auto& entry : entries_) {
-    ASSERT_TRUE(sealed.Add(*entry).ok());
-  }
-  sealed.Seal();
-  LshCandidateIndex copy = sealed;
+  // The same contract on a copy of a one-segment LSH index, re-adding
+  // the name with changed content. Segments are shared by every copy,
+  // so the removal of one of three tables on the copy is lazy: the
+  // partner's postings stay banded, and only the repository check keeps
+  // them silent.
+  LshCandidateIndex original(LshCandidateIndex::Options{});
+  ASSERT_TRUE(original.AddAll(repository_).ok());
+  ASSERT_EQ(original.Segments().size(), 1u);
+  LshCandidateIndex copy = original;
   std::shared_ptr<const RegisteredTable> partner = entries_[0];
   ASSERT_TRUE(copy.Remove(*partner).ok());
+  EXPECT_EQ(copy.Segments()[0].removed, 1u);
   EXPECT_FALSE(copy.Remove(*partner).ok()) << "removed twice";
   EXPECT_EQ(copy.Retrieve(query_, DiscoveryMode::kJoinable, repository_)
                 .tables.count("planted_partner"),
@@ -175,7 +172,6 @@ TEST_F(CandidateIndexContractTest, RemoveUnNominatesUntilReAdd) {
   auto replacement = changed.AddTable(unrelated);
   ASSERT_TRUE(replacement.ok());
   ASSERT_TRUE(copy.Add(**replacement).ok());
-  copy.Seal();
   EXPECT_EQ(copy.Retrieve(query_, DiscoveryMode::kJoinable, changed)
                 .tables.count("planted_partner"),
             0u)
@@ -183,10 +179,10 @@ TEST_F(CandidateIndexContractTest, RemoveUnNominatesUntilReAdd) {
   // The original copy never saw the removal: against its own repository
   // it still nominates the partner, and against the changed repository
   // the name now maps to a different entry, so it must not.
-  EXPECT_EQ(sealed.Retrieve(query_, DiscoveryMode::kJoinable, repository_)
+  EXPECT_EQ(original.Retrieve(query_, DiscoveryMode::kJoinable, repository_)
                 .tables.count("planted_partner"),
             1u);
-  EXPECT_EQ(sealed.Retrieve(query_, DiscoveryMode::kJoinable, changed)
+  EXPECT_EQ(original.Retrieve(query_, DiscoveryMode::kJoinable, changed)
                 .tables.count("planted_partner"),
             0u);
 }
@@ -225,14 +221,17 @@ TEST_F(CandidateIndexContractTest, ValueBlindQueryDegradesLoudly) {
   EXPECT_EQ(all.tables, RepositoryNames());
 }
 
-// Sealed segments count agreeing signature slots per column instead of
-// reading sketches. The counts must nominate exactly what a never-sealed
-// LshIndex nominates, here on inputs built to sit at the edges: query
-// containments spread across min_containment, and many unionable hits
-// resting on a single agreeing slot (the lake's columns share few
-// values). One column per table, and no name postings, so every table
-// nomination is one column's id.
-TEST(SealedSegmentTest, NominatesLikeANeverSealedIndex) {
+// Segments count agreeing signature slots per column instead of
+// reading sketches. The counts must nominate exactly what
+// scaling/lsh_index.h's LshIndex nominates over the same sketches (code
+// the flat layout shares nothing with), here on inputs built to sit at
+// the edges: query containments spread across min_containment, and
+// many unionable hits resting on a single agreeing slot (the lake's
+// columns share few values). One column per table, and no name
+// postings, so every table nomination is one column's id. Two layouts
+// of the same tables are checked: one segment per set bit (Add) and a
+// single segment (AddAll).
+TEST(SealedSegmentTest, NominatesLikeLshIndex) {
   Rng rng(1818);
   auto tagged = [](const std::string& tag, size_t n) {
     std::string out = tag;
@@ -257,22 +256,24 @@ TEST(SealedSegmentTest, NominatesLikeANeverSealedIndex) {
 
   LshCandidateIndex::Options options;
   options.union_name_candidates = false;
-  LshCandidateIndex sealed(options);
-  LshCandidateIndex never_sealed(options);
+  LshCandidateIndex by_add(options);
+  LshCandidateIndex one_segment(options);
+  LshIndex reference;  // the n-th sketch added gets id n
   TableRepository repository;
   std::vector<std::vector<std::string>> lake;
   for (size_t i = 0; i < 48; ++i) {
     lake.push_back(universe_sample(20 + rng.Index(101)));
     auto entry = repository.AddTable(make_table(tagged("t", i), lake.back()));
     ASSERT_TRUE(entry.ok());
-    ASSERT_TRUE(sealed.Add(**entry).ok());
-    ASSERT_TRUE(never_sealed.Add(**entry).ok());
-    sealed.Seal();
+    ASSERT_TRUE(by_add.Add(**entry).ok());
+    ASSERT_TRUE(reference
+                    .AddSketch((*entry)->table.name(),
+                               (*entry)->artifact->columns.front().sketch)
+                    .ok());
   }
-  ASSERT_GE(sealed.Segments().size(), 2u);
-  for (const LshCandidateIndex::SegmentStats& segment : sealed.Segments()) {
-    EXPECT_TRUE(segment.sealed);
-  }
+  ASSERT_TRUE(one_segment.AddAll(repository).ok());
+  ASSERT_GE(by_add.Segments().size(), 2u);
+  ASSERT_EQ(one_segment.Segments().size(), 1u);
 
   size_t nominated = 0;
   for (size_t q = 0; q < 200; ++q) {
@@ -291,15 +292,23 @@ TEST(SealedSegmentTest, NominatesLikeANeverSealedIndex) {
       values.push_back(tagged(tagged("q", q) + "_", k));
     }
     const Table query = make_table("query", values);
+    const LazoSketch sketch = LazoSketch::Build(
+        query.column(0).DistinctStringSet(), reference.signature_size());
     for (DiscoveryMode mode :
          {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
-      RetrievedCandidates got = sealed.Retrieve(query, mode, repository);
-      RetrievedCandidates want =
-          never_sealed.Retrieve(query, mode, repository);
-      EXPECT_EQ(got.tables, want.tables)
-          << "query " << q << " " << DiscoveryModeName(mode);
-      EXPECT_EQ(got.fallback, want.fallback);
-      nominated += got.tables.size();
+      const std::vector<size_t> ids =
+          mode == DiscoveryMode::kJoinable
+              ? reference.ContainmentIds(sketch, options.min_containment)
+              : reference.ContainmentCandidateIds(sketch);
+      std::set<std::string> want;
+      for (size_t id : ids) want.insert(tagged("t", id));
+      for (const LshCandidateIndex* index : {&by_add, &one_segment}) {
+        RetrievedCandidates got = index->Retrieve(query, mode, repository);
+        EXPECT_EQ(got.tables, want)
+            << "query " << q << " " << DiscoveryModeName(mode);
+        EXPECT_FALSE(got.fallback);
+      }
+      nominated += want.size();
     }
   }
   EXPECT_GT(nominated, 0u);

@@ -1,9 +1,10 @@
 // Differential tests for the log-structured LSH candidate index
-// (discovery/candidate_index.h) as the serving registry drives it.
-// Seeded sequences of register, unregister and changed-content
-// re-register go through DiscoveryService, which applies each delta to
-// a copy of the previous snapshot's segmented index. After every step
-// the snapshot must answer exactly like a fresh monolithic index: a
+// (discovery/candidate_index.h) as the serving registry and a direct
+// DiscoveryEngine drive it. Seeded sequences of register, unregister
+// and changed-content re-register go through DiscoveryService, which
+// applies each delta to a copy of the previous snapshot's segmented
+// index, and through AddTable/RemoveTable on one engine. After every
+// step the index must answer exactly like a fresh monolithic index: a
 // two-argument DiscoveryEngine::FromRepository over the same tables,
 // which bands everything into one segment. Same nominations, same
 // explain counts, byte-identical rendered results. The banding cost is
@@ -11,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -76,9 +78,9 @@ std::vector<Table> Queries() {
           std::move(blind)};
 }
 
-/// Structural invariants of a published snapshot's index: everything
-/// sealed, no segment half removed, at most floor(log2 N)+1 segments,
-/// and the exported counter equal to the index's own count.
+/// Structural invariants of an engine's index after any mutation: no
+/// segment half removed, at most floor(log2 N)+1 segments, and the
+/// exported counter (when there is one) equal to the index's own count.
 void ExpectSealedInvariants(const DiscoveryEngine& served,
                             const MetricsRegistry* metrics,
                             const std::string& step) {
@@ -87,7 +89,6 @@ void ExpectSealedInvariants(const DiscoveryEngine& served,
       index.Segments();
   size_t live = 0;
   for (const LshCandidateIndex::SegmentStats& segment : segments) {
-    EXPECT_TRUE(segment.sealed) << step;
     EXPECT_LT(2 * segment.removed, segment.banded) << step;
     live += segment.banded - segment.removed;
   }
@@ -153,6 +154,45 @@ void ExpectStep(const DiscoveryService& service,
   ExpectMatchesMonolith(*served, queries, step);
 }
 
+/// One seeded sequence of register, unregister and changed-content
+/// re-register operations. `check(step)` runs after every operation.
+/// Returns the number of tables left registered.
+size_t RunSeededChurn(uint64_t seed,
+                      const std::function<Status(Table)>& add,
+                      const std::function<Status(const std::string&)>& remove,
+                      const std::function<void(const std::string&)>& check) {
+  Rng rng(seed);
+  std::map<std::string, uint64_t> live;  // name -> content variant
+  uint64_t next_name = 0;
+  uint64_t next_variant = 0;
+  for (int step = 0; step < 45; ++step) {
+    const std::string trace =
+        "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
+    const uint64_t op = live.size() < 4 ? 0 : rng.NextBounded(5);
+    if (op <= 1) {
+      const std::string name = TableName(next_name++);
+      const uint64_t variant = next_variant++;
+      EXPECT_TRUE(add(LakeTable(name, variant)).ok()) << trace;
+      live[name] = variant;
+      check(trace + " register " + name);
+      continue;
+    }
+    auto victim = live.begin();
+    std::advance(victim, static_cast<ptrdiff_t>(rng.Index(live.size())));
+    const std::string name = victim->first;
+    EXPECT_TRUE(remove(name).ok()) << trace;
+    live.erase(victim);
+    check(trace + " unregister " + name);
+    if (op == 2) continue;
+    // Re-register under the same name with changed content.
+    const uint64_t variant = next_variant++;
+    EXPECT_TRUE(add(LakeTable(name, variant)).ok()) << trace;
+    live[name] = variant;
+    check(trace + " re-register " + name);
+  }
+  return live.size();
+}
+
 TEST(IncrementalIndex, SeededChurnMatchesMonolithAfterEveryStep) {
   const std::vector<Table> queries = Queries();
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -160,36 +200,31 @@ TEST(IncrementalIndex, SeededChurnMatchesMonolithAfterEveryStep) {
     ServiceOptions options;
     options.metrics = &metrics;
     DiscoveryService service(options);
-    Rng rng(seed);
-    std::map<std::string, uint64_t> live;  // name -> content variant
-    uint64_t next_name = 0;
-    uint64_t next_variant = 0;
-    for (int step = 0; step < 45; ++step) {
-      const std::string trace =
-          "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
-      const uint64_t op = live.size() < 4 ? 0 : rng.NextBounded(5);
-      if (op <= 1) {
-        const std::string name = TableName(next_name++);
-        const uint64_t variant = next_variant++;
-        ASSERT_TRUE(service.RegisterTable(LakeTable(name, variant)).ok());
-        live[name] = variant;
-        ExpectStep(service, &metrics, queries, trace + " register " + name);
-        continue;
-      }
-      auto victim = live.begin();
-      std::advance(victim, static_cast<ptrdiff_t>(rng.Index(live.size())));
-      const std::string name = victim->first;
-      ASSERT_TRUE(service.UnregisterTable(name).ok());
-      live.erase(victim);
-      ExpectStep(service, &metrics, queries, trace + " unregister " + name);
-      if (op == 2) continue;
-      // Re-register under the same name with changed content.
-      const uint64_t variant = next_variant++;
-      ASSERT_TRUE(service.RegisterTable(LakeTable(name, variant)).ok());
-      live[name] = variant;
-      ExpectStep(service, &metrics, queries, trace + " re-register " + name);
-    }
-    EXPECT_EQ(service.num_tables(), live.size());
+    const size_t live = RunSeededChurn(
+        seed,
+        [&](Table table) { return service.RegisterTable(std::move(table)); },
+        [&](const std::string& name) { return service.UnregisterTable(name); },
+        [&](const std::string& step) {
+          ExpectStep(service, &metrics, queries, step);
+        });
+    EXPECT_EQ(service.num_tables(), live);
+  }
+}
+
+// A direct engine takes the same log-structured path: AddTable bands a
+// one-table segment and merges, RemoveTable is lazy and compacts.
+TEST(IncrementalIndex, DirectEngineChurnMatchesMonolithAfterEveryStep) {
+  const std::vector<Table> queries = Queries();
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    DiscoveryEngine direct;
+    const size_t live = RunSeededChurn(
+        seed, [&](Table table) { return direct.AddTable(std::move(table)); },
+        [&](const std::string& name) { return direct.RemoveTable(name); },
+        [&](const std::string& step) {
+          ExpectSealedInvariants(direct, nullptr, step);
+          ExpectMatchesMonolith(direct, queries, step);
+        });
+    EXPECT_EQ(direct.num_tables(), live);
   }
 }
 
@@ -218,7 +253,7 @@ TEST(IncrementalIndex, MergeCascadeThenHalfRemovedCompaction) {
   // The 8th table cascades every segment into one.
   ASSERT_TRUE(service.RegisterTable(LakeTable("t7", 7)).ok());
   EXPECT_EQ(sizes(), (std::vector<size_t>{8}));
-  // Tail adds 8, merges 2 + 4 + 2 + 8.
+  // One-table segments band 8, merges 2 + 4 + 2 + 8.
   EXPECT_EQ(metrics.CounterValue(kBandedTotal), 24u);
   ExpectStep(service, &metrics, queries, "cascade");
 
@@ -323,15 +358,17 @@ TEST(IncrementalIndex, ThreeHundredRegistrationsBandWithinLogBound) {
   EXPECT_EQ(service.Snapshot()->lsh_index().Segments().size(), 4u);
   ExpectSealedInvariants(*service.Snapshot(), &metrics, "300 registered");
 
-  // Direct registration is never sealed: each table is banded once, into
-  // the single tail segment.
+  // Direct registration follows the same cost model: the same bandings
+  // and the same segments.
   DiscoveryEngine direct;
   for (size_t i = 0; i < kTables; ++i) {
     ASSERT_TRUE(direct.AddTable(LakeTable(TableName(i), i)).ok());
   }
-  EXPECT_EQ(direct.lsh_index().banded_entries(), kTables);
-  ASSERT_EQ(direct.lsh_index().Segments().size(), 1u);
-  EXPECT_FALSE(direct.lsh_index().Segments()[0].sealed);
+  EXPECT_EQ(direct.lsh_index().banded_entries(), 1570u);
+  EXPECT_EQ(direct.lsh_index().Segments().size(), 4u);
+  ExpectSealedInvariants(direct, nullptr, "300 added");
+  // Rebuilding from the repository bands each table once, into one
+  // segment.
   std::unique_ptr<DiscoveryEngine> rebuilt =
       DiscoveryEngine::FromRepository(DiscoveryOptions(), direct.repository())
           .ValueOrDie();

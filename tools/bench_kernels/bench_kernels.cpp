@@ -25,8 +25,8 @@
 // --smoke runs in every build configuration and emits no baseline: each
 // kernel's inputs go through the kernel once and the results are
 // checked against a reference (banded == full Levenshtein, packed ==
-// string trigrams, MinHash == the serial per-seed hash family, sealed ==
-// never-sealed LSH nominations, ...); where op counters are compiled
+// string trigrams, MinHash == the serial per-seed hash family, per-Add
+// LSH segments == one segment, ...); where op counters are compiled
 // in, two runs of each workload must also count the same nonzero ops.
 //
 // Usage: bench_kernels [--out PATH] [--repeats N] [--pessimize]
@@ -216,11 +216,13 @@ Table LshShard(size_t family, size_t shard) {
 }
 
 /// 100 tables (10 families x 10 shards) registered one by one, plus
-/// one query shard from each of four families.
+/// one query shard from each of four families. `by_add` holds one
+/// segment per set bit of 100, as the serving registry builds it;
+/// `one_segment` is the same tables in a single segment.
 struct LshLake {
   TableRepository repository;
-  LshCandidateIndex sealed{LshCandidateIndex::Options()};
-  LshCandidateIndex never_sealed{LshCandidateIndex::Options()};
+  LshCandidateIndex by_add{LshCandidateIndex::Options()};
+  LshCandidateIndex one_segment{LshCandidateIndex::Options()};
   std::vector<Table> queries;
 };
 
@@ -231,13 +233,10 @@ const LshLake& FixedLshLake() {
       for (size_t shard = 0; shard < 10; ++shard) {
         Result<std::shared_ptr<const RegisteredTable>> entry =
             lake.repository.AddTable(LshShard(family, shard));
-        if (!entry.ok() || !lake.sealed.Add(**entry).ok() ||
-            !lake.never_sealed.Add(**entry).ok()) {
-          std::abort();
-        }
-        lake.sealed.Seal();
+        if (!entry.ok() || !lake.by_add.Add(**entry).ok()) std::abort();
       }
     }
+    if (!lake.one_segment.AddAll(lake.repository).ok()) std::abort();
     for (size_t family : {0, 3, 6, 9}) {
       lake.queries.push_back(LshShard(family, 10));
     }
@@ -452,9 +451,9 @@ std::vector<Kernel> MakeKernels() {
     return std::string();
   }});
 
-  // Retrieve, both modes, over a fixed index sealed once per
-  // registration as the serving registry builds it: query sketching
-  // (the minhash_hashes ops) plus flat sealed-segment probes.
+  // Retrieve, both modes, over a fixed index built by one Add per
+  // registration, as the serving registry builds it: query sketching
+  // (the minhash_hashes ops) plus flat segment probes.
   kernels.push_back({"lsh_retrieve", [] {
     const LshLake& lake = FixedLshLake();
     size_t nominated = 0;
@@ -462,29 +461,25 @@ std::vector<Kernel> MakeKernels() {
       for (DiscoveryMode mode :
            {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
         nominated +=
-            lake.sealed.Retrieve(query, mode, lake.repository).tables.size();
+            lake.by_add.Retrieve(query, mode, lake.repository).tables.size();
       }
     }
     if (nominated == 0) std::abort();
   }, [] {
     const LshLake& lake = FixedLshLake();
-    for (const LshCandidateIndex::SegmentStats& segment :
-         lake.sealed.Segments()) {
-      if (!segment.sealed) return std::string("unsealed segment");
-    }
-    if (lake.sealed.Segments().size() < 2) {
-      return std::string("expected several sealed segments");
+    if (lake.by_add.Segments().size() < 2) {
+      return std::string("expected several segments");
     }
     for (const Table& query : lake.queries) {
       for (DiscoveryMode mode :
            {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
         RetrievedCandidates got =
-            lake.sealed.Retrieve(query, mode, lake.repository);
+            lake.by_add.Retrieve(query, mode, lake.repository);
         RetrievedCandidates want =
-            lake.never_sealed.Retrieve(query, mode, lake.repository);
+            lake.one_segment.Retrieve(query, mode, lake.repository);
         if (got.tables != want.tables || got.fallback != want.fallback) {
-          return "sealed != never-sealed nominations for " + query.name() +
-                 " " + DiscoveryModeName(mode);
+          return "per-Add segments != one segment nominations for " +
+                 query.name() + " " + DiscoveryModeName(mode);
         }
       }
     }

@@ -113,11 +113,11 @@ def main() -> int:
            ["--pretend-rel", "src/obs/clock.cpp", clock_fixture], 0)
     expect("raw-steady-clock-deadline-exempt",
            ["--pretend-rel", "src/core/deadline.cpp", clock_fixture], 0)
-    # The serving event loop (src/serve/server.*) times live socket
-    # requests, which no injectable clock can witness — exempt. The
-    # rest of src/serve/ gets no such pass.
-    expect("raw-steady-clock-serve-event-loop-exempt",
-           ["--pretend-rel", "src/serve/server.cpp", clock_fixture], 0)
+    # The serving event loop gets no pass either: request latency is
+    # observed by the telemetry spine on the injectable clock.
+    expect("raw-steady-clock-serve-event-loop-not-exempt",
+           ["--pretend-rel", "src/serve/server.cpp", clock_fixture],
+           1, "wallclock-time")
     expect("raw-steady-clock-serve-service-not-exempt",
            ["--pretend-rel", "src/serve/service.cpp", clock_fixture],
            1, "wallclock-time")

@@ -374,11 +374,7 @@ WALLCLOCK_PATTERNS = [
      "raw steady_clock::now() makes timing fields nondeterministic; "
      "read time through an injectable valentine::Clock "
      "(src/obs/clock.h) so tests can inject a FakeClock",
-     # src/serve/server.* is the socket event loop: it times live
-     # requests (socket + engine work of a real connection), which no
-     # injectable clock can witness — the measurement is inherently a
-     # property of this process, not of a simulated timeline.
-     ("src/obs/", "src/core/deadline.", "src/serve/server.")),
+     ("src/obs/", "src/core/deadline.")),
 ]
 
 
