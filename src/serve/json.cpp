@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "obs/export.h"
+
 namespace valentine {
 namespace serve {
 
@@ -308,7 +310,7 @@ void WriteValue(const JsonValue& v, std::string* out) {
       return;
     case JsonValue::Type::kString:
       out->push_back('"');
-      out->append(JsonEscapeString(v.string_value()));
+      out->append(JsonEscape(v.string_value()));
       out->push_back('"');
       return;
     case JsonValue::Type::kArray: {
@@ -329,7 +331,7 @@ void WriteValue(const JsonValue& v, std::string* out) {
         if (!first) out->push_back(',');
         first = false;
         out->push_back('"');
-        out->append(JsonEscapeString(key));
+        out->append(JsonEscape(key));
         out->append("\":");
         WriteValue(member, out);
       }
@@ -348,32 +350,6 @@ Result<JsonValue> ParseJson(const std::string& text, size_t max_depth) {
 std::string WriteJson(const JsonValue& value) {
   std::string out;
   WriteValue(value, &out);
-  return out;
-}
-
-std::string JsonEscapeString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 

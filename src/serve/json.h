@@ -83,10 +83,6 @@ Result<JsonValue> ParseJson(const std::string& text, size_t max_depth = 64);
 /// are byte-stable.
 std::string WriteJson(const JsonValue& value);
 
-/// JSON string-literal escaping (shared with the writer): quotes,
-/// backslash, and control characters as \u00XX.
-std::string JsonEscapeString(const std::string& s);
-
 /// Canonical rendering of a double for serving payloads: %.17g, with
 /// integral values printed without an exponent or fraction.
 std::string JsonNumberToString(double d);

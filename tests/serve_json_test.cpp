@@ -121,6 +121,16 @@ TEST(ServeJsonWrite, EscapesControlAndQuotes) {
             "\"\\u0001\"");
 }
 
+TEST(ServeJsonRoundTrip, EveryControlByteQuoteAndBackslash) {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) s.push_back(static_cast<char>(c));
+  s += "\"\\";
+  const std::string written = WriteJson(JsonValue::String(s));
+  EXPECT_NE(written.find("\\u0008"), std::string::npos) << written;
+  EXPECT_NE(written.find("\\u000c"), std::string::npos) << written;
+  EXPECT_EQ(ParseOk(written).string_value(), s);
+}
+
 TEST(ServeJsonRoundTrip, StructuredDocumentIsStable) {
   const std::string doc =
       "{\"k\":3,\"results\":[{\"score\":0.5,\"table\":\"t\"}]}";
