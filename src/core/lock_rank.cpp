@@ -71,6 +71,8 @@ const char* LockRankName(LockRank rank) {
       return "kArtifactStore";
     case LockRank::kArtifactCache:
       return "kArtifactCache";
+    case LockRank::kPreparedSlot:
+      return "kPreparedSlot";
     case LockRank::kCupidMemo:
       return "kCupidMemo";
     case LockRank::kMetrics:

@@ -51,6 +51,7 @@ enum class LockRank : int {
   kFaultInjection = 20,  ///< matchers/fault_injection.* attempt counters
   kArtifactStore = 25,   ///< io/artifact_store.* (persistent discovery store)
   kArtifactCache = 30,   ///< matchers/artifact_cache.*
+  kPreparedSlot = 35,    ///< discovery/repository.* (entry's prepared artifact)
   kCupidMemo = 50,       ///< matchers/cupid.* linguistic memo cache
   kMetrics = 60,         ///< obs/metrics.* (MetricsRegistry)
   kTracer = 70,          ///< obs/trace.* (Tracer)

@@ -38,15 +38,8 @@ const char* DiscoveryModeName(DiscoveryMode mode) {
 DiscoveryEngine::DiscoveryEngine(DiscoveryOptions options)
     : options_(std::move(options)),
       repository_(RepositoryOptionsFor(options_)),
-      lsh_index_(LshIndexOptions(options_)) {
-  if (options_.reranker == nullptr) {
-    ExactReranker::Options exact;
-    exact.union_evidence_columns = options_.union_evidence_columns;
-    default_reranker_ = std::make_unique<ExactReranker>(&matcher(), exact);
-  }
-}
-
-DiscoveryEngine::~DiscoveryEngine() = default;
+      lsh_index_(LshIndexOptions(options_)),
+      reranker_(&matcher(), {options_.union_evidence_columns}) {}
 
 Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
     DiscoveryOptions options, TableRepository repository) {
@@ -85,16 +78,6 @@ const ColumnMatcher& DiscoveryEngine::matcher() const {
   return *kDefault;
 }
 
-const Reranker& DiscoveryEngine::reranker() const {
-  return options_.reranker != nullptr ? *options_.reranker
-                                      : *default_reranker_;
-}
-
-Reranker& DiscoveryEngine::reranker() {
-  return options_.reranker != nullptr ? *options_.reranker
-                                      : *default_reranker_;
-}
-
 const CandidateIndex& DiscoveryEngine::IndexFor(DiscoveryMode mode) const {
   const CandidatePath path = mode == DiscoveryMode::kJoinable
                                  ? options_.joinable_path
@@ -106,11 +89,7 @@ const CandidateIndex& DiscoveryEngine::IndexFor(DiscoveryMode mode) const {
 Status DiscoveryEngine::AddTable(Table table) {
   auto entry = repository_.AddTable(std::move(table));
   VALENTINE_RETURN_NOT_OK(entry.status());
-  VALENTINE_RETURN_NOT_OK(lsh_index_.Add(**entry));
-  // Cached prepared artifacts may borrow repository state; mutations
-  // drop them (rebuilt lazily on the next query).
-  reranker().OnRepositoryChanged();
-  return Status::OK();
+  return lsh_index_.Add(**entry);
 }
 
 Status DiscoveryEngine::RemoveTable(const std::string& name) {
@@ -119,9 +98,7 @@ Status DiscoveryEngine::RemoveTable(const std::string& name) {
     return Status::NotFound("no table '" + name + "'");
   }
   VALENTINE_RETURN_NOT_OK(lsh_index_.Remove(*entry));
-  VALENTINE_RETURN_NOT_OK(repository_.RemoveTable(name));
-  reranker().OnRepositoryChanged();
-  return Status::OK();
+  return repository_.RemoveTable(name);
 }
 
 std::vector<DiscoveryResult> DiscoveryEngine::FindJoinable(
@@ -215,15 +192,13 @@ Result<std::vector<DiscoveryResult>> DiscoveryEngine::Find(
   Result<std::vector<DiscoveryResult>> reranked = [&] {
     SpanScope stage(options_.tracer, trace_id, "stage", "discovery.rerank",
                     query_span.id());
-    stage.Attr("reranker", reranker().Name());
     RerankContext rctx;
     rctx.base = &ctx;
     rctx.trace_id = trace_id;
     rctx.parent_span = stage.id();
     rctx.clock = options_.clock;
     rctx.tracer = options_.tracer;
-    rctx.metrics = options_.metrics;
-    return reranker().Rerank(query, mode, candidates, rctx);
+    return reranker_.Rerank(query, mode, candidates, rctx);
   }();
   if (!reranked.ok()) return reranked.status();
   std::vector<DiscoveryResult> results = std::move(reranked).ValueOrDie();

@@ -11,7 +11,7 @@
 ///             (discovery/candidate_index.h);
 ///   Enrich    the Enricher joins nominations to repository metadata
 ///             (discovery/enrich.h);
-///   Rerank    a Reranker verifies and scores every candidate
+///   Rerank    the ExactReranker verifies and scores every candidate
 ///             (discovery/rerank.h);
 ///
 /// then sorts and truncates to the top-k. Given a query table it
@@ -77,10 +77,6 @@ struct DiscoveryOptions {
   /// schema-aligned tables (the unionable case the value-based index
   /// cannot see) stay reachable.
   bool union_name_candidates = true;
-  /// Scoring stage override (discovery/rerank.h). When null, the exact
-  /// Prepare/Score reranker over `matcher` is used — the seam ROADMAP
-  /// item 3's trainable scorer plugs into.
-  std::unique_ptr<Reranker> reranker;
   /// Optional persistent artifact store (borrowed; must outlive the
   /// engine). When set, AddTable first consults the store by table
   /// content fingerprint — a hit skips the sketch and profile builds
@@ -103,19 +99,21 @@ struct DiscoveryOptions {
 /// \brief A searchable repository of tables.
 ///
 /// Query cost model: a Find* call prepares the query table once and
-/// scores it against per-repository-table artifacts that are built on
-/// first use and cached across calls — O(prepare + N·score) instead of
-/// the monolithic O(N·(prepare + score)). Results are byte-identical to
-/// the monolithic path (the matcher pipeline contract).
+/// scores it against the artifacts the repository entries hold, each
+/// built by the first query that scores its entry and shared with every
+/// snapshot and engine over that entry — O(prepare + N·score) instead
+/// of the monolithic O(N·(prepare + score)). Mutations never drop an
+/// artifact: an entry owns the table its artifact borrows. Results are
+/// byte-identical to the monolithic path (the matcher pipeline
+/// contract).
 ///
 /// Thread-safety: concurrent FindJoinable/FindUnionable calls on a
-/// const engine are safe (the reranker's artifact cache is internally
+/// const engine are safe (the entries' artifact slots are internally
 /// synchronized, the matcher is const). AddTable/RemoveTable mutate
 /// the repository and must not run concurrently with any other call.
 class DiscoveryEngine {
  public:
   explicit DiscoveryEngine(DiscoveryOptions options = {});
-  ~DiscoveryEngine();
 
   DiscoveryEngine(const DiscoveryEngine&) = delete;
   DiscoveryEngine& operator=(const DiscoveryEngine&) = delete;
@@ -201,8 +199,6 @@ class DiscoveryEngine {
 
  private:
   const ColumnMatcher& matcher() const;
-  const Reranker& reranker() const;
-  Reranker& reranker();
   const CandidateIndex& IndexFor(DiscoveryMode mode) const;
 
   /// The staged pipeline shared by both modes: Retrieve → Enrich →
@@ -217,9 +213,7 @@ class DiscoveryEngine {
   LshCandidateIndex lsh_index_;
   ExhaustiveCandidateIndex exhaustive_index_;
   Enricher enricher_;
-  /// Default reranker when options_.reranker is null (constructed over
-  /// matcher()).
-  std::unique_ptr<Reranker> default_reranker_;
+  ExactReranker reranker_;
 };
 
 }  // namespace valentine

@@ -41,6 +41,27 @@ bool ArtifactServesTable(const TableDiscoveryArtifact& artifact,
 
 }  // namespace
 
+PreparedTablePtr PreparedSlot::Get(const std::string& family,
+                                   const std::string& prepare_key) const {
+  MutexLock lock(&mu_);
+  if (artifact_ == nullptr || artifact_->family() != family ||
+      artifact_->prepare_key() != prepare_key) {
+    return nullptr;
+  }
+  return artifact_;
+}
+
+PreparedTablePtr PreparedSlot::Install(PreparedTablePtr built) {
+  MutexLock lock(&mu_);
+  if (artifact_ == nullptr) artifact_ = built;
+  // A racing build of the same artifact lost: serve the winner's.
+  if (artifact_->family() == built->family() &&
+      artifact_->prepare_key() == built->prepare_key()) {
+    return artifact_;
+  }
+  return built;
+}
+
 TableRepository::TableRepository(RepositoryOptions options)
     : options_(options) {}
 

@@ -12,15 +12,16 @@
 /// build entirely on a hit) and persists freshly built ones
 /// write-through.
 ///
-/// Snapshot semantics: entries are immutable `shared_ptr<const
-/// RegisteredTable>`s, so copying a TableRepository is a cheap
-/// copy-on-write snapshot — the copy shares every entry, and mutating
-/// either side never touches the other. This is what makes the serving
-/// layer's per-mutation registry update O(1 new table) instead of
-/// O(repository): it clones the repository, registers only the delta,
-/// and applies the same delta to a copy of the segmented candidate
-/// index (discovery/candidate_index.h), never re-fingerprinting,
-/// re-sketching, or touching the store for tables already registered.
+/// Snapshot semantics: entries are `shared_ptr<const RegisteredTable>`s,
+/// immutable apart from their prepared-artifact slot, so copying a
+/// TableRepository is a cheap copy-on-write snapshot — the copy shares
+/// every entry, and mutating either side never touches the other. This
+/// is what makes the serving layer's per-mutation registry update O(1
+/// new table) instead of O(repository): it clones the repository,
+/// registers only the delta, and applies the same delta to a copy of
+/// the segmented candidate index (discovery/candidate_index.h), never
+/// re-fingerprinting, re-sketching, re-preparing, or touching the store
+/// for tables already registered.
 ///
 /// Thread-safety: const access is safe concurrently; AddTable /
 /// RemoveTable must not race any other call on the same instance
@@ -33,17 +34,47 @@
 #include <string>
 #include <vector>
 
+#include "core/mutex.h"
 #include "core/status.h"
 #include "core/table.h"
+#include "core/thread_annotations.h"
 #include "io/artifact_store.h"
+#include "matchers/prepared.h"
 #include "obs/metrics.h"
 #include "stats/column_profile.h"
 
 namespace valentine {
 
+/// \brief One registry entry's prepared matcher artifact
+/// (matchers/prepared.h).
+///
+/// Empty until the first query that scores the entry installs what its
+/// matcher's Prepare built; from then on every repository snapshot and
+/// every engine over the entry share that artifact, and nothing drops
+/// or replaces it. The artifact borrows the table its entry owns, so it
+/// cannot outlive it, and it owns everything it derived, so it may
+/// outlive the matcher that built it. Thread-safe: builds run outside
+/// the lock and the first install wins.
+class PreparedSlot {
+ public:
+  /// The installed artifact when a matcher with this Name() and
+  /// PrepareKey() built it; nullptr otherwise.
+  PreparedTablePtr Get(const std::string& family,
+                       const std::string& prepare_key) const EXCLUDES(mu_);
+
+  /// Installs `built` into an empty slot. Returns the artifact to score
+  /// with: the installed one when it has `built`'s family and prepare
+  /// key, else `built`, which then serves only the calling query.
+  PreparedTablePtr Install(PreparedTablePtr built) EXCLUDES(mu_);
+
+ private:
+  mutable Mutex mu_{LockRank::kPreparedSlot, "PreparedSlot"};
+  PreparedTablePtr artifact_ GUARDED_BY(mu_);
+};
+
 /// One registered table with everything the pipeline derives from it.
-/// Immutable after construction; shared across repository snapshots and
-/// the engines built over them.
+/// Immutable after construction except for `prepared`; shared across
+/// repository snapshots and the engines built over them.
 struct RegisteredTable {
   Table table;
   /// Process-unique registration number, never reused. A removed table
@@ -61,6 +92,9 @@ struct RegisteredTable {
   /// it: per-column identifier tokens and normalizer canon forms.
   std::vector<std::vector<std::string>> name_tokens;  ///< per column
   std::vector<std::string> canon_names;               ///< per column
+  /// The reranker's artifact for this table, built by the first query
+  /// that scores it (discovery/rerank.h).
+  mutable PreparedSlot prepared;
 };
 
 /// MinHash signature width of discovery sketches, and the only width

@@ -24,14 +24,33 @@ MatchContext ExactReranker::ObsContext(const RerankContext& rctx,
   return context;
 }
 
+PreparedTablePtr ExactReranker::CandidateArtifact(
+    const RegisteredTable& candidate, const std::string& family,
+    const std::string& prepare_key, const RerankContext& rctx) const {
+  PreparedTablePtr held = candidate.prepared.Get(family, prepare_key);
+  if (held != nullptr) return held;
+  // Built outside any lock: two queries may race to build one entry's
+  // artifact, and the slot keeps the first install.
+  SpanScope prepare_span(rctx.tracer, rctx.trace_id, "prepare",
+                         candidate.table.name(), rctx.parent_span);
+  Result<PreparedTablePtr> built =
+      matcher_->Prepare(candidate.table, candidate.profile.get(),
+                        ObsContext(rctx, prepare_span.id()));
+  prepare_span.Attr("code", StatusCodeName(built.ok()
+                                               ? StatusCode::kOk
+                                               : built.status().code()));
+  if (!built.ok()) return nullptr;
+  return candidate.prepared.Install(std::move(built).ValueOrDie());
+}
+
 Result<MatchResult> ExactReranker::ScoreCandidate(
     const PreparedTable* prepared_query, const Table& query,
-    const RegisteredTable& candidate, const RerankContext& rctx) const {
+    const RegisteredTable& candidate, const std::string& family,
+    const std::string& prepare_key, const RerankContext& rctx) const {
   const Table& table = candidate.table;
   if (prepared_query != nullptr) {
-    PreparedTablePtr prepared_candidate = artifacts_.GetOrPrepare(
-        *matcher_, table, candidate.profile.get(),
-        ObsContext(rctx, rctx.parent_span));
+    PreparedTablePtr prepared_candidate =
+        CandidateArtifact(candidate, family, prepare_key, rctx);
     if (prepared_candidate != nullptr) {
       SpanScope score_span(rctx.tracer, rctx.trace_id, "score", table.name(),
                            rctx.parent_span);
@@ -72,9 +91,11 @@ Result<std::vector<DiscoveryResult>> ExactReranker::Rerank(
     const RerankContext& rctx) const {
   // Prepare the query once; every candidate scores against it. The
   // query is caller-owned and transient, so its artifact is built
-  // inline rather than cached.
+  // inline rather than kept.
   Result<PreparedTablePtr> prepared_query = matcher_->Prepare(
       query, /*profile=*/nullptr, ObsContext(rctx, rctx.parent_span));
+  const std::string family = matcher_->Name();
+  const std::string prepare_key = matcher_->PrepareKey();
 
   const char* checkpoint = mode == DiscoveryMode::kJoinable
                                ? "discovery/joinable/candidate"
@@ -85,7 +106,7 @@ Result<std::vector<DiscoveryResult>> ExactReranker::Rerank(
     VALENTINE_RETURN_NOT_OK(rctx.base->Check(checkpoint));
     Result<MatchResult> scored = ScoreCandidate(
         prepared_query.ok() ? prepared_query->get() : nullptr, query,
-        *candidate.entry, rctx);
+        *candidate.entry, family, prepare_key, rctx);
     if (!scored.ok()) return scored.status();
     MatchResult ranked = std::move(scored).ValueOrDie();
     const Table& t = candidate.entry->table;

@@ -118,10 +118,4 @@ size_t ArtifactCache::size() const {
   return map_.size();
 }
 
-void ArtifactCache::Clear() {
-  MutexLock lock(&mu_);
-  map_.clear();
-  stats_.clear();
-}
-
 }  // namespace valentine

@@ -4,9 +4,10 @@
 /// \file artifact_cache.h
 /// Build-once, serve-many cache of per-table matcher artifacts: every
 /// family's Prepare output. A campaign prepares each suite table once per
-/// (family, prepare key) instead of once per (pair, config); a
-/// DiscoveryEngine prepares each repository table once across all
-/// queries. It is the campaign's only in-memory cache.
+/// (family, prepare key) instead of once per (pair, config). It is the
+/// campaign's only in-memory cache; discovery keeps each repository
+/// table's artifact in its registry entry instead
+/// (RegisteredTable::prepared).
 ///
 /// Keying: entries are keyed by *value* — a content fingerprint of the
 /// table plus the table name, the family name, and the matcher's
@@ -76,9 +77,6 @@ class ArtifactCache {
 
   /// Number of distinct artifacts currently held.
   size_t size() const EXCLUDES(mu_);
-
-  /// Drops all entries and stats.
-  void Clear() EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_{LockRank::kArtifactCache, "ArtifactCache"};

@@ -18,7 +18,9 @@
 /// a brief lock and then run entirely lock-free on an engine no
 /// mutation will ever touch; in-flight queries on a replaced snapshot
 /// keep it alive until they finish, and the mutation that replaced it
-/// drops its own reference only after releasing the lock.
+/// drops its own reference only after releasing the lock. A fresh
+/// engine starts warm: each entry keeps the reranker artifact the first
+/// query that scored it built (RegisteredTable::prepared).
 ///
 /// Mutation cost: O(delta) artifact work (fingerprint, sketch, or a
 /// store hit) plus amortised O(log N) table entries banded, N = live

@@ -155,6 +155,7 @@ TEST(LockRankNameTest, CoversEveryRank) {
   EXPECT_STREQ(LockRankName(LockRank::kJournal), "kJournal");
   EXPECT_STREQ(LockRankName(LockRank::kFaultInjection), "kFaultInjection");
   EXPECT_STREQ(LockRankName(LockRank::kArtifactCache), "kArtifactCache");
+  EXPECT_STREQ(LockRankName(LockRank::kPreparedSlot), "kPreparedSlot");
   EXPECT_STREQ(LockRankName(LockRank::kCupidMemo), "kCupidMemo");
   EXPECT_STREQ(LockRankName(LockRank::kMetrics), "kMetrics");
   EXPECT_STREQ(LockRankName(LockRank::kTracer), "kTracer");

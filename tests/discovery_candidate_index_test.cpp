@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <set>
@@ -19,6 +21,7 @@
 #include "discovery/candidate_index.h"
 #include "discovery/repository.h"
 #include "fabrication/fabricator.h"
+#include "scaling/lazo.h"
 #include "scaling/lsh_index.h"
 
 namespace valentine {
@@ -312,6 +315,69 @@ TEST(SealedSegmentTest, NominatesLikeLshIndex) {
     }
   }
   EXPECT_GT(nominated, 0u);
+}
+
+// The joinable filter compares a column's estimated containment with
+// min_containment directly, so the estimate is pinned at the threshold:
+// with min_containment set to the reference estimate (EstimateLazo over
+// the query's and the column's sketches) the column is nominated, and
+// one double above it, it is not. A probe that turns agreeing slots into
+// a biased estimate flips one of the two answers. Only estimates
+// strictly inside (0, 1) whose intersection is not clamped to the
+// smaller set are used, since a clamp hides the slot count.
+TEST(SealedSegmentTest, JoinableEstimateIsPinnedAtTheThreshold) {
+  auto make_table = [](const std::string& name, size_t first, size_t last) {
+    Table table(name);
+    Column column("values", DataType::kString);
+    for (size_t v = first; v < last; ++v) {
+      column.Append(Value::String("v" + std::to_string(v)));
+    }
+    EXPECT_TRUE(table.AddColumn(std::move(column)).ok());
+    return table;
+  };
+  TableRepository repository;
+  std::vector<std::shared_ptr<const RegisteredTable>> entries;
+  for (size_t i = 0; i < 8; ++i) {
+    auto entry = repository.AddTable(
+        make_table("t" + std::to_string(i), 15 * i, 15 * i + 60 + 10 * i));
+    ASSERT_TRUE(entry.ok());
+    entries.push_back(*entry);
+  }
+  const Table query = make_table("query", 20, 110);
+  const LazoSketch query_sketch = LazoSketch::Build(
+      query.column(0).DistinctStringSet(), kDiscoverySignatureSize);
+
+  size_t pinned = 0;
+  for (const auto& entry : entries) {
+    const LazoSketch& column_sketch = entry->artifact->columns.front().sketch;
+    const LazoEstimate reference = EstimateLazo(query_sketch, column_sketch);
+    const double estimate = reference.containment_a_in_b;
+    if (estimate <= 0.0 || estimate >= 1.0 ||
+        reference.intersection_size >=
+            static_cast<double>(std::min(query_sketch.cardinality,
+                                         column_sketch.cardinality))) {
+      continue;
+    }
+    ++pinned;
+    const std::string& name = entry->table.name();
+    for (const bool nominated : {true, false}) {
+      LshCandidateIndex::Options options;
+      options.min_containment =
+          nominated ? estimate : std::nextafter(estimate, 2.0);
+      LshCandidateIndex by_add(options);
+      for (const auto& e : entries) ASSERT_TRUE(by_add.Add(*e).ok());
+      LshCandidateIndex one_segment(options);
+      ASSERT_TRUE(one_segment.AddAll(repository).ok());
+      for (const LshCandidateIndex* index : {&by_add, &one_segment}) {
+        EXPECT_EQ(index->Retrieve(query, DiscoveryMode::kJoinable, repository)
+                      .tables.count(name),
+                  nominated ? 1u : 0u)
+            << name << " at estimate " << estimate << " with min_containment "
+            << options.min_containment;
+      }
+    }
+  }
+  EXPECT_GE(pinned, 4u);
 }
 
 TEST_F(CandidateIndexContractTest, ExhaustiveNominatesEverythingAlways) {

@@ -1,9 +1,10 @@
 // Thread-safety and determinism of DiscoveryEngine queries (discovery.h):
 // concurrent FindJoinable/FindUnionable on a const engine must be safe
-// (the shared ArtifactCache is the only mutable state) and byte-identical
-// to a sequential run — and the prepared fast path must serialize
-// identically to the monolithic per-pair path. Runs under TSan via the
-// tsan ctest label.
+// (each repository entry's prepared-artifact slot, filled by the first
+// query that scores the entry, is the only mutable state) and
+// byte-identical to a sequential run — and the prepared fast path must
+// serialize identically to the monolithic per-pair path. Runs under
+// TSan via the tsan ctest label.
 
 #include "discovery/discovery.h"
 
@@ -113,8 +114,8 @@ TEST(DiscoveryDeterminismTest, WarmCacheMatchesColdBytes) {
 }
 
 TEST(DiscoveryDeterminismTest, AddTableInvalidatesCachedArtifacts) {
-  // Artifacts borrow table storage, which may move when the repository
-  // vector grows; a Find after AddTable must not read stale artifacts.
+  // Artifacts borrow their entry's table and stay in that entry's slot
+  // across AddTable; a Find after it must answer like a fresh engine.
   DiscoveryEngine engine;
   Table query;
   FillEngine(&engine, &query);

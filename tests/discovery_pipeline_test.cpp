@@ -1,8 +1,8 @@
 // Tests for the staged Retrieve → Enrich → Rerank discovery pipeline
 // (DESIGN.md §14): per-stage and end-to-end byte-identity against an
 // inline reimplementation of the pre-split monolithic engine, stage
-// span/metric emission, the fallback accounting, the explain channel,
-// and the pluggable Reranker seam.
+// span/metric emission, the fallback accounting and the explain
+// channel.
 
 #include <gtest/gtest.h>
 
@@ -225,7 +225,7 @@ TEST(DiscoveryPipelineTest, StagesComposedDirectlyMatchEngine) {
 
   // Drive the four layers by hand...
   RepositoryOptions repo_opt;
-  repo_opt.signature_size = LshOptions().bands * LshOptions().rows_per_band;
+  repo_opt.signature_size = kDiscoverySignatureSize;
   TableRepository repository(repo_opt);
   LshCandidateIndex::Options lsh_opt;
   LshCandidateIndex index(lsh_opt);
@@ -482,52 +482,6 @@ TEST(DiscoveryPipelineTest, ExplainReportsServingIndexAndCounts) {
   // The explain out-param never changes result bytes.
   EXPECT_EQ(Serialize(j.ValueOrDie()),
             Serialize(engine.FindJoinable(lake.query, 2)));
-}
-
-// ---------------------------------------------------------------------------
-// Reranker seam: a custom scorer drops in without touching retrieval.
-
-class NameLengthReranker : public Reranker {
- public:
-  std::string Name() const override { return "name-length"; }
-  Result<std::vector<DiscoveryResult>> Rerank(
-      const Table& query, DiscoveryMode mode, const CandidateSet& candidates,
-      const RerankContext& rctx) const override {
-    (void)query;
-    (void)mode;
-    (void)rctx;
-    std::vector<DiscoveryResult> out;
-    for (const EnrichedCandidate& c : candidates.candidates) {
-      DiscoveryResult r;
-      r.table_name = c.entry->table.name();
-      r.score = static_cast<double>(r.table_name.size());
-      out.push_back(std::move(r));
-    }
-    ++calls_;
-    return out;
-  }
-  mutable int calls_ = 0;
-};
-
-TEST(DiscoveryPipelineTest, CustomRerankerPlugsIntoTheSeam) {
-  ScenarioLake lake = MakeScenarioLake(Scenario::kJoinable);
-  auto reranker = std::make_unique<NameLengthReranker>();
-  NameLengthReranker* raw = reranker.get();
-  DiscoveryOptions opt;
-  opt.joinable_path = CandidatePath::kExhaustive;
-  opt.reranker = std::move(reranker);
-  DiscoveryEngine engine(std::move(opt));
-  for (const Table& t : lake.tables) {
-    ASSERT_TRUE(engine.AddTable(t).ok());
-  }
-  auto results = engine.FindJoinable(lake.query, 10);
-  EXPECT_EQ(raw->calls_, 1);
-  ASSERT_EQ(results.size(), lake.tables.size());
-  // Ranked by the custom score: longest table name first.
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_GE(results[i - 1].score, results[i].score);
-  }
-  EXPECT_EQ(results[0].table_name, "planted_partner");  // longest name
 }
 
 }  // namespace

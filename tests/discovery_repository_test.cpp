@@ -18,7 +18,6 @@
 #include "discovery/repository.h"
 #include "io/artifact_store.h"
 #include "obs/metrics.h"
-#include "scaling/lsh_index.h"
 
 namespace valentine {
 namespace {
@@ -31,7 +30,7 @@ Table SmallTable(const std::string& name, int seed) {
 
 RepositoryOptions DefaultOptions() {
   RepositoryOptions opt;
-  opt.signature_size = LshOptions().bands * LshOptions().rows_per_band;
+  opt.signature_size = kDiscoverySignatureSize;
   return opt;
 }
 

@@ -6,7 +6,8 @@
 // engine over the stable tables — no matter what mutates around it —
 // and every later snapshot keeps answering like a monolithic index
 // over its own tables while churn merges and compacts the LSH segments
-// it shares with newer ones.
+// it shares with newer ones. Engines over shared entries also share each
+// entry's reranker artifact, and race to build it first.
 
 #include <atomic>
 #include <memory>
@@ -145,6 +146,71 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
     banded += segment.banded;
   }
   EXPECT_LT(banded, 6u);
+}
+
+TEST(ServeConcurrency, EnginesOverSharedEntriesRaceToPrepareThem) {
+  // Two service snapshots and a FromRepository engine share every
+  // registry entry, so they share each entry's reranker artifact slot.
+  // Started together on cold entries, they race to build and install
+  // those artifacts; every answer must equal a sequential engine's over
+  // its own copies of the tables.
+  DiscoveryService service;
+  DiscoveryEngine sequential;
+  for (int i = 0; i < 4; ++i) {
+    Table t = MakeServeTable("t" + std::to_string(i), 25, i + 2);
+    ASSERT_TRUE(service.RegisterTable(t).ok());
+    ASSERT_TRUE(sequential.AddTable(std::move(t)).ok());
+  }
+  const Table query = MakeServeTable("q", 25, 3);
+  const std::string expected_join = RenderDiscoveryResults(
+      "q", "joinable", 4, sequential.FindJoinable(query, 4));
+  const std::string expected_union = RenderDiscoveryResults(
+      "q", "unionable", 4, sequential.FindUnionable(query, 4));
+
+  std::shared_ptr<const DiscoveryEngine> first = service.Snapshot();
+  ASSERT_TRUE(service.RegisterTable(MakeServeTable("passing", 8, 5)).ok());
+  ASSERT_TRUE(service.UnregisterTable("passing").ok());
+  std::shared_ptr<const DiscoveryEngine> second = service.Snapshot();
+  ASSERT_NE(first, second);
+  auto rebuilt =
+      DiscoveryEngine::FromRepository(DiscoveryOptions(), first->repository());
+  ASSERT_TRUE(rebuilt.ok());
+  const std::vector<const DiscoveryEngine*> engines = {
+      first.get(), second.get(), rebuilt.ValueOrDie().get()};
+  for (const DiscoveryEngine* engine : engines) {
+    ASSERT_EQ(engine->repository().Find("t0"), first->repository().Find("t0"))
+        << "the engines must share the registry entries";
+  }
+
+  constexpr size_t kThreadsPerEngine = 2;
+  const size_t threads_total = engines.size() * kThreadsPerEngine;
+  std::vector<std::string> joins(threads_total), unions(threads_total);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < threads_total; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const DiscoveryEngine& engine = *engines[t % engines.size()];
+      // Half the threads start with the other mode, so both modes
+      // race for the same slots.
+      if (t % 2 == 0) {
+        joins[t] = RenderDiscoveryResults("q", "joinable", 4,
+                                          engine.FindJoinable(query, 4));
+      }
+      unions[t] = RenderDiscoveryResults("q", "unionable", 4,
+                                         engine.FindUnionable(query, 4));
+      if (t % 2 != 0) {
+        joins[t] = RenderDiscoveryResults("q", "joinable", 4,
+                                          engine.FindJoinable(query, 4));
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+  for (size_t t = 0; t < threads_total; ++t) {
+    EXPECT_EQ(joins[t], expected_join) << "thread " << t;
+    EXPECT_EQ(unions[t], expected_union) << "thread " << t;
+  }
 }
 
 TEST(ServeConcurrency, ParallelQueriesOnOneSnapshotAgree) {

@@ -1,17 +1,24 @@
 // Tests for the HTTP-facing discovery service (serve/service.h):
 // JSON↔Table codecs, routing, the copy-on-write registry, the
 // byte-identity contract against a directly-driven DiscoveryEngine,
-// and the zero-budget regression at the serving boundary.
+// the zero-budget regression at the serving boundary, and registry
+// entries keeping their reranker artifacts across mutations.
 
 #include "serve/service.h"
 
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "io/artifact_store.h"
+#include "matchers/coma.h"
 #include "serve_test_util.h"
 
 namespace valentine {
@@ -147,6 +154,125 @@ TEST(ServeService, RegistryRebuildsNeverRepayArtifactWork) {
                             {{"event", "build"}})
                 ->value(),
             static_cast<uint64_t>(kTables));
+}
+
+/// The names of the tables Prepare ran on, shared by every matcher
+/// instance that logs into it.
+class PrepareLog {
+ public:
+  void Record(const std::string& table) {
+    std::lock_guard<std::mutex> lock(mu_);
+    tables_.push_back(table);
+  }
+  std::vector<std::string> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(tables_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::string> tables_;
+};
+
+/// COMA-Instances, the engine's default matcher, logging every Prepare.
+class PrepareLoggingComa : public ComaMatcher {
+ public:
+  explicit PrepareLoggingComa(PrepareLog* log)
+      : ComaMatcher(InstancesOptions()), log_(log) {}
+
+  [[nodiscard]] Result<PreparedTablePtr> Prepare(
+      const Table& table, const TableProfile* profile,
+      const MatchContext& context) const override {
+    log_->Record(table.name());
+    return ComaMatcher::Prepare(table, profile, context);
+  }
+
+ private:
+  static ComaOptions InstancesOptions() {
+    ComaOptions options;
+    options.strategy = ComaStrategy::kInstances;
+    return options;
+  }
+
+  PrepareLog* log_;
+};
+
+TEST(ServeService, MutationsKeepCandidateArtifacts) {
+  // Each registry entry owns its reranker artifact. Registering and
+  // unregistering unrelated tables publishes new service engines over
+  // the same entries, or mutates the direct engine's repository; a
+  // repeated query may prepare its own table again but no candidate
+  // the warm query already scored.
+  PrepareLog service_log;
+  ServiceOptions service_options;
+  service_options.matcher_factory = [&service_log] {
+    return std::make_unique<PrepareLoggingComa>(&service_log);
+  };
+  DiscoveryService service(service_options);
+  PrepareLog direct_log;
+  DiscoveryOptions direct_options;
+  direct_options.matcher = std::make_unique<PrepareLoggingComa>(&direct_log);
+  DiscoveryEngine direct(std::move(direct_options));
+  for (int i = 0; i < 4; ++i) {
+    Table t = MakeServeTable("t" + std::to_string(i), 20, i + 2);
+    ASSERT_TRUE(service.RegisterTable(t).ok());
+    ASSERT_TRUE(direct.AddTable(std::move(t)).ok());
+  }
+
+  const Table query = MakeServeTable("q", 20, 3);
+  const std::string body =
+      "{\"table\":" + ServeTableJson("q", 20, 3) + ",\"k\":4}";
+  auto query_service = [&] {
+    for (const char* route :
+         {"/v1/discovery/joinable", "/v1/discovery/unionable"}) {
+      HttpResponse r = service.Handle(MakeRequest("POST", route, body));
+      ASSERT_EQ(r.status, 200) << r.body;
+    }
+  };
+  auto query_direct = [&] {
+    (void)direct.FindJoinable(query, 4);
+    (void)direct.FindUnionable(query, 4);
+  };
+  auto churn_service = [&] {
+    for (const char* name : {"unrelated_a", "unrelated_b"}) {
+      ASSERT_TRUE(service.RegisterTable(MakeServeTable(name, 8, 7)).ok());
+    }
+    ASSERT_TRUE(service.UnregisterTable("unrelated_a").ok());
+    ASSERT_TRUE(service.UnregisterTable("unrelated_b").ok());
+  };
+  auto churn_direct = [&] {
+    for (const char* name : {"unrelated_a", "unrelated_b"}) {
+      ASSERT_TRUE(direct.AddTable(MakeServeTable(name, 8, 7)).ok());
+    }
+    ASSERT_TRUE(direct.RemoveTable("unrelated_a").ok());
+    ASSERT_TRUE(direct.RemoveTable("unrelated_b").ok());
+  };
+
+  struct Target {
+    const char* name;
+    PrepareLog* log;
+    std::function<void()> query;
+    std::function<void()> churn;
+  };
+  for (const Target& target :
+       {Target{"service", &service_log, query_service, churn_service},
+        Target{"direct", &direct_log, query_direct, churn_direct}}) {
+    SCOPED_TRACE(target.name);
+    target.log->Take();
+    target.query();
+    std::set<std::string> scored;
+    for (const std::string& table : target.log->Take()) {
+      if (table != "q") scored.insert(table);
+    }
+    ASSERT_FALSE(scored.empty()) << "the warm query scored no candidate";
+
+    target.churn();
+    target.query();
+    for (const std::string& table : target.log->Take()) {
+      EXPECT_EQ(scored.count(table), 0u)
+          << "the repeated query re-prepared candidate " << table;
+    }
+  }
 }
 
 TEST(ServeService, HealthzGolden) {

@@ -2,8 +2,8 @@
 // N-table repository, comparing the legacy monolithic path (every
 // Match() re-extracts both tables' artifacts from scratch) against the
 // Prepare/Score pipeline (the query is prepared once per Find* call and
-// repository artifacts are built once and served from the engine's
-// ArtifactCache across calls) — the O(N * prepare) -> O(prepare +
+// each repository table's artifact is built once, kept in its registry
+// entry and served across calls) — the O(N * prepare) -> O(prepare +
 // N * score) story of the discovery refactor.
 //
 // The tool *asserts* that both paths rank byte-identically (table
