@@ -472,14 +472,14 @@ Result<MatchResult> ComaMatcher::Score(const PreparedTable& source,
     }
   }
 
-  MatchResult result;
-  for (const auto& [i, j] : SelectPairs(combined, ns, nt, options_)) {
-    result.Add({source_table.name(), source_table.column(i).name()},
-               {target_table.name(), target_table.column(j).name()},
-               combined[i * nt + j]);
+  const std::vector<std::pair<size_t, size_t>> selected =
+      SelectPairs(combined, ns, nt, options_);
+  std::vector<ScoredCell> cells;
+  cells.reserve(selected.size());
+  for (const auto& [i, j] : selected) {
+    cells.emplace_back(i, j, combined[i * nt + j]);
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

@@ -223,16 +223,14 @@ Result<MatchResult> CupidMatcher::Score(const PreparedTable& source,
     }
   }
 
-  MatchResult result;
+  std::vector<ScoredCell> cells;
+  cells.reserve(ns * nt);
   for (size_t i = 0; i < ns; ++i) {
     for (size_t j = 0; j < nt; ++j) {
-      double w = wsim_at(i, j, options_.leaf_w_struct);
-      result.Add({source_table.name(), source_table.column(i).name()},
-                 {target_table.name(), target_table.column(j).name()}, w);
+      cells.emplace_back(i, j, wsim_at(i, j, options_.leaf_w_struct));
     }
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

@@ -236,15 +236,12 @@ Result<MatchResult> DistributionBasedMatcher::Score(
   std::vector<size_t> assign =
       SolveClusterSelection(n, weight, options_.exact_solver_limit);
 
-  MatchResult result;
+  std::vector<ScoredCell> cells;
   for (const Link& link : links) {
     if (assign[link.a] != assign[link.b]) continue;
-    result.Add({source_table.name(), source_table.column(link.a).name()},
-               {target_table.name(), target_table.column(link.b - ns).name()},
-               link.score);
+    cells.emplace_back(link.a, link.b - ns, link.score);
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

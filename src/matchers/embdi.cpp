@@ -145,21 +145,22 @@ Result<MatchResult> EmbdiMatcher::Score(const PreparedTable& source,
   // --- Match CIDs across tables by cosine similarity. ---
   const Table& source_table = src->table();
   const Table& target_table = tgt->table();
-  MatchResult result;
-  for (const std::string& a : src->column_names) {
-    const Embedding* va = lookup("cid__A__" + a);
-    for (const std::string& b : tgt->column_names) {
-      const Embedding* vb = lookup("cid__B__" + b);
+  // column_names[i] is column i's name, so cells index the tables.
+  std::vector<ScoredCell> cells;
+  cells.reserve(src->column_names.size() * tgt->column_names.size());
+  for (size_t i = 0; i < src->column_names.size(); ++i) {
+    const Embedding* va = lookup("cid__A__" + src->column_names[i]);
+    for (size_t j = 0; j < tgt->column_names.size(); ++j) {
+      const Embedding* vb = lookup("cid__B__" + tgt->column_names[j]);
       double sim = 0.0;
       if (va != nullptr && vb != nullptr) {
         // Negative cosine means "unrelated", not "anti-related".
         sim = std::max(0.0, CosineSimilarity(*va, *vb));
       }
-      result.Add({source_table.name(), a}, {target_table.name(), b}, sim);
+      cells.emplace_back(i, j, sim);
     }
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

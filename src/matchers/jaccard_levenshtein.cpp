@@ -125,7 +125,8 @@ Result<MatchResult> JaccardLevenshteinMatcher::Score(
   const Table& source_table = src->table();
   const Table& target_table = tgt->table();
   const bool pruning = options_.prune_below > 0.0;
-  MatchResult result;
+  std::vector<ScoredCell> cells;
+  cells.reserve(src->columns.size() * tgt->columns.size());
   for (size_t i = 0; i < src->columns.size(); ++i) {
     // Each row of the matrix is a batch of fuzzy set intersections —
     // the quadratic hot loop — so the budget check lives here.
@@ -143,13 +144,11 @@ Result<MatchResult> JaccardLevenshteinMatcher::Score(
         double est = src->sigs[i].EstimateJaccard(tgt->sigs[j]);
         if (est + options_.prune_slack < options_.prune_below) continue;
       }
-      double sim = FuzzyJaccard(a, b, options_.threshold, options_.kernel);
-      result.Add({source_table.name(), source_table.column(i).name()},
-                 {target_table.name(), target_table.column(j).name()}, sim);
+      cells.emplace_back(
+          i, j, FuzzyJaccard(a, b, options_.threshold, options_.kernel));
     }
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

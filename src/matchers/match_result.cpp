@@ -1,17 +1,110 @@
 #include "matchers/match_result.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
+
+#include "obs/opcount.h"
 
 namespace valentine {
 
-void MatchResult::Sort() {
-  std::sort(matches_.begin(), matches_.end(),
-            [](const Match& a, const Match& b) {
+namespace {
+
+/// Dense ranks of `n` keys in `less` order: equal keys share a rank.
+/// `rank[i]` is key i's rank and `first[r]` a key holding rank r.
+template <typename Less>
+void DenseRanks(size_t n, Less less, std::vector<uint32_t>* rank,
+                std::vector<uint32_t>* first) {
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), less);
+  rank->resize(n);
+  first->clear();
+  for (size_t k = 0; k < n; ++k) {
+    if (k == 0 || less(order[k - 1], order[k])) first->push_back(order[k]);
+    (*rank)[order[k]] = static_cast<uint32_t>(first->size() - 1);
+  }
+  opcount::Add(opcount::Op::kRankRefs, n);
+}
+
+/// The one ranking comparator, over cells whose source and target are
+/// ref ranks: score descending, then source, then target. Cells it
+/// cannot order carry equal refs and equal scores, so their matches are
+/// the same bytes in either order.
+void SortRankedCells(std::vector<ScoredCell>* cells) {
+  std::sort(cells->begin(), cells->end(),
+            [](const ScoredCell& a, const ScoredCell& b) {
               if (a.score != b.score) return a.score > b.score;
-              if (!(a.source == b.source)) return a.source < b.source;
+              if (a.source != b.source) return a.source < b.source;
               return a.target < b.target;
             });
+  opcount::Add(opcount::Op::kRankCells, cells->size());
+}
+
+}  // namespace
+
+MatchResult MatchResult::Ranked(const Table& source, const Table& target,
+                                std::vector<ScoredCell> cells) {
+  std::vector<uint32_t> source_rank, source_first, target_rank, target_first;
+  DenseRanks(
+      source.num_columns(),
+      [&](uint32_t a, uint32_t b) {
+        return source.column(a).name() < source.column(b).name();
+      },
+      &source_rank, &source_first);
+  DenseRanks(
+      target.num_columns(),
+      [&](uint32_t a, uint32_t b) {
+        return target.column(a).name() < target.column(b).name();
+      },
+      &target_rank, &target_first);
+  // Every ref shares its table, so ordering refs is ordering names.
+  for (ScoredCell& cell : cells) {
+    cell.source = source_rank[cell.source];
+    cell.target = target_rank[cell.target];
+  }
+  SortRankedCells(&cells);
+
+  MatchResult result;
+  result.matches_.reserve(cells.size());
+  for (const ScoredCell& cell : cells) {
+    result.matches_.push_back(
+        {{source.name(), source.column(source_first[cell.source]).name()},
+         {target.name(), target.column(target_first[cell.target]).name()},
+         cell.score});
+  }
+  return result;
+}
+
+void MatchResult::Sort() {
+  const size_t n = matches_.size();
+  std::vector<uint32_t> source_rank, source_first, target_rank, target_first;
+  DenseRanks(
+      n,
+      [&](uint32_t a, uint32_t b) {
+        return matches_[a].source < matches_[b].source;
+      },
+      &source_rank, &source_first);
+  DenseRanks(
+      n,
+      [&](uint32_t a, uint32_t b) {
+        return matches_[a].target < matches_[b].target;
+      },
+      &target_rank, &target_first);
+  std::vector<ScoredCell> cells;
+  cells.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    cells.emplace_back(source_rank[i], target_rank[i], matches_[i].score);
+  }
+  SortRankedCells(&cells);
+
+  std::vector<Match> sorted;
+  sorted.reserve(n);
+  for (const ScoredCell& cell : cells) {
+    sorted.push_back({matches_[source_first[cell.source]].source,
+                      matches_[target_first[cell.target]].target, cell.score});
+  }
+  matches_.swap(sorted);
 }
 
 std::vector<Match> MatchResult::TopK(size_t k) const {

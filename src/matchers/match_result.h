@@ -6,7 +6,14 @@
 /// with confidence scores. Valentine's central argument (paper §II-C) is
 /// that dataset discovery needs rankings, not 1-1 match sets — all
 /// effectiveness metrics here consume this ranking.
+///
+/// Rank order is produced in one place, match_result.cpp: score
+/// descending, then source ref, then target ref. A matcher that scores
+/// one table pair hands its cells to MatchResult::Ranked; results
+/// merged from several sources are put in the same order by Sort().
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,10 +32,34 @@ struct Match {
   }
 };
 
+/// \brief One scored cell of a single table pair's match matrix: a
+/// source and a target column, as indices into their tables, and the
+/// score of the pair.
+struct ScoredCell {
+  ScoredCell() = default;
+  ScoredCell(size_t source_column, size_t target_column, double cell_score)
+      : score(cell_score),
+        source(static_cast<uint32_t>(source_column)),
+        target(static_cast<uint32_t>(target_column)) {}
+
+  double score = 0.0;
+  uint32_t source = 0;
+  uint32_t target = 0;
+};
+
 /// \brief A ranked list of matches (highest score first after Sort()).
 class MatchResult {
  public:
   MatchResult() = default;
+
+  /// The ranked result of one table pair: a match per cell, in the order
+  /// Sort() would give the same matches. Each table's column names are
+  /// ranked once and the cells are sorted on (score, name rank) keys, so
+  /// the sort compares no strings and moves no Match records; the
+  /// matches are then built once, in rank order. Cells may cover any
+  /// subset of the pairs, and a table may repeat a column name.
+  static MatchResult Ranked(const Table& source, const Table& target,
+                            std::vector<ScoredCell> cells);
 
   void Add(ColumnRef source, ColumnRef target, double score) {
     matches_.push_back({std::move(source), std::move(target), score});
@@ -41,7 +72,9 @@ class MatchResult {
   const std::vector<Match>& matches() const { return matches_; }
 
   /// Sorts by descending score; ties broken lexicographically on the
-  /// column refs so rankings are fully deterministic.
+  /// column refs so rankings are fully deterministic. For results merged
+  /// from several sources: the refs are ranked and the matches ordered
+  /// by the same key sort as Ranked().
   void Sort();
 
   /// The first k matches after sorting (fewer if the list is shorter).

@@ -179,7 +179,7 @@ Result<MatchResult> SemPropMatcher::Score(const PreparedTable& source,
     }
   }
 
-  MatchResult result;
+  std::vector<ScoredCell> cells;
   for (size_t i = 0; i < ns; ++i) {
     for (size_t j = 0; j < nt; ++j) {
       double score = sem_score[i][j];
@@ -190,15 +190,10 @@ Result<MatchResult> SemPropMatcher::Score(const PreparedTable& source,
           score = 0.5 * jac;
         }
       }
-      if (score > 0.0) {
-        result.Add({source_table.name(), source_table.column(i).name()},
-                   {target_table.name(), target_table.column(j).name()},
-                   score);
-      }
+      if (score > 0.0) cells.emplace_back(i, j, score);
     }
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

@@ -184,10 +184,11 @@ Result<MatchResult> SimilarityFloodingMatcher::Score(
     return sigma[pair_id(src_cols[si], tgt_cols[tj])];
   };
 
-  MatchResult result;
+  // Column nodes are added in column order (BuildSchemaGraph), so
+  // src_cols[si] is column si's node and cells index the tables.
+  std::vector<ScoredCell> cells;
   auto add_pair = [&](size_t si, size_t tj) {
-    result.Add({source_table.name(), ga.name(src_cols[si])},
-               {target_table.name(), gb.name(tgt_cols[tj])}, sim_of(si, tj));
+    cells.emplace_back(si, tj, sim_of(si, tj));
   };
 
   switch (options_.filter) {
@@ -255,8 +256,7 @@ Result<MatchResult> SimilarityFloodingMatcher::Score(
       }
       break;
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source_table, target_table, std::move(cells));
 }
 
 }  // namespace valentine

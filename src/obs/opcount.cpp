@@ -19,6 +19,10 @@ const char* OpName(Op op) {
       return "emd_sweep_iterations";
     case Op::kLevenshteinBitParallelSteps:
       return "levenshtein_bitparallel_steps";
+    case Op::kRankRefs:
+      return "rank_refs";
+    case Op::kRankCells:
+      return "rank_cells";
   }
   return "unknown";
 }
@@ -28,7 +32,8 @@ const std::array<Op, kNumOps>& AllOps() {
       Op::kLevenshteinCells,    Op::kBagPrefilterHits,
       Op::kBagPrefilterMisses,  Op::kMinHashHashes,
       Op::kNGramEmissions,      Op::kEmdSweepIterations,
-      Op::kLevenshteinBitParallelSteps,
+      Op::kLevenshteinBitParallelSteps, Op::kRankRefs,
+      Op::kRankCells,
   };
   return kAll;
 }

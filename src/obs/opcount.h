@@ -5,7 +5,7 @@
 /// Zero-cost-when-disabled operation counters for the score-side hot
 /// kernels (Levenshtein DP cells and bit-parallel steps, bag-bound
 /// prefilter outcomes, MinHash hash evaluations, n-gram emissions, EMD
-/// sweep iterations).
+/// sweep iterations, refs and cells put in rank order).
 ///
 /// The counters exist so the SIMD/cache-layout work planned for the
 /// kernels (ROADMAP item 2) has an *algorithmic* regression fence in
@@ -60,9 +60,11 @@ enum class Op : int {
   kEmdSweepIterations = 5, ///< merged-support positions swept
   kLevenshteinBitParallelSteps = 6,  ///< text bytes the bit-parallel
                                      ///< Levenshtein kernel stepped
+  kRankRefs = 7,           ///< column refs ranked by the ordering core
+  kRankCells = 8,          ///< match cells sorted into rank order
 };
 
-inline constexpr int kNumOps = 7;
+inline constexpr int kNumOps = 9;
 
 /// True when this translation unit was built with counting compiled in.
 inline constexpr bool kEnabled = (VALENTINE_OPCOUNT_ENABLED == 1);

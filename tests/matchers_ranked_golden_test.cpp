@@ -69,7 +69,8 @@ std::vector<MethodFamily> GoldenFamilies(const Ontology* ontology) {
       {"EmbDI", {{"word2vec tiny", std::make_shared<EmbdiMatcher>(tiny)}}});
 
   MethodFamily sf{"SimilarityFlooding-filters", {}};
-  for (SfFilter filter : {SfFilter::kStableMarriage, SfFilter::kPerfectionist}) {
+  for (SfFilter filter :
+       {SfFilter::kStableMarriage, SfFilter::kPerfectionist}) {
     SimilarityFloodingOptions opt;
     opt.formula = SfFormula::kC;
     opt.filter = filter;
@@ -104,8 +105,8 @@ std::vector<MethodFamily> GoldenFamilies(const Ontology* ontology) {
       {"ensemble rrf", std::make_shared<EnsembleMatcher>(std::move(members))});
   ApproximateOverlapOptions approx;
   approx.estimate_all_pairs = true;
-  merged.grid.push_back(
-      {"approx all pairs", std::make_shared<ApproximateOverlapMatcher>(approx)});
+  merged.grid.push_back({"approx all pairs",
+                         std::make_shared<ApproximateOverlapMatcher>(approx)});
   families.push_back(std::move(merged));
   return families;
 }

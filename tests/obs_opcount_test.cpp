@@ -17,6 +17,7 @@
 #include "datasets/tpcdi.h"
 #include "harness/campaign.h"
 #include "io/artifact_store.h"
+#include "matchers/match_result.h"
 #include "obs/metrics.h"
 #include "stats/emd.h"
 #include "stats/minhash.h"
@@ -46,6 +47,8 @@ TEST(OpCount, NamesAndOrderAreStable) {
                "emd_sweep_iterations");
   EXPECT_STREQ(opcount::OpName(opcount::Op::kLevenshteinBitParallelSteps),
                "levenshtein_bitparallel_steps");
+  EXPECT_STREQ(opcount::OpName(opcount::Op::kRankRefs), "rank_refs");
+  EXPECT_STREQ(opcount::OpName(opcount::Op::kRankCells), "rank_cells");
   const auto& all = opcount::AllOps();
   ASSERT_EQ(all.size(), static_cast<size_t>(opcount::kNumOps));
   for (int i = 0; i < opcount::kNumOps; ++i) {
@@ -101,6 +104,31 @@ TEST(OpCount, BandedLevenshteinVisitsFewerCells) {
   EXPECT_EQ(full, banded);  // same answer within the bound...
   EXPECT_GT(banded_cells, 0u);
   EXPECT_LT(banded_cells, full_cells);  // ...for strictly fewer cells
+}
+
+// The ordering core ranks each table's column refs once and sorts one
+// key per cell; Sort() ranks the sources and targets of every match.
+TEST(OpCount, RankingCountsRefsOnceAndCellsOnce) {
+  if (!opcount::kEnabled) GTEST_SKIP() << "opcounts compiled out";
+  Table source("s"), target("t");
+  for (const char* name : {"a", "b", "c"}) {
+    Column c(name, DataType::kString);
+    c.Append(Value::String("v"));
+    ASSERT_TRUE(source.AddColumn(c).ok());
+    ASSERT_TRUE(target.AddColumn(std::move(c)).ok());
+  }
+  opcount::Snapshot before = opcount::ThreadSnapshot();
+  MatchResult ranked = MatchResult::Ranked(
+      source, target, {ScoredCell(0, 1, 0.5), ScoredCell(2, 2, 0.5)});
+  opcount::Snapshot d = Delta(before);
+  EXPECT_EQ(d.value(opcount::Op::kRankRefs), 6u);
+  EXPECT_EQ(d.value(opcount::Op::kRankCells), 2u);
+
+  before = opcount::ThreadSnapshot();
+  ranked.Sort();
+  d = Delta(before);
+  EXPECT_EQ(d.value(opcount::Op::kRankRefs), 4u);
+  EXPECT_EQ(d.value(opcount::Op::kRankCells), 2u);
 }
 
 TEST(OpCount, BitParallelLevenshteinCountsTextBytes) {
