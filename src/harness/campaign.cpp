@@ -67,6 +67,7 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
   // score-stage parameters share it. Scoped to this call — artifacts
   // borrow the suite's tables.
   std::optional<ArtifactCache> artifacts;
+  std::vector<PairFingerprints> fingerprints;
   if (options.use_artifact_cache) {
     artifacts.emplace();
     run.artifacts = &*artifacts;
@@ -80,6 +81,12 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
                   options.family_filter.end(),
                   family.name) == options.family_filter.end()) {
       continue;
+    }
+    if (run.artifacts != nullptr && run.fingerprints == nullptr) {
+      // The cache's table identity, computed once for every family and
+      // configuration of the call.
+      fingerprints = FingerprintSuite(suite, options.num_threads);
+      run.fingerprints = &fingerprints;
     }
     SpanScope family_span(options.tracer, "campaign", "family", family.name,
                           campaign_span.id());

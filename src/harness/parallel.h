@@ -58,10 +58,17 @@ enum class ParallelGranularity {
 
 /// Granularity-selecting variant. kPair reproduces the 4-argument
 /// overload exactly; kConfig additionally parallelizes inside each pair.
+/// With an artifact cache and no fingerprints from the caller, the suite
+/// is fingerprinted first, once, over the same workers.
 std::vector<FamilyPairOutcome> RunFamilyOnSuiteParallel(
     const MethodFamily& family, const std::vector<DatasetPair>& suite,
     size_t num_threads, const FamilyRunContext& run,
     ParallelGranularity granularity);
+
+/// FingerprintPair of every pair, in suite order, over `num_threads`
+/// workers (0 = hardware concurrency).
+std::vector<PairFingerprints> FingerprintSuite(
+    const std::vector<DatasetPair>& suite, size_t num_threads);
 
 }  // namespace valentine
 

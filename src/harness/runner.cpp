@@ -195,6 +195,24 @@ ExperimentResult RunExperimentWithPolicy(const ColumnMatcher& matcher,
   return result;
 }
 
+/// Every configuration of the family on the pair, folded in grid order.
+FamilyPairOutcome RunGridOnPair(const MethodFamily& family,
+                                const DatasetPair& pair,
+                                const PairFingerprints* fingerprints,
+                                const FamilyRunContext& run) {
+  PairFingerprints own;
+  if (run.artifacts != nullptr && fingerprints == nullptr) {
+    own = FingerprintPair(pair);
+    fingerprints = &own;
+  }
+  std::vector<ExperimentResult> results;
+  results.reserve(family.grid.size());
+  for (size_t c = 0; c < family.grid.size(); ++c) {
+    results.push_back(RunConfigOnPair(family, c, pair, fingerprints, run));
+  }
+  return ReducePairOutcome(family, pair, results);
+}
+
 ExperimentResult ReplayJournalEntry(const JournalEntry& entry,
                                     const ColumnMatcher& matcher,
                                     const DatasetPair& pair) {
@@ -215,6 +233,11 @@ ExperimentResult ReplayJournalEntry(const JournalEntry& entry,
 
 }  // namespace
 
+PairFingerprints FingerprintPair(const DatasetPair& pair) {
+  return {TableContentFingerprint(pair.source),
+          TableContentFingerprint(pair.target)};
+}
+
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair) {
   return RunFamilyOnPair(family, pair, FamilyRunContext());
@@ -222,6 +245,7 @@ FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
 
 ExperimentResult RunConfigOnPair(const MethodFamily& family,
                                  size_t config_index, const DatasetPair& pair,
+                                 const PairFingerprints* fingerprints,
                                  const FamilyRunContext& run) {
   const ConfiguredMatcher& cm = family.grid[config_index];
   const std::string key = JournalKey(family.name, pair.id, cm.description);
@@ -256,16 +280,20 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
   // path so the failure is reported per-configuration as before.
   PreparedTablePtr prepared_source, prepared_target;
   if (run.artifacts != nullptr) {
+    const PairFingerprints fp =
+        fingerprints != nullptr ? *fingerprints : FingerprintPair(pair);
     MatchContext prepare_context;
     prepare_context.cancel = run.policy.cancel;
     prepare_context.trace_id = key + "#prepare";
     prepare_context.clock = run.clock;
     prepare_context.tracer = run.tracer;
     prepare_context.parent_span = experiment_span.id();
-    prepared_source = run.artifacts->GetOrPrepare(
-        *cm.matcher, pair.source, /*profile=*/nullptr, prepare_context);
-    prepared_target = run.artifacts->GetOrPrepare(
-        *cm.matcher, pair.target, /*profile=*/nullptr, prepare_context);
+    prepared_source =
+        run.artifacts->GetOrPrepare(*cm.matcher, pair.source, fp.source,
+                                    /*profile=*/nullptr, prepare_context);
+    prepared_target =
+        run.artifacts->GetOrPrepare(*cm.matcher, pair.target, fp.target,
+                                    /*profile=*/nullptr, prepare_context);
   }
   ExperimentResult r = RunExperimentWithPolicy(
       *cm.matcher, cm.description, pair, family.name, run,
@@ -320,12 +348,7 @@ FamilyPairOutcome ReducePairOutcome(
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair,
                                   const FamilyRunContext& run) {
-  std::vector<ExperimentResult> results;
-  results.reserve(family.grid.size());
-  for (size_t c = 0; c < family.grid.size(); ++c) {
-    results.push_back(RunConfigOnPair(family, c, pair, run));
-  }
-  return ReducePairOutcome(family, pair, results);
+  return RunGridOnPair(family, pair, nullptr, run);
 }
 
 std::vector<FamilyPairOutcome> RunFamilyOnSuite(
@@ -336,10 +359,15 @@ std::vector<FamilyPairOutcome> RunFamilyOnSuite(
 std::vector<FamilyPairOutcome> RunFamilyOnSuite(
     const MethodFamily& family, const std::vector<DatasetPair>& suite,
     const FamilyRunContext& run) {
+  // Without the caller's fingerprints, each pair is fingerprinted once,
+  // before its grid runs.
+  const bool shared = run.fingerprints != nullptr &&
+                      run.fingerprints->size() == suite.size();
   std::vector<FamilyPairOutcome> outcomes;
   outcomes.reserve(suite.size());
-  for (const DatasetPair& pair : suite) {
-    outcomes.push_back(RunFamilyOnPair(family, pair, run));
+  for (size_t i = 0; i < suite.size(); ++i) {
+    outcomes.push_back(RunGridOnPair(
+        family, suite[i], shared ? &(*run.fingerprints)[i] : nullptr, run));
   }
   return outcomes;
 }

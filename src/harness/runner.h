@@ -96,6 +96,16 @@ struct FamilyPairOutcome {
   std::vector<std::pair<StatusCode, size_t>> failure_counts;
 };
 
+/// Content fingerprints (TableContentFingerprint) of a pair's two
+/// tables: their identity in the ArtifactCache.
+struct PairFingerprints {
+  uint64_t source = 0;
+  uint64_t target = 0;
+};
+
+/// Fingerprints both tables of the pair.
+PairFingerprints FingerprintPair(const DatasetPair& pair);
+
 /// Shared execution state for a family run: the policy plus optional
 /// journal plumbing. `completed` entries are replayed instead of
 /// executed (crash resume); finished experiments are appended to
@@ -113,6 +123,13 @@ struct FamilyRunContext {
   /// inline otherwise. A failed Prepare falls back to the monolithic
   /// path so the failure surfaces through the same status taxonomy.
   ArtifactCache* artifacts = nullptr;
+  /// The suite's fingerprints in suite order, read only when `artifacts`
+  /// is set. RunCampaignOnSuite fingerprints its suite once and shares
+  /// the vector across families; a RunFamilyOnSuite* call given none (or
+  /// one of another length) fingerprints its suite itself, once. Either
+  /// way a suite of P pairs costs 2P fingerprints per call, however wide
+  /// the grid and whatever the granularity.
+  const std::vector<PairFingerprints>* fingerprints = nullptr;
   /// Observability (obs/): all optional, all borrowed. `clock` is the
   /// timing source for runtime measurements (nullptr = steady clock);
   /// `tracer` receives experiment/attempt/backoff/prepare/score spans;
@@ -132,8 +149,11 @@ struct FamilyRunContext {
 /// else executes under the policy and is appended to the journal. This
 /// is the parallel unit of ParallelGranularity::kConfig; it is safe to
 /// call concurrently for distinct (pair, config) work items.
+/// `fingerprints` are the pair's, for the artifact cache; nullptr
+/// fingerprints the pair here. Read only when `run.artifacts` is set.
 ExperimentResult RunConfigOnPair(const MethodFamily& family,
                                  size_t config_index, const DatasetPair& pair,
+                                 const PairFingerprints* fingerprints,
                                  const FamilyRunContext& run);
 
 /// Deterministic fold of the per-configuration results (in grid order)
@@ -145,7 +165,8 @@ FamilyPairOutcome ReducePairOutcome(const MethodFamily& family,
                                     const std::vector<ExperimentResult>& results);
 
 /// Runs every configuration of the family on the pair; keeps the best
-/// recall and accumulates runtime.
+/// recall and accumulates runtime. With an artifact cache, the pair is
+/// fingerprinted once for the whole grid.
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair);
 

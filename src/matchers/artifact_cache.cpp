@@ -1,5 +1,6 @@
 #include "matchers/artifact_cache.h"
 
+#include <atomic>
 #include <utility>
 
 #include "obs/trace.h"
@@ -25,6 +26,8 @@ void FnvMixString(uint64_t* h, const std::string& s) {
   FnvMix(h, s.data(), s.size());
 }
 
+std::atomic<uint64_t> fingerprint_calls{0};
+
 std::string HexU64(uint64_t v) {
   static const char* kDigits = "0123456789abcdef";
   std::string out(16, '0');
@@ -38,6 +41,7 @@ std::string HexU64(uint64_t v) {
 }  // namespace
 
 uint64_t TableContentFingerprint(const Table& table) {
+  fingerprint_calls.fetch_add(1, std::memory_order_relaxed);
   uint64_t h = kFnvOffset;
   FnvMixString(&h, table.name());
   uint64_t rows = table.num_rows();
@@ -54,12 +58,17 @@ uint64_t TableContentFingerprint(const Table& table) {
   return h;
 }
 
+uint64_t TableContentFingerprintCalls() {
+  return fingerprint_calls.load(std::memory_order_relaxed);
+}
+
 PreparedTablePtr ArtifactCache::GetOrPrepare(const ColumnMatcher& matcher,
                                              const Table& table,
+                                             uint64_t fingerprint,
                                              const TableProfile* profile,
                                              const MatchContext& context) {
   const std::string family = matcher.Name();
-  std::string key = HexU64(TableContentFingerprint(table));
+  std::string key = HexU64(fingerprint);
   key.push_back('\x1f');
   key += table.name();
   key.push_back('\x1f');

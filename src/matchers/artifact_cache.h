@@ -14,6 +14,9 @@
 /// PrepareKey() — never by address (the `pointer-cache-key` lint rule
 /// has no exception in src/). Value keys make hits well-defined across
 /// table copies and make the cache immune to allocator address reuse.
+/// The caller owns the fingerprint: the campaign runners fingerprint
+/// each suite table once per call and pass it to every lookup, so the
+/// cache never hashes a table.
 ///
 /// Contract: a cache hit must be byte-identical to an inline Prepare,
 /// and every consumer falls back to the inline path unconditionally
@@ -47,6 +50,11 @@ namespace valentine {
 /// same-family artifact, whose Score fallback keeps results sane.
 uint64_t TableContentFingerprint(const Table& table);
 
+/// TableContentFingerprint calls made in this process so far, on every
+/// thread. A test seam for call-count contracts, such as a campaign
+/// fingerprinting each suite table once per call.
+uint64_t TableContentFingerprintCalls();
+
 /// \brief Mutex-guarded build-once cache of PreparedTable artifacts.
 class ArtifactCache {
  public:
@@ -63,11 +71,13 @@ class ArtifactCache {
 
   /// Returns the cached artifact for (table, matcher family, prepare
   /// key), building it with `matcher.Prepare(table, profile, context)`
-  /// on first use. Returns nullptr when Prepare fails — the caller must
+  /// on first use. `fingerprint` must be TableContentFingerprint(table);
+  /// the caller computes it once per table and reuses it for every
+  /// configuration. Returns nullptr when Prepare fails — the caller must
   /// then fall back to the monolithic Match path (never treat nullptr
   /// as "no matches").
   PreparedTablePtr GetOrPrepare(const ColumnMatcher& matcher,
-                                const Table& table,
+                                const Table& table, uint64_t fingerprint,
                                 const TableProfile* profile,
                                 const MatchContext& context) EXCLUDES(mu_);
 

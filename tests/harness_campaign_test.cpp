@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 
 namespace valentine {
 namespace {
@@ -95,6 +96,80 @@ TEST(CampaignTest, EmptySuiteAndEmptyFamiliesSafe) {
   EXPECT_EQ(report.num_pairs, 0u);
   EXPECT_EQ(report.num_experiments, 0u);
   EXPECT_TRUE(report.families.empty());
+}
+
+// The artifact cache keys each table on TableContentFingerprint, and
+// the runners compute it once per suite table per call: 2P for a suite
+// of P pairs, however many configurations share it (two per
+// configuration, 2PC, before the runners took it over).
+std::vector<MethodFamily> TwoFamilies() {
+  MethodFamily cupid = CupidFamily();
+  cupid.grid.resize(4);
+  return {cupid, JaccardLevenshteinFamily()};  // 4 + 5 configurations
+}
+
+TEST(FingerprintOnceTest, CampaignFingerprintsEachSuiteTableOncePerCall) {
+  const std::vector<DatasetPair> suite =
+      BuildFabricatedSuite(MakeTpcdiProspect(30, 85), SmallCampaign().suite);
+  ASSERT_EQ(suite.size(), 6u);
+  for (ParallelGranularity granularity :
+       {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
+    for (size_t threads : {1, 4}) {
+      CampaignOptions opt = SmallCampaign();
+      opt.granularity = granularity;
+      opt.num_threads = threads;
+      const uint64_t before = TableContentFingerprintCalls();
+      const CampaignReport report =
+          RunCampaignOnSuite(suite, TwoFamilies(), opt);
+      EXPECT_EQ(TableContentFingerprintCalls() - before, 2 * suite.size())
+          << "granularity " << static_cast<int>(granularity) << ", "
+          << threads << " threads";
+      EXPECT_EQ(report.num_experiments, 9 * suite.size());
+      EXPECT_EQ(report.failed_experiments, 0u);
+    }
+  }
+  CampaignOptions uncached = SmallCampaign();
+  uncached.use_artifact_cache = false;
+  const uint64_t before = TableContentFingerprintCalls();
+  RunCampaignOnSuite(suite, TwoFamilies(), uncached);
+  EXPECT_EQ(TableContentFingerprintCalls() - before, 0u);
+}
+
+TEST(FingerprintOnceTest, FamilyRunnersFingerprintEachSuiteTableOncePerCall) {
+  const std::vector<DatasetPair> suite =
+      BuildFabricatedSuite(MakeTpcdiProspect(30, 86), SmallCampaign().suite);
+  const MethodFamily family = JaccardLevenshteinFamily();
+  ArtifactCache cache;
+  FamilyRunContext run;
+  run.artifacts = &cache;
+  auto calls_during = [](const std::function<void()>& call) {
+    const uint64_t before = TableContentFingerprintCalls();
+    call();
+    return TableContentFingerprintCalls() - before;
+  };
+  EXPECT_EQ(calls_during([&] { RunFamilyOnSuite(family, suite, run); }),
+            2 * suite.size());
+  EXPECT_EQ(calls_during([&] { RunFamilyOnPair(family, suite[0], run); }),
+            2u);
+  for (ParallelGranularity granularity :
+       {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
+    EXPECT_EQ(calls_during([&] {
+                RunFamilyOnSuiteParallel(family, suite, 4, run, granularity);
+              }),
+              2 * suite.size())
+        << "granularity " << static_cast<int>(granularity);
+  }
+
+  // Fingerprints the caller passes are used as they are.
+  const std::vector<PairFingerprints> fingerprints =
+      FingerprintSuite(suite, 2);
+  run.fingerprints = &fingerprints;
+  EXPECT_EQ(calls_during([&] { RunFamilyOnSuite(family, suite, run); }), 0u);
+  EXPECT_EQ(calls_during([&] {
+              RunFamilyOnSuiteParallel(family, suite, 4, run,
+                                       ParallelGranularity::kConfig);
+            }),
+            0u);
 }
 
 TEST(CsvDirectoryTest, LoadsAllCsvFiles) {

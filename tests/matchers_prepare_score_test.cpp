@@ -23,6 +23,7 @@
 #include "fabrication/fabricator.h"
 #include "harness/json_export.h"
 #include "harness/param_grid.h"
+#include "harness/runner.h"
 #include "knowledge/ontology.h"
 #include "knowledge/thesaurus.h"
 #include "matchers/artifact_cache.h"
@@ -217,12 +218,13 @@ TEST(ArtifactCacheTest, BuildOnceThenServe) {
   JaccardLevenshteinMatcher matcher;
   ArtifactCache cache;
   MatchContext context;
+  const uint64_t fp = TableContentFingerprint(table);
 
   PreparedTablePtr first =
-      cache.GetOrPrepare(matcher, table, nullptr, context);
+      cache.GetOrPrepare(matcher, table, fp, nullptr, context);
   ASSERT_NE(first, nullptr);
   PreparedTablePtr second =
-      cache.GetOrPrepare(matcher, table, nullptr, context);
+      cache.GetOrPrepare(matcher, table, fp, nullptr, context);
   EXPECT_EQ(first.get(), second.get()) << "second lookup rebuilt";
   EXPECT_EQ(cache.size(), 1u);
 
@@ -242,17 +244,39 @@ TEST(ArtifactCacheTest, ValueKeyingServesTableCopies) {
   ArtifactCache cache;
   MatchContext context;
 
-  PreparedTablePtr a = cache.GetOrPrepare(matcher, original, nullptr, context);
-  PreparedTablePtr b = cache.GetOrPrepare(matcher, copy, nullptr, context);
+  const uint64_t fp = TableContentFingerprint(original);
+  ASSERT_EQ(TableContentFingerprint(copy), fp);
+  PreparedTablePtr a =
+      cache.GetOrPrepare(matcher, original, fp, nullptr, context);
+  PreparedTablePtr b = cache.GetOrPrepare(matcher, copy, fp, nullptr, context);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.size(), 1u);
 
   // Same content, different name: distinct entry.
   Table renamed = original;
   renamed.set_name("renamed");
-  PreparedTablePtr c = cache.GetOrPrepare(matcher, renamed, nullptr, context);
+  PreparedTablePtr c = cache.GetOrPrepare(
+      matcher, renamed, TableContentFingerprint(renamed), nullptr, context);
   ASSERT_NE(c, nullptr);
   EXPECT_NE(c.get(), a.get());
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+// The fingerprint is the caller's: the cache keys on it as given and
+// never hashes a table itself.
+TEST(ArtifactCacheTest, KeysOnTheCallersFingerprint) {
+  Table table = MakeTpcdiProspect(25, 5);
+  JaccardLevenshteinMatcher matcher;
+  ArtifactCache cache;
+  MatchContext context;
+  const uint64_t before = TableContentFingerprintCalls();
+  PreparedTablePtr a = cache.GetOrPrepare(matcher, table, 1, nullptr, context);
+  PreparedTablePtr b = cache.GetOrPrepare(matcher, table, 1, nullptr, context);
+  PreparedTablePtr c = cache.GetOrPrepare(matcher, table, 2, nullptr, context);
+  EXPECT_EQ(TableContentFingerprintCalls(), before);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -267,8 +291,11 @@ TEST(ArtifactCacheTest, PrepareKeyAndFamilySeparateEntries) {
   ArtifactCache cache;
   MatchContext context;
 
-  PreparedTablePtr a = cache.GetOrPrepare(jl_small, table, nullptr, context);
-  PreparedTablePtr b = cache.GetOrPrepare(jl_large, table, nullptr, context);
+  const uint64_t fp = TableContentFingerprint(table);
+  PreparedTablePtr a =
+      cache.GetOrPrepare(jl_small, table, fp, nullptr, context);
+  PreparedTablePtr b =
+      cache.GetOrPrepare(jl_large, table, fp, nullptr, context);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get()) << "different prepare keys shared an entry";
@@ -276,7 +303,7 @@ TEST(ArtifactCacheTest, PrepareKeyAndFamilySeparateEntries) {
 
   // Same table, another family: a third entry under its own stats row.
   SimilarityFloodingMatcher sf;
-  PreparedTablePtr c = cache.GetOrPrepare(sf, table, nullptr, context);
+  PreparedTablePtr c = cache.GetOrPrepare(sf, table, fp, nullptr, context);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(cache.size(), 3u);
   auto stats = cache.StatsSnapshot();
@@ -308,8 +335,9 @@ TEST(ArtifactCacheTest, FailedPrepareReturnsNullAndIsNotCached) {
   ArtifactCache cache;
   MatchContext context;
 
-  EXPECT_EQ(cache.GetOrPrepare(matcher, table, nullptr, context), nullptr);
-  EXPECT_EQ(cache.GetOrPrepare(matcher, table, nullptr, context), nullptr);
+  const uint64_t fp = TableContentFingerprint(table);
+  EXPECT_EQ(cache.GetOrPrepare(matcher, table, fp, nullptr, context), nullptr);
+  EXPECT_EQ(cache.GetOrPrepare(matcher, table, fp, nullptr, context), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   auto stats = cache.StatsSnapshot();
   EXPECT_EQ(stats["FailingPrepare"].misses, 2u);
@@ -326,6 +354,7 @@ TEST(ArtifactCacheTest, ConcurrentGetOrPrepareIsSafeAndDeterministic) {
   const std::string expected = ToJson(matcher.Match(pair.source, pair.target));
 
   ArtifactCache cache;
+  const PairFingerprints fp = FingerprintPair(pair);
   constexpr size_t kThreads = 8;
   std::vector<std::string> jsons(kThreads);
   std::vector<std::thread> threads;
@@ -334,9 +363,9 @@ TEST(ArtifactCacheTest, ConcurrentGetOrPrepareIsSafeAndDeterministic) {
     threads.emplace_back([&, t] {
       MatchContext context;
       PreparedTablePtr ps =
-          cache.GetOrPrepare(matcher, pair.source, nullptr, context);
+          cache.GetOrPrepare(matcher, pair.source, fp.source, nullptr, context);
       PreparedTablePtr pt =
-          cache.GetOrPrepare(matcher, pair.target, nullptr, context);
+          cache.GetOrPrepare(matcher, pair.target, fp.target, nullptr, context);
       if (ps == nullptr || pt == nullptr) return;  // leaves jsons[t] empty
       Result<MatchResult> scored = matcher.Score(*ps, *pt, context);
       if (scored.ok()) jsons[t] = ToJson(*scored);
@@ -380,9 +409,13 @@ TEST(ArtifactCacheTest, SharedCacheKeepsThesauriApart) {
 
   ArtifactCache cache;
   MatchContext context;
+  const uint64_t src_fp = TableContentFingerprint(src);
+  const uint64_t tgt_fp = TableContentFingerprint(tgt);
   for (const ComaMatcher* matcher : {&with_plain, &with_expanding}) {
-    PreparedTablePtr ps = cache.GetOrPrepare(*matcher, src, nullptr, context);
-    PreparedTablePtr pt = cache.GetOrPrepare(*matcher, tgt, nullptr, context);
+    PreparedTablePtr ps =
+        cache.GetOrPrepare(*matcher, src, src_fp, nullptr, context);
+    PreparedTablePtr pt =
+        cache.GetOrPrepare(*matcher, tgt, tgt_fp, nullptr, context);
     ASSERT_NE(ps, nullptr);
     ASSERT_NE(pt, nullptr);
     Result<MatchResult> scored = matcher->Score(*ps, *pt, context);
