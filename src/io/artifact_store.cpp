@@ -14,7 +14,9 @@ namespace valentine {
 namespace {
 
 constexpr char kMagic[4] = {'V', 'D', 'A', '1'};
-constexpr uint32_t kVersion = 1;
+// Version 2 writes a profile's MinHash as a flag when it is its column's
+// sketch; version 1 files are rejected and rebuilt at registration.
+constexpr uint32_t kVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Canonical little-endian writers. Everything multi-byte goes through
@@ -237,9 +239,15 @@ bool ReadSpec(Reader* r, ProfileSpec* spec) {
 /// QuantileHistogram internals (declared friend in their headers):
 /// serializes a profile field-by-field and reconstructs it exactly, so
 /// a loaded profile is indistinguishable from a freshly built one.
+///
+/// A profile's MinHash that equals its column's sketch (one signature,
+/// shared by BuildDiscoveryArtifact whenever the widths agree) is written
+/// as a set flag byte instead of a second copy; the parser copies the
+/// sketch back.
 class DiscoveryArtifactCodec {
  public:
-  static void PutProfile(std::string* out, const ColumnProfile& p) {
+  static void PutProfile(std::string* out, const ColumnProfile& p,
+                         const MinHashSignature* sketch) {
     PutStringVector(out, p.distinct_);
     PutU64(out, p.full_distinct_count_);
     PutStringSet(out, p.distinct_set_);
@@ -247,7 +255,11 @@ class DiscoveryArtifactCodec {
     PutDoubleVector(out, p.histogram_.masses_);
     PutDouble(out, p.histogram_.min_);
     PutDouble(out, p.histogram_.max_);
-    PutSignature(out, p.minhash_);
+    const bool is_sketch = sketch != nullptr &&
+                           p.minhash_.empty_set() == sketch->empty_set() &&
+                           p.minhash_.mins() == sketch->mins();
+    PutBool(out, is_sketch);
+    if (!is_sketch) PutSignature(out, p.minhash_);
     PutU64(out, p.text_profile_.count);
     PutDouble(out, p.text_profile_.mean_length);
     PutDouble(out, p.text_profile_.stddev_length);
@@ -267,7 +279,10 @@ class DiscoveryArtifactCodec {
     PutSpec(out, p.spec_);
   }
 
-  static bool ReadProfile(Reader* r, ColumnProfile* p) {
+  /// Reads one profile; `*is_sketch` reports whether its MinHash was
+  /// copied from `sketch`.
+  static bool ReadProfile(Reader* r, const MinHashSignature& sketch,
+                          ColumnProfile* p, bool* is_sketch) {
     uint64_t full_distinct_count = 0;
     uint64_t text_count = 0;
     uint64_t numeric_count = 0;
@@ -277,8 +292,9 @@ class DiscoveryArtifactCodec {
         !r->ReadDoubleVector(&p->histogram_.centers_) ||
         !r->ReadDoubleVector(&p->histogram_.masses_) ||
         !r->ReadDouble(&p->histogram_.min_) ||
-        !r->ReadDouble(&p->histogram_.max_) ||
-        !ReadSignature(r, &p->minhash_) || !r->ReadU64(&text_count) ||
+        !r->ReadDouble(&p->histogram_.max_) || !r->ReadBool(is_sketch) ||
+        (!*is_sketch && !ReadSignature(r, &p->minhash_)) ||
+        !r->ReadU64(&text_count) ||
         !r->ReadDouble(&p->text_profile_.mean_length) ||
         !r->ReadDouble(&p->text_profile_.stddev_length) ||
         !r->ReadDouble(&p->text_profile_.digit_fraction) ||
@@ -296,6 +312,7 @@ class DiscoveryArtifactCodec {
         !r->ReadStringSet(&p->value_ngrams_) || !ReadSpec(r, &p->spec_)) {
       return false;
     }
+    if (*is_sketch) p->minhash_ = sketch;
     p->full_distinct_count_ = full_distinct_count;
     p->text_profile_.count = text_count;
     p->numeric_stats_.count = numeric_count;
@@ -369,8 +386,10 @@ std::string SerializeDiscoveryArtifact(const TableDiscoveryArtifact& a) {
   if (a.has_profiles) {
     PutSpec(&out, a.profile_spec);
     PutU64(&out, a.profiles.size());
-    for (const ColumnProfile& p : a.profiles) {
-      DiscoveryArtifactCodec::PutProfile(&out, p);
+    for (size_t i = 0; i < a.profiles.size(); ++i) {
+      DiscoveryArtifactCodec::PutProfile(
+          &out, a.profiles[i],
+          i < a.columns.size() ? &a.columns[i].sketch.signature : nullptr);
     }
   }
   return out;
@@ -437,9 +456,17 @@ Result<TableDiscoveryArtifact> ParseDiscoveryArtifact(
     a.profiles.reserve(num_profiles);
     for (uint64_t i = 0; i < num_profiles; ++i) {
       ColumnProfile p;
-      if (!DiscoveryArtifactCodec::ReadProfile(&r, &p)) {
+      bool is_sketch = false;
+      if (!DiscoveryArtifactCodec::ReadProfile(
+              &r, a.columns[i].sketch.signature, &p, &is_sketch)) {
         return Status::ParseError("artifact: truncated profile " +
                                   std::to_string(i));
+      }
+      // The shared signature must have the width the profile's spec
+      // builds; a flag on any other profile is corrupt.
+      if (is_sketch && p.spec().minhash_hashes != a.signature_size) {
+        return Status::ParseError("artifact: profile " + std::to_string(i) +
+                                  " shares a sketch of another width");
       }
       a.profiles.push_back(std::move(p));
     }

@@ -18,9 +18,11 @@
 ///    always serializes to the same bytes, across processes and
 ///    platforms (fixed little-endian encoding; unordered sets are
 ///    canonicalized by sorting). Round-tripping is byte-identical.
-///  * Files are versioned ("VDA1" magic + u32 version); parsing a
-///    truncated, foreign, or future-versioned file yields ParseError,
-///    never garbage.
+///  * Files are versioned ("VDA1" magic + u32 version, now 2); parsing
+///    a truncated, foreign, or other-versioned file yields ParseError,
+///    never garbage, and the table is rebuilt at registration.
+///  * Each column's signature is written once: a profile whose MinHash
+///    is its column's sketch stores a flag byte in its place.
 ///  * Put is atomic at the filesystem level (write temp + rename), so
 ///    a crash mid-write never leaves a half-written artifact behind.
 ///  * The store is thread-safe; its mutex (LockRank::kArtifactStore)
@@ -101,8 +103,10 @@ std::shared_ptr<const TableProfile> TableProfileFromArtifact(
 std::string SerializeDiscoveryArtifact(const TableDiscoveryArtifact& artifact);
 
 /// Inverse of SerializeDiscoveryArtifact. ParseError on bad magic,
-/// unsupported version, truncation, trailing bytes, or a column whose
-/// signature width differs from the header's `signature_size`.
+/// unsupported version, truncation, trailing bytes, a column whose
+/// signature width differs from the header's `signature_size`, or a
+/// profile flagged as sharing its column's sketch whose spec builds
+/// another width.
 Result<TableDiscoveryArtifact> ParseDiscoveryArtifact(
     const std::string& bytes);
 

@@ -50,14 +50,41 @@ std::string MixedWidthBytes(const Table& t) {
   return SerializeDiscoveryArtifact(artifact);
 }
 
-/// Writes MixedWidthBytes(t) where a store keeps t's artifact.
-void PlantMixedWidthFile(const std::string& dir, const Table& t) {
+/// Writes `bytes` where a store keeps t's artifact.
+void PlantFile(const std::string& dir, const Table& t,
+               const std::string& bytes) {
   ArtifactStore store(dir);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(TableContentFingerprint(t)));
   std::ofstream out(dir + "/" + hex + ".vda", std::ios::binary);
-  out << MixedWidthBytes(t);
+  out << bytes;
+}
+
+void PlantMixedWidthFile(const std::string& dir, const Table& t) {
+  PlantFile(dir, t, MixedWidthBytes(t));
+}
+
+/// t's artifact as a version 1 file would label it.
+std::string VersionOneBytes(const Table& t) {
+  std::string bytes =
+      SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128, true));
+  bytes[4] = '\x01';
+  return bytes;
+}
+
+/// A signature as the codec writes it after a profile's unset sketch
+/// flag: empty-set byte, u64 width, then every min, little-endian.
+std::string SignatureBytes(const MinHashSignature& sig) {
+  std::string out(1, sig.empty_set() ? '\x01' : '\x00');
+  auto put_u64 = [&](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put_u64(sig.size());
+  for (uint64_t m : sig.mins()) put_u64(m);
+  return out;
 }
 
 TEST(ArtifactCodecTest, RoundTripIsByteIdentical) {
@@ -79,6 +106,56 @@ TEST(ArtifactCodecTest, RoundTripIsByteIdentical) {
   EXPECT_EQ(parsed->columns[0].name, t.column(0).name());
   EXPECT_TRUE(parsed->has_profiles);
   ASSERT_EQ(parsed->profiles.size(), t.num_columns());
+}
+
+// Each column's signature is written once: a profile whose MinHash is
+// the column's sketch stores a flag byte instead of its 1,033 bytes,
+// and parsing copies the sketch back. Under every spec, shared or not,
+// the round trip is byte-identical and every profile keeps its MinHash.
+TEST(ArtifactCodecTest, WritesEachColumnSignatureOnce) {
+  Table t = MakeTpcdiProspect(80, 31);
+  ProfileSpec below_cap;
+  below_cap.set_cap = 5;
+  ProfileSpec narrow;
+  narrow.minhash_hashes = 64;
+  for (const ProfileSpec& spec : {ProfileSpec{}, below_cap, narrow}) {
+    const TableDiscoveryArtifact artifact =
+        BuildDiscoveryArtifact(t, 128, true, spec);
+    const std::string bytes = SerializeDiscoveryArtifact(artifact);
+    Result<TableDiscoveryArtifact> parsed = ParseDiscoveryArtifact(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    EXPECT_EQ(SerializeDiscoveryArtifact(*parsed), bytes);
+    for (size_t i = 0; i < t.num_columns(); ++i) {
+      EXPECT_EQ(parsed->profiles[i].minhash().mins(),
+                artifact.profiles[i].minhash().mins())
+          << "minhash_hashes=" << spec.minhash_hashes << " column " << i;
+      EXPECT_EQ(parsed->profiles[i].minhash().empty_set(),
+                artifact.profiles[i].minhash().empty_set());
+    }
+  }
+
+  // Sketches of other value sets at the same width: no profile shares
+  // one, so every profile writes its own signature after the flag,
+  // 1 + 8 + 128 * 8 more bytes each.
+  const TableDiscoveryArtifact shared = BuildDiscoveryArtifact(t, 128, true);
+  TableDiscoveryArtifact unshared = shared;
+  for (size_t i = 0; i < t.num_columns(); ++i) {
+    const Column& other = t.column((i + 1) % t.num_columns());
+    unshared.columns[i].sketch =
+        LazoSketch::Build(other.DistinctStringSet(), 128);
+    unshared.columns[i].sketch.cardinality =
+        shared.columns[i].sketch.cardinality;
+    ASSERT_NE(unshared.columns[i].sketch.signature.mins(),
+              shared.profiles[i].minhash().mins());
+  }
+  EXPECT_EQ(SerializeDiscoveryArtifact(unshared).size() -
+                SerializeDiscoveryArtifact(shared).size(),
+            t.num_columns() * size_t{1033});
+  Result<TableDiscoveryArtifact> reparsed =
+      ParseDiscoveryArtifact(SerializeDiscoveryArtifact(unshared));
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(reparsed->profiles[0].minhash().mins(),
+            shared.profiles[0].minhash().mins());
 }
 
 TEST(ArtifactCodecTest, SerializationIsDeterministicAcrossBuilds) {
@@ -174,6 +251,31 @@ TEST(ArtifactCodecTest, RejectsCorruptBytes) {
   // A column whose signature width differs from the header's.
   EXPECT_EQ(ParseDiscoveryArtifact(MixedWidthBytes(t)).status().code(),
             StatusCode::kParseError);
+  // A version 1 file, which wrote every signature twice.
+  Result<TableDiscoveryArtifact> v1 =
+      ParseDiscoveryArtifact(VersionOneBytes(t));
+  EXPECT_EQ(v1.status().code(), StatusCode::kParseError);
+  EXPECT_NE(v1.status().message().find("unsupported version 1"),
+            std::string::npos);
+
+  // A set sketch flag on a profile whose spec builds another width: the
+  // first profile of a 64-slot spec under 128-slot sketches, its unset
+  // flag and own signature replaced by a set flag.
+  ProfileSpec narrow;
+  narrow.minhash_hashes = 64;
+  const TableDiscoveryArtifact artifact =
+      BuildDiscoveryArtifact(t, 128, true, narrow);
+  std::string flagged = SerializeDiscoveryArtifact(artifact);
+  const std::string own =
+      std::string(1, '\x00') + SignatureBytes(artifact.profiles[0].minhash());
+  const size_t at = flagged.find(own);
+  ASSERT_NE(at, std::string::npos);
+  flagged.replace(at, own.size(), std::string(1, '\x01'));
+  Result<TableDiscoveryArtifact> wrong_width = ParseDiscoveryArtifact(flagged);
+  EXPECT_EQ(wrong_width.status().code(), StatusCode::kParseError);
+  EXPECT_NE(wrong_width.status().message().find("another width"),
+            std::string::npos)
+      << wrong_width.status().message();
 }
 
 TEST(ArtifactStoreTest, PutGetRemoveRoundTrip) {
@@ -353,6 +455,29 @@ TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByEngine) {
   for (const ColumnDiscoveryArtifact& c : (*rewritten)->columns) {
     EXPECT_EQ(c.sketch.signature.size(), 128u);
   }
+}
+
+// A version 1 file is not served: registration rebuilds it and writes
+// the current version in its place.
+TEST(ArtifactStoreTest, VersionOneFileIsRebuiltByEngine) {
+  std::string dir = FreshDir("version_one");
+  Table t = SmallTable("v1_t", 7);
+  PlantFile(dir, t, VersionOneBytes(t));
+  ArtifactStore store(dir);
+  MetricsRegistry metrics;
+  DiscoveryOptions opt;
+  opt.store = &store;
+  opt.metrics = &metrics;
+  DiscoveryEngine engine(std::move(opt));
+  ASSERT_TRUE(engine.AddTable(t).ok());
+  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                 {{"event", "build"}}),
+            1u);
+  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                 {{"event", "hit"}}),
+            0u);
+  ArtifactStore reopened(dir);
+  EXPECT_TRUE(reopened.Get(TableContentFingerprint(t)).ok());
 }
 
 TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByService) {
