@@ -26,8 +26,9 @@
 // kernel's inputs go through the kernel once and the results are
 // checked against a reference (banded == full Levenshtein, packed ==
 // string trigrams, MinHash == the serial per-seed hash family, per-Add
-// LSH segments == one segment, ...); where op counters are compiled
-// in, two runs of each workload must also count the same nonzero ops.
+// LSH segments == one segment, key-sorted rankings == the comparator
+// sort over Match records, ...); where op counters are compiled in, two
+// runs of each workload must also count the same nonzero ops.
 //
 // Usage: bench_kernels [--out PATH] [--repeats N] [--pessimize]
 //        bench_kernels --smoke
@@ -54,6 +55,7 @@
 #include "fabrication/fabricator.h"
 #include "matchers/coma.h"
 #include "matchers/jaccard_levenshtein.h"
+#include "matchers/match_result.h"
 #include "obs/export.h"
 #include "obs/opcount.h"
 #include "serve/json.h"
@@ -175,6 +177,36 @@ MatchResult JlScore(LevenshteinKernel kernel) {
   Result<MatchResult> scored = matcher.Score(**src, **tgt, context);
   if (!scored.ok()) std::abort();
   return std::move(scored).ValueOrDie();
+}
+
+/// A Cupid-shaped ranking input: a 28-column source and a 29-column
+/// target (the width of the campaign's widest pairs, names repeating
+/// only across the two tables) and one cell per pair, scored from six
+/// values as Cupid's weighted type/name blend is, so ties are common.
+struct RankInput {
+  Table source;
+  Table target;
+  std::vector<ScoredCell> cells;
+};
+
+const RankInput& FixedRankInput() {
+  static const RankInput kInput = [] {
+    const std::vector<std::string> words = MakeWords(40, 81);
+    std::vector<std::string> source_names(words.begin(), words.begin() + 28);
+    std::vector<std::string> target_names(words.begin() + 11, words.end());
+    RankInput input{NameTable("prospect_source", source_names),
+                    NameTable("prospect_target", target_names),
+                    {}};
+    const double kScores[] = {0.0, 0.16, 0.2, 0.36, 0.52, 1.0};
+    Rng rng(82);
+    for (size_t i = 0; i < source_names.size(); ++i) {
+      for (size_t j = 0; j < target_names.size(); ++j) {
+        input.cells.emplace_back(i, j, kScores[rng.Index(6)]);
+      }
+    }
+    return input;
+  }();
+  return kInput;
 }
 
 /// MinHash as first defined, one FNV-1a chain per seed: the reference
@@ -480,6 +512,44 @@ std::vector<Kernel> MakeKernels() {
         if (got.tables != want.tables || got.fallback != want.fallback) {
           return "per-Add segments != one segment nominations for " +
                  query.name() + " " + DiscoveryModeName(mode);
+        }
+      }
+    }
+    return std::string();
+  }});
+
+  // The ordering core every single-pair matcher ranks through: name
+  // ranks for both tables, then one key sort over the cells.
+  kernels.push_back({"match_rank", [] {
+    const RankInput& input = FixedRankInput();
+    MatchResult ranked =
+        MatchResult::Ranked(input.source, input.target, input.cells);
+    if (ranked.size() != input.cells.size()) std::abort();
+  }, [] {
+    const RankInput& input = FixedRankInput();
+    const MatchResult ranked =
+        MatchResult::Ranked(input.source, input.target, input.cells);
+    std::vector<Match> want;
+    MatchResult merged;
+    for (const ScoredCell& c : input.cells) {
+      want.push_back(
+          {{input.source.name(), input.source.column(c.source).name()},
+           {input.target.name(), input.target.column(c.target).name()},
+           c.score});
+      merged.Add(want.back());
+    }
+    std::sort(want.begin(), want.end(), [](const Match& a, const Match& b) {
+      if (a.score != b.score) return a.score > b.score;
+      if (!(a.source == b.source)) return a.source < b.source;
+      return a.target < b.target;
+    });
+    merged.Sort();
+    const MatchResult* const results[] = {&ranked, &merged};
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (const MatchResult* got : results) {
+        if (!(*got)[i].SamePair(want[i]) || (*got)[i].score != want[i].score) {
+          return "key-sorted != comparator-sorted at rank " +
+                 std::to_string(i);
         }
       }
     }
