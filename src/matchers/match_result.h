@@ -36,15 +36,14 @@ struct Match {
 /// source and a target column, as indices into their tables, and the
 /// score of the pair.
 struct ScoredCell {
-  ScoredCell() = default;
   ScoredCell(size_t source_column, size_t target_column, double cell_score)
       : score(cell_score),
         source(static_cast<uint32_t>(source_column)),
         target(static_cast<uint32_t>(target_column)) {}
 
-  double score = 0.0;
-  uint32_t source = 0;
-  uint32_t target = 0;
+  double score;
+  uint32_t source;
+  uint32_t target;
 };
 
 /// \brief A ranked list of matches (highest score first after Sort()).
