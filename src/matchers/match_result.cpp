@@ -29,8 +29,8 @@ void DenseRanks(size_t n, Less less, std::vector<uint32_t>* rank,
 
 /// The one ranking comparator, over cells whose source and target are
 /// ref ranks: score descending, then source, then target. Cells it
-/// cannot order carry equal refs and equal scores, so their matches are
-/// the same bytes in either order.
+/// cannot order carry equal refs and scores equal under ==, which the
+/// comparator sort over Match records could not order either.
 void SortRankedCells(std::vector<ScoredCell>* cells) {
   std::sort(cells->begin(), cells->end(),
             [](const ScoredCell& a, const ScoredCell& b) {
