@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <functional>
 #include <thread>
 
@@ -60,13 +61,8 @@ std::vector<FamilyPairOutcome> RunPairGranularity(
     size_t num_threads, const FamilyRunContext& run) {
   std::vector<FamilyPairOutcome> outcomes(suite.size());
   ParallelFor(suite.size(), num_threads, [&](size_t i) {
-    std::vector<ExperimentResult> results;
-    results.reserve(family.grid.size());
-    for (size_t c = 0; c < family.grid.size(); ++c) {
-      results.push_back(RunConfigOnPair(family, c, suite[i],
-                                        PairFingerprintsOf(run, i), run));
-    }
-    outcomes[i] = ReducePairOutcome(family, suite[i], results);
+    outcomes[i] =
+        RunFamilyOnPair(family, suite[i], PairFingerprintsOf(run, i), run);
   });
   return outcomes;
 }
@@ -122,11 +118,12 @@ std::vector<FamilyPairOutcome> RunFamilyOnSuiteParallel(
   std::vector<PairFingerprints> fingerprints;
   if (run.artifacts == nullptr) {
     shared.fingerprints = nullptr;
-  } else if (run.fingerprints == nullptr ||
-             run.fingerprints->size() != suite.size()) {
+  } else if (run.fingerprints == nullptr) {
     fingerprints = FingerprintSuite(suite, num_threads);
     shared.fingerprints = &fingerprints;
   }
+  assert(shared.fingerprints == nullptr ||
+         shared.fingerprints->size() == suite.size());
   return granularity == ParallelGranularity::kConfig
              ? RunConfigGranularity(family, suite, num_threads, shared)
              : RunPairGranularity(family, suite, num_threads, shared);

@@ -1,6 +1,7 @@
 #include "harness/runner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -195,24 +196,6 @@ ExperimentResult RunExperimentWithPolicy(const ColumnMatcher& matcher,
   return result;
 }
 
-/// Every configuration of the family on the pair, folded in grid order.
-FamilyPairOutcome RunGridOnPair(const MethodFamily& family,
-                                const DatasetPair& pair,
-                                const PairFingerprints* fingerprints,
-                                const FamilyRunContext& run) {
-  PairFingerprints own;
-  if (run.artifacts != nullptr && fingerprints == nullptr) {
-    own = FingerprintPair(pair);
-    fingerprints = &own;
-  }
-  std::vector<ExperimentResult> results;
-  results.reserve(family.grid.size());
-  for (size_t c = 0; c < family.grid.size(); ++c) {
-    results.push_back(RunConfigOnPair(family, c, pair, fingerprints, run));
-  }
-  return ReducePairOutcome(family, pair, results);
-}
-
 ExperimentResult ReplayJournalEntry(const JournalEntry& entry,
                                     const ColumnMatcher& matcher,
                                     const DatasetPair& pair) {
@@ -280,8 +263,7 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
   // path so the failure is reported per-configuration as before.
   PreparedTablePtr prepared_source, prepared_target;
   if (run.artifacts != nullptr) {
-    const PairFingerprints fp =
-        fingerprints != nullptr ? *fingerprints : FingerprintPair(pair);
+    assert(fingerprints != nullptr);
     MatchContext prepare_context;
     prepare_context.cancel = run.policy.cancel;
     prepare_context.trace_id = key + "#prepare";
@@ -289,10 +271,12 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
     prepare_context.tracer = run.tracer;
     prepare_context.parent_span = experiment_span.id();
     prepared_source =
-        run.artifacts->GetOrPrepare(*cm.matcher, pair.source, fp.source,
+        run.artifacts->GetOrPrepare(*cm.matcher, pair.source,
+                                    fingerprints->source,
                                     /*profile=*/nullptr, prepare_context);
     prepared_target =
-        run.artifacts->GetOrPrepare(*cm.matcher, pair.target, fp.target,
+        run.artifacts->GetOrPrepare(*cm.matcher, pair.target,
+                                    fingerprints->target,
                                     /*profile=*/nullptr, prepare_context);
   }
   ExperimentResult r = RunExperimentWithPolicy(
@@ -348,7 +332,23 @@ FamilyPairOutcome ReducePairOutcome(
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair,
                                   const FamilyRunContext& run) {
-  return RunGridOnPair(family, pair, nullptr, run);
+  if (run.artifacts == nullptr) {
+    return RunFamilyOnPair(family, pair, nullptr, run);
+  }
+  const PairFingerprints fingerprints = FingerprintPair(pair);
+  return RunFamilyOnPair(family, pair, &fingerprints, run);
+}
+
+FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
+                                  const DatasetPair& pair,
+                                  const PairFingerprints* fingerprints,
+                                  const FamilyRunContext& run) {
+  std::vector<ExperimentResult> results;
+  results.reserve(family.grid.size());
+  for (size_t c = 0; c < family.grid.size(); ++c) {
+    results.push_back(RunConfigOnPair(family, c, pair, fingerprints, run));
+  }
+  return ReducePairOutcome(family, pair, results);
 }
 
 std::vector<FamilyPairOutcome> RunFamilyOnSuite(
@@ -359,15 +359,17 @@ std::vector<FamilyPairOutcome> RunFamilyOnSuite(
 std::vector<FamilyPairOutcome> RunFamilyOnSuite(
     const MethodFamily& family, const std::vector<DatasetPair>& suite,
     const FamilyRunContext& run) {
-  // Without the caller's fingerprints, each pair is fingerprinted once,
-  // before its grid runs.
-  const bool shared = run.fingerprints != nullptr &&
-                      run.fingerprints->size() == suite.size();
+  assert(run.fingerprints == nullptr ||
+         run.fingerprints->size() == suite.size());
   std::vector<FamilyPairOutcome> outcomes;
   outcomes.reserve(suite.size());
   for (size_t i = 0; i < suite.size(); ++i) {
-    outcomes.push_back(RunGridOnPair(
-        family, suite[i], shared ? &(*run.fingerprints)[i] : nullptr, run));
+    // Without the caller's fingerprints, each pair is fingerprinted once,
+    // before its grid runs.
+    outcomes.push_back(
+        run.fingerprints != nullptr
+            ? RunFamilyOnPair(family, suite[i], &(*run.fingerprints)[i], run)
+            : RunFamilyOnPair(family, suite[i], run));
   }
   return outcomes;
 }

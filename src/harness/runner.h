@@ -123,12 +123,12 @@ struct FamilyRunContext {
   /// inline otherwise. A failed Prepare falls back to the monolithic
   /// path so the failure surfaces through the same status taxonomy.
   ArtifactCache* artifacts = nullptr;
-  /// The suite's fingerprints in suite order, read only when `artifacts`
-  /// is set. RunCampaignOnSuite fingerprints its suite once and shares
-  /// the vector across families; a RunFamilyOnSuite* call given none (or
-  /// one of another length) fingerprints its suite itself, once. Either
-  /// way a suite of P pairs costs 2P fingerprints per call, however wide
-  /// the grid and whatever the granularity.
+  /// The suite's fingerprints, one per pair in suite order, read only
+  /// when `artifacts` is set. RunCampaignOnSuite fingerprints its suite
+  /// once and shares the vector across families; a RunFamilyOnSuite*
+  /// call given none fingerprints its suite itself, once. Either way a
+  /// suite of P pairs costs 2P fingerprints per call, however wide the
+  /// grid and whatever the granularity.
   const std::vector<PairFingerprints>* fingerprints = nullptr;
   /// Observability (obs/): all optional, all borrowed. `clock` is the
   /// timing source for runtime measurements (nullptr = steady clock);
@@ -149,8 +149,8 @@ struct FamilyRunContext {
 /// else executes under the policy and is appended to the journal. This
 /// is the parallel unit of ParallelGranularity::kConfig; it is safe to
 /// call concurrently for distinct (pair, config) work items.
-/// `fingerprints` are the pair's, for the artifact cache; nullptr
-/// fingerprints the pair here. Read only when `run.artifacts` is set.
+/// `fingerprints` are the pair's, for the artifact cache: required when
+/// `run.artifacts` is set, unread otherwise.
 ExperimentResult RunConfigOnPair(const MethodFamily& family,
                                  size_t config_index, const DatasetPair& pair,
                                  const PairFingerprints* fingerprints,
@@ -165,17 +165,25 @@ FamilyPairOutcome ReducePairOutcome(const MethodFamily& family,
                                     const std::vector<ExperimentResult>& results);
 
 /// Runs every configuration of the family on the pair; keeps the best
-/// recall and accumulates runtime. With an artifact cache, the pair is
-/// fingerprinted once for the whole grid.
+/// recall and accumulates runtime.
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair);
 
 /// Fault-tolerant variant: applies the policy's deadline/retry budget
 /// per configuration, replays journaled results, and records failures
 /// in the outcome's taxonomy instead of aborting. Failed configurations
-/// never update best_recall/best_config.
+/// never update best_recall/best_config. With an artifact cache, the
+/// pair is fingerprinted once for the whole grid.
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair,
+                                  const FamilyRunContext& run);
+
+/// The same grid run on fingerprints from the caller (see
+/// RunConfigOnPair): every configuration in grid order, folded by
+/// ReducePairOutcome. The unit of ParallelGranularity::kPair.
+FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
+                                  const DatasetPair& pair,
+                                  const PairFingerprints* fingerprints,
                                   const FamilyRunContext& run);
 
 /// Runs the family over a whole suite.
