@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "obs/opcount.h"
 
@@ -27,19 +30,54 @@ void DenseRanks(size_t n, Less less, std::vector<uint32_t>* rank,
   opcount::Add(opcount::Op::kRankRefs, n);
 }
 
+/// A column ref as a hashable key.
+using RefKey = std::pair<std::string_view, std::string_view>;
+
+struct RefKeyHash {
+  size_t operator()(const RefKey& ref) const {
+    const size_t table = std::hash<std::string_view>()(ref.first);
+    return table ^ (std::hash<std::string_view>()(ref.second) +
+                    0x9e3779b97f4a7c15ULL + (table << 6) + (table >> 2));
+  }
+};
+
+/// Dense ranks, in ColumnRef order, of the refs `ref_of(i)`, i < n. A
+/// merged result repeats each ref across many matches, so the distinct
+/// refs are found by hashing and only they are sorted.
+template <typename RefOf>
+void RefRanks(size_t n, RefOf ref_of, std::vector<uint32_t>* rank) {
+  std::unordered_map<RefKey, uint32_t, RefKeyHash> ids;
+  ids.reserve(n);
+  std::vector<uint32_t> distinct;  // by id: the first i holding that ref
+  rank->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const ColumnRef& ref = ref_of(i);
+    const auto [it, inserted] = ids.try_emplace(
+        RefKey(ref.table, ref.column), static_cast<uint32_t>(distinct.size()));
+    if (inserted) distinct.push_back(static_cast<uint32_t>(i));
+    (*rank)[i] = it->second;
+  }
+  std::vector<uint32_t> rank_of_id, first;
+  DenseRanks(
+      distinct.size(),
+      [&](uint32_t a, uint32_t b) {
+        return ref_of(distinct[a]) < ref_of(distinct[b]);
+      },
+      &rank_of_id, &first);
+  for (uint32_t& r : *rank) r = rank_of_id[r];
+}
+
 /// The one ranking comparator, over cells whose source and target are
 /// ref ranks: score descending, then source, then target. Cells it
 /// cannot order carry equal refs and scores equal under ==, which the
 /// comparator sort over Match records could not order either.
-void SortRankedCells(std::vector<ScoredCell>* cells) {
-  std::sort(cells->begin(), cells->end(),
-            [](const ScoredCell& a, const ScoredCell& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.source != b.source) return a.source < b.source;
-              return a.target < b.target;
-            });
-  opcount::Add(opcount::Op::kRankCells, cells->size());
-}
+struct RanksBefore {
+  bool operator()(const ScoredCell& a, const ScoredCell& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    if (a.source != b.source) return a.source < b.source;
+    return a.target < b.target;
+  }
+};
 
 }  // namespace
 
@@ -63,7 +101,8 @@ MatchResult MatchResult::Ranked(const Table& source, const Table& target,
     cell.source = source_rank[cell.source];
     cell.target = target_rank[cell.target];
   }
-  SortRankedCells(&cells);
+  std::sort(cells.begin(), cells.end(), RanksBefore());
+  opcount::Add(opcount::Op::kRankCells, cells.size());
 
   MatchResult result;
   result.matches_.reserve(cells.size());
@@ -78,32 +117,30 @@ MatchResult MatchResult::Ranked(const Table& source, const Table& target,
 
 void MatchResult::Sort() {
   const size_t n = matches_.size();
-  std::vector<uint32_t> source_rank, source_first, target_rank, target_first;
-  DenseRanks(
-      n,
-      [&](uint32_t a, uint32_t b) {
-        return matches_[a].source < matches_[b].source;
-      },
-      &source_rank, &source_first);
-  DenseRanks(
-      n,
-      [&](uint32_t a, uint32_t b) {
-        return matches_[a].target < matches_[b].target;
-      },
-      &target_rank, &target_first);
+  std::vector<uint32_t> source_rank, target_rank;
+  RefRanks(
+      n, [&](size_t i) -> const ColumnRef& { return matches_[i].source; },
+      &source_rank);
+  RefRanks(
+      n, [&](size_t i) -> const ColumnRef& { return matches_[i].target; },
+      &target_rank);
   std::vector<ScoredCell> cells;
   cells.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     cells.emplace_back(source_rank[i], target_rank[i], matches_[i].score);
   }
-  SortRankedCells(&cells);
+  // Sort match indices on their cells' keys, then move each record to
+  // its rank once.
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return RanksBefore()(cells[a], cells[b]);
+  });
+  opcount::Add(opcount::Op::kRankCells, n);
 
   std::vector<Match> sorted;
   sorted.reserve(n);
-  for (const ScoredCell& cell : cells) {
-    sorted.push_back({matches_[source_first[cell.source]].source,
-                      matches_[target_first[cell.target]].target, cell.score});
-  }
+  for (uint32_t i : order) sorted.push_back(std::move(matches_[i]));
   matches_.swap(sorted);
 }
 

@@ -72,8 +72,9 @@ class MatchResult {
 
   /// Sorts by descending score; ties broken lexicographically on the
   /// column refs so rankings are fully deterministic. For results merged
-  /// from several sources: the refs are ranked and the matches ordered
-  /// by the same key sort as Ranked().
+  /// from several sources: the distinct refs are found by hashing and
+  /// ranked, the match indices sorted on the same keys as Ranked()'s
+  /// cells, and each record moved to its rank once.
   void Sort();
 
   /// The first k matches after sorting (fewer if the list is shorter).

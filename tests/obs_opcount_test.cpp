@@ -129,6 +129,21 @@ TEST(OpCount, RankingCountsRefsOnceAndCellsOnce) {
   d = Delta(before);
   EXPECT_EQ(d.value(opcount::Op::kRankRefs), 4u);
   EXPECT_EQ(d.value(opcount::Op::kRankCells), 2u);
+
+  // Sort() ranks each distinct ref once: two source refs and three
+  // target refs across four matches.
+  MatchResult merged;
+  merged.Add({"s", "a"}, {"t", "x"}, 0.5);
+  merged.Add({"s", "a"}, {"t", "y"}, 0.7);
+  merged.Add({"s", "b"}, {"t", "x"}, 0.5);
+  merged.Add({"s", "b"}, {"t", "z"}, 0.1);
+  before = opcount::ThreadSnapshot();
+  merged.Sort();
+  d = Delta(before);
+  EXPECT_EQ(d.value(opcount::Op::kRankRefs), 5u);
+  EXPECT_EQ(d.value(opcount::Op::kRankCells), 4u);
+  EXPECT_EQ(merged[0].target.column, "y");
+  EXPECT_EQ(merged[3].target.column, "z");
 }
 
 TEST(OpCount, BitParallelLevenshteinCountsTextBytes) {
