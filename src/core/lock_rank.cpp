@@ -73,8 +73,6 @@ const char* LockRankName(LockRank rank) {
       return "kArtifactCache";
     case LockRank::kPreparedSlot:
       return "kPreparedSlot";
-    case LockRank::kCupidMemo:
-      return "kCupidMemo";
     case LockRank::kMetrics:
       return "kMetrics";
     case LockRank::kTracer:

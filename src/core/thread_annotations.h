@@ -5,8 +5,8 @@
 /// Clang thread-safety (capability) analysis macros.
 ///
 /// The locking discipline of the shared-state subsystems (ArtifactCache,
-/// MetricsRegistry, Tracer, OutcomeJournal, Cupid's memo cache,
-/// fault-injection counters) used to be enforced only dynamically
+/// MetricsRegistry, Tracer, OutcomeJournal, fault-injection counters)
+/// used to be enforced only dynamically
 /// — TSan runs and race-stress soaks. These macros make it a
 /// compile-time proof: every mutex-guarded member is declared
 /// GUARDED_BY its mutex, every locking function declares what it

@@ -137,10 +137,8 @@ class DiscoveryEngine {
       LshCandidateIndex index);
 
   /// Registers a table. Fails on duplicate table names, empty tables,
-  /// duplicate column names within the table, and names (table or
-  /// column) containing the reserved separator '\x1f' — Cupid's memo
-  /// key joins two names with it, so such a name could make two name
-  /// pairs share one memo entry under a Cupid reranker.
+  /// and duplicate column names within the table; any other name is
+  /// accepted, control characters included.
   /// With a store attached, sketches/profiles are loaded by content
   /// fingerprint when possible and persisted when built fresh. The
   /// index bands the table into a new segment and merges, as the

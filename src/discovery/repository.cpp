@@ -12,11 +12,6 @@ namespace valentine {
 
 namespace {
 
-/// Reserved in table and column names: Cupid's memo key joins two names
-/// with it (matchers/cupid.cpp), so a name holding it could make two
-/// name pairs share one memo entry under a Cupid reranker.
-constexpr char kKeySeparator = '\x1f';
-
 /// Source of RegisteredTable::registration, shared by every repository
 /// in the process so that no two entries ever carry the same number.
 std::atomic<uint64_t> next_registration{1};
@@ -70,21 +65,12 @@ Status TableRepository::Validate(const Table& table) const {
     return Status::InvalidArgument("table '" + table.name() +
                                    "' has no columns");
   }
-  if (table.name().find(kKeySeparator) != std::string::npos) {
-    return Status::InvalidArgument(
-        "table name contains reserved separator \\x1f");
-  }
   if (index_by_name_.count(table.name()) != 0) {
     return Status::InvalidArgument("duplicate table name '" + table.name() +
                                    "'");
   }
   std::set<std::string> seen_columns;
   for (const Column& c : table.columns()) {
-    if (c.name().find(kKeySeparator) != std::string::npos) {
-      return Status::InvalidArgument(
-          "column name contains reserved separator \\x1f (table '" +
-          table.name() + "')");
-    }
     if (!seen_columns.insert(c.name()).second) {
       return Status::InvalidArgument("duplicate column name '" + c.name() +
                                      "' in table '" + table.name() + "'");

@@ -126,7 +126,7 @@ class TableRepository {
   TableRepository& operator=(TableRepository&&) = default;
 
   /// Registers a table: validates (duplicate table name, empty table,
-  /// duplicate column names, reserved '\x1f' separator in any name),
+  /// duplicate column names),
   /// resolves or builds its artifact, derives enrichment metadata, and
   /// appends the entry. Returns the new immutable entry.
   Result<std::shared_ptr<const RegisteredTable>> AddTable(Table table);

@@ -57,7 +57,7 @@ Result<MatchResult> ExactReranker::ScoreCandidate(
       score_span.Attr("path", "prepared");
       Result<MatchResult> scored =
           matcher_->Score(*prepared_query, *prepared_candidate,
-                          ObsContext(rctx, score_span.id()));
+                          /*pair=*/nullptr, ObsContext(rctx, score_span.id()));
       if (scored.ok()) return scored;
       // The request's budget/cancellation aborts the whole query; any
       // other error (only possible via an injected decorator) degrades

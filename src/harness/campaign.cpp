@@ -63,9 +63,9 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
     run.journal = &*journal;
   }
   // One artifact cache for the whole campaign: each (table, family,
-  // prepare-key) artifact is built once; configurations that only sweep
-  // score-stage parameters share it. Scoped to this call — artifacts
-  // borrow the suite's tables.
+  // prepare-key) artifact and each pair's pair artifact is built once;
+  // configurations that only sweep score-stage parameters share them.
+  // Scoped to this call — artifacts borrow the suite's tables.
   std::optional<ArtifactCache> artifacts;
   std::vector<PairFingerprints> fingerprints;
   if (options.use_artifact_cache) {

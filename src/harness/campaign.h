@@ -37,10 +37,10 @@ struct CampaignOptions {
   /// grids saturate the cores. Either value yields byte-identical
   /// reports.
   ParallelGranularity granularity = ParallelGranularity::kConfig;
-  /// Share one prepared-table ArtifactCache — the campaign's only
-  /// cache — across every family and configuration of the campaign:
-  /// each (table, family, prepare-key) artifact is built once and all
-  /// configurations sharing the key score against it. Reports are
+  /// Share one ArtifactCache — the campaign's only cache — across every
+  /// family and configuration of the campaign: each (table, family,
+  /// prepare-key) artifact and each pair's pair artifact is built once
+  /// and all configurations sharing the key score against them. Reports are
   /// byte-identical either way (modulo wall-clock runtime fields and the
   /// cache-stats diagnostics).
   bool use_artifact_cache = true;

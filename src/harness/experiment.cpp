@@ -16,7 +16,8 @@ ExperimentResult RunExperiment(const ColumnMatcher& matcher,
                                const std::string& config,
                                const DatasetPair& pair,
                                const MatchContext& context) {
-  return RunExperiment(matcher, config, pair, context, nullptr, nullptr);
+  return RunExperiment(matcher, config, pair, context, nullptr, nullptr,
+                       nullptr);
 }
 
 ExperimentResult RunExperiment(const ColumnMatcher& matcher,
@@ -24,7 +25,8 @@ ExperimentResult RunExperiment(const ColumnMatcher& matcher,
                                const DatasetPair& pair,
                                const MatchContext& context,
                                const PreparedTable* prepared_source,
-                               const PreparedTable* prepared_target) {
+                               const PreparedTable* prepared_target,
+                               const PreparedPair* prepared_pair) {
   ExperimentResult result;
   result.pair_id = pair.id;
   result.scenario = pair.scenario;
@@ -46,7 +48,8 @@ ExperimentResult RunExperiment(const ColumnMatcher& matcher,
   const Clock& clock = ClockOrSteady(context.clock);
   int64_t start_ns = clock.NowNanos();
   Result<MatchResult> matches =
-      prepared ? matcher.Score(*prepared_source, *prepared_target, inner)
+      prepared ? matcher.Score(*prepared_source, *prepared_target,
+                               prepared_pair, inner)
                : matcher.Match(pair.source, pair.target, inner);
   int64_t end_ns = clock.NowNanos();
   result.runtime_ms = ElapsedMs(start_ns, end_ns);

@@ -45,18 +45,19 @@ ExperimentResult RunExperiment(const ColumnMatcher& matcher,
                                const DatasetPair& pair,
                                const MatchContext& context);
 
-/// Prepared-artifact variant: when both artifacts are non-null the
-/// matcher's Score stage runs against them (the harness's artifact-cache
-/// fast path); when either is null this degrades to the monolithic
-/// overload above. Results are byte-identical either way — only
-/// runtime_ms (which no longer includes prepare work on the fast path)
-/// may differ.
+/// Prepared-artifact variant: when both table artifacts are non-null
+/// the matcher's Score stage runs against them and the nullable pair
+/// artifact (the harness's artifact-cache fast path); when either table
+/// artifact is null this degrades to the monolithic overload above.
+/// Results are byte-identical either way — only runtime_ms (which no
+/// longer includes prepare work on the fast path) may differ.
 ExperimentResult RunExperiment(const ColumnMatcher& matcher,
                                const std::string& config,
                                const DatasetPair& pair,
                                const MatchContext& context,
                                const PreparedTable* prepared_source,
-                               const PreparedTable* prepared_target);
+                               const PreparedTable* prepared_target,
+                               const PreparedPair* prepared_pair);
 
 }  // namespace valentine
 

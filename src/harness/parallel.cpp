@@ -71,22 +71,25 @@ std::vector<FamilyPairOutcome> RunConfigGranularity(
     const MethodFamily& family, const std::vector<DatasetPair>& suite,
     size_t num_threads, const FamilyRunContext& run) {
   const size_t num_configs = family.grid.size();
-  // Per-experiment results land at their flattened (pair, config) index;
-  // workers share nothing else, so any interleaving produces the same
-  // matrix. The fold below walks it in deterministic order.
-  std::vector<std::vector<ExperimentResult>> results(suite.size());
+  const size_t num_pairs = suite.size();
+  // Per-experiment results land at their (pair, config) slot; workers
+  // share nothing else, so any interleaving produces the same matrix.
+  // The fold below walks it in deterministic order. Work items run
+  // configuration-major, so concurrent workers start on different pairs
+  // instead of all missing the same pair's artifacts together.
+  std::vector<std::vector<ExperimentResult>> results(num_pairs);
   for (auto& row : results) row.resize(num_configs);
-  ParallelFor(suite.size() * num_configs, num_threads, [&](size_t w) {
-    const size_t pair_index = w / num_configs;
-    const size_t config_index = w % num_configs;
+  ParallelFor(num_pairs * num_configs, num_threads, [&](size_t w) {
+    const size_t config_index = w / num_pairs;
+    const size_t pair_index = w % num_pairs;
     results[pair_index][config_index] =
         RunConfigOnPair(family, config_index, suite[pair_index],
                         PairFingerprintsOf(run, pair_index), run);
   });
 
   std::vector<FamilyPairOutcome> outcomes;
-  outcomes.reserve(suite.size());
-  for (size_t i = 0; i < suite.size(); ++i) {
+  outcomes.reserve(num_pairs);
+  for (size_t i = 0; i < num_pairs; ++i) {
     outcomes.push_back(ReducePairOutcome(family, suite[i], results[i]));
   }
   return outcomes;

@@ -9,8 +9,8 @@
 /// so results are byte-identical to the sequential runner.
 ///
 /// ColumnMatcher::Match must be safe to call concurrently on one
-/// instance (all built-in matchers are; Cupid's memo cache is mutex
-/// guarded).
+/// instance (all built-in matchers are; the fault-injecting decorator
+/// guards its attempt counts with a mutex).
 ///
 /// The runner itself holds no valentine::Mutex: work distribution is a
 /// single std::atomic<size_t> cursor (claim-by-fetch_add), and each

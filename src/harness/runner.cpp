@@ -147,7 +147,8 @@ ExperimentResult RunExperimentWithPolicy(const ColumnMatcher& matcher,
                                          const FamilyRunContext& run,
                                          uint64_t experiment_span,
                                          const PreparedTable* prepared_source,
-                                         const PreparedTable* prepared_target) {
+                                         const PreparedTable* prepared_target,
+                                         const PreparedPair* prepared_pair) {
   const ExecutionPolicy& policy = run.policy;
   const std::string key = JournalKey(family_name, pair.id, config);
   const size_t max_attempts = std::max<size_t>(1, policy.max_attempts);
@@ -173,7 +174,7 @@ ExperimentResult RunExperimentWithPolicy(const ColumnMatcher& matcher,
     // thread-local deltas are exact even under the parallel runner.
     opcount::Snapshot ops_before = opcount::ThreadSnapshot();
     result = RunExperiment(matcher, config, pair, context, prepared_source,
-                           prepared_target);
+                           prepared_target, prepared_pair);
     SurfaceOpCounts(run.metrics, family_name,
                     opcount::ThreadSnapshot().DeltaSince(ops_before));
     total_runtime_ms += result.runtime_ms;
@@ -257,11 +258,15 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
     return ReplayJournalEntry(*done, *cm.matcher, pair);
   }
   // Resolve shared prepared artifacts (built once per (table, family,
-  // prepare-key) across configurations and threads). Prepare runs under
-  // the policy's cancellation token but outside the per-attempt
-  // deadline; a null return (failed Prepare) degrades to the monolithic
-  // path so the failure is reported per-configuration as before.
+  // prepare-key) across configurations and threads), then the pair's
+  // (once per (pair, family, prepare-key)). Prepare and PreparePair run
+  // under the policy's cancellation token but outside the per-attempt
+  // deadline; a null table artifact (failed Prepare) degrades to the
+  // monolithic path so the failure is reported per-configuration as
+  // before, and a null pair artifact (no pair stage, failed build) to
+  // Score building the pair work inline.
   PreparedTablePtr prepared_source, prepared_target;
+  PreparedPairPtr prepared_pair;
   if (run.artifacts != nullptr) {
     assert(fingerprints != nullptr);
     MatchContext prepare_context;
@@ -278,10 +283,16 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
         run.artifacts->GetOrPrepare(*cm.matcher, pair.target,
                                     fingerprints->target,
                                     /*profile=*/nullptr, prepare_context);
+    if (prepared_source != nullptr && prepared_target != nullptr) {
+      prepared_pair = run.artifacts->GetOrPreparePair(
+          *cm.matcher, *prepared_source, fingerprints->source,
+          *prepared_target, fingerprints->target, prepare_context);
+    }
   }
   ExperimentResult r = RunExperimentWithPolicy(
       *cm.matcher, cm.description, pair, family.name, run,
-      experiment_span.id(), prepared_source.get(), prepared_target.get());
+      experiment_span.id(), prepared_source.get(), prepared_target.get(),
+      prepared_pair.get());
   experiment_span.Attr("code", StatusCodeName(r.code));
   experiment_span.Attr("attempts", std::to_string(r.attempts));
   if (run.metrics != nullptr) {

@@ -114,14 +114,16 @@ struct FamilyRunContext {
   ExecutionPolicy policy;
   OutcomeJournal* journal = nullptr;
   const JournalIndex* completed = nullptr;
-  /// Shared prepared-table artifact cache: when set, each (table,
-  /// family, prepare-key) artifact is built once and every
-  /// configuration sharing the key scores against it (Prepare runs
-  /// outside the per-attempt deadline, under the policy's cancellation
-  /// token only). Results are byte-identical with or without a cache —
-  /// Score accepts only own-family same-key artifacts and re-prepares
-  /// inline otherwise. A failed Prepare falls back to the monolithic
-  /// path so the failure surfaces through the same status taxonomy.
+  /// Shared artifact cache: when set, each (table, family, prepare-key)
+  /// artifact and each (pair, family, prepare-key) pair artifact is
+  /// built once and every configuration sharing the key scores against
+  /// them (Prepare and PreparePair run outside the per-attempt deadline,
+  /// under the policy's cancellation token only). Results are
+  /// byte-identical with or without a cache — Score accepts only
+  /// own-family same-key artifacts and re-prepares inline otherwise. A
+  /// failed Prepare falls back to the monolithic path so the failure
+  /// surfaces through the same status taxonomy; a failed PreparePair to
+  /// Score building the pair work inline.
   ArtifactCache* artifacts = nullptr;
   /// The suite's fingerprints, one per pair in suite order, read only
   /// when `artifacts` is set. RunCampaignOnSuite fingerprints its suite

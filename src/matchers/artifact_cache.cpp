@@ -27,15 +27,44 @@ void FnvMixString(uint64_t* h, const std::string& s) {
 }
 
 std::atomic<uint64_t> fingerprint_calls{0};
+std::atomic<uint64_t> pair_builds{0};
 
-std::string HexU64(uint64_t v) {
+void AppendHex(std::string* key, uint64_t v) {
   static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    key->push_back(kDigits[(v >> shift) & 0xF]);
   }
-  return out;
+}
+
+/// Appends `field` behind its length, so no field content can shift a
+/// boundary between fields.
+void AppendField(std::string* key, const std::string& field) {
+  key->append(std::to_string(field.size()));
+  key->push_back(':');
+  key->append(field);
+}
+
+/// Runs `build` under cache-build > prepare spans parented on the
+/// caller's span, handing it a context parented on the prepare span.
+/// Which config's trace hosts a build follows the first-miss race, so
+/// threaded traces place it nondeterministically (DESIGN.md §10).
+template <typename Build>
+auto TracedBuild(const MatchContext& context, const std::string& name,
+                 const char* cache, const std::string& prepare_key,
+                 const Build& build) {
+  SpanScope build_span(context.tracer, context.trace_id, "cache-build", name,
+                       context.parent_span);
+  build_span.Attr("cache", cache);
+  SpanScope prepare_span(context.tracer, context.trace_id, "prepare",
+                         prepare_key, build_span.id());
+  MatchContext inner = context;
+  inner.parent_span = prepare_span.id() != 0 ? prepare_span.id()
+                                             : context.parent_span;
+  auto built = build(inner);
+  prepare_span.Attr("code", StatusCodeName(built.ok()
+                                               ? StatusCode::kOk
+                                               : built.status().code()));
+  return built;
 }
 
 }  // namespace
@@ -62,19 +91,22 @@ uint64_t TableContentFingerprintCalls() {
   return fingerprint_calls.load(std::memory_order_relaxed);
 }
 
+uint64_t PairArtifactBuilds() {
+  return pair_builds.load(std::memory_order_relaxed);
+}
+
 PreparedTablePtr ArtifactCache::GetOrPrepare(const ColumnMatcher& matcher,
                                              const Table& table,
                                              uint64_t fingerprint,
                                              const TableProfile* profile,
                                              const MatchContext& context) {
   const std::string family = matcher.Name();
-  std::string key = HexU64(fingerprint);
-  key.push_back('\x1f');
-  key += table.name();
-  key.push_back('\x1f');
-  key += family;
-  key.push_back('\x1f');
-  key += matcher.PrepareKey();
+  const std::string prepare_key = matcher.PrepareKey();
+  std::string key;
+  AppendHex(&key, fingerprint);
+  AppendField(&key, table.name());
+  AppendField(&key, family);
+  AppendField(&key, prepare_key);
 
   {
     MutexLock lock(&mu_);
@@ -88,32 +120,52 @@ PreparedTablePtr ArtifactCache::GetOrPrepare(const ColumnMatcher& matcher,
 
   // Build outside the lock: Prepare can be arbitrarily expensive, and
   // two concurrent builders are still correct (artifacts for equal keys
-  // are interchangeable by the Prepare determinism contract). The build
-  // is traced as cache-build > prepare under the caller's span; which
-  // config's trace hosts the build follows the first-miss race, so
-  // threaded traces place it nondeterministically (DESIGN.md §10).
-  SpanScope build_span(context.tracer, context.trace_id, "cache-build",
-                       family + "/" + table.name(), context.parent_span);
-  build_span.Attr("cache", "artifact");
-  SpanScope prepare_span(context.tracer, context.trace_id, "prepare",
-                         matcher.PrepareKey(), build_span.id());
-  MatchContext inner = context;
-  inner.parent_span = prepare_span.id() != 0 ? prepare_span.id()
-                                             : context.parent_span;
-  Result<PreparedTablePtr> built = matcher.Prepare(table, profile, inner);
-  prepare_span.Attr("code", StatusCodeName(built.ok()
-                                               ? StatusCode::kOk
-                                               : built.status().code()));
-  prepare_span.End();
-  build_span.End();
+  // are interchangeable by the Prepare determinism contract).
+  Result<PreparedTablePtr> built = TracedBuild(
+      context, family + "/" + table.name(), "artifact", prepare_key,
+      [&](const MatchContext& inner) {
+        return matcher.Prepare(table, profile, inner);
+      });
+  MutexLock lock(&mu_);
+  ++stats_[family].builds;
+  if (!built.ok()) return nullptr;
+  // First insert wins; a racing loser serves the winner.
+  return map_.emplace(std::move(key), *built).first->second;
+}
+
+PreparedPairPtr ArtifactCache::GetOrPreparePair(const ColumnMatcher& matcher,
+                                                const PreparedTable& source,
+                                                uint64_t source_fingerprint,
+                                                const PreparedTable& target,
+                                                uint64_t target_fingerprint,
+                                                const MatchContext& context) {
+  const std::string family = matcher.Name();
+  const std::string prepare_key = matcher.PrepareKey();
+  std::string key;
+  AppendHex(&key, source_fingerprint);
+  AppendHex(&key, target_fingerprint);
+  AppendField(&key, source.table().name());
+  AppendField(&key, target.table().name());
+  AppendField(&key, family);
+  AppendField(&key, prepare_key);
+
   {
     MutexLock lock(&mu_);
-    ++stats_[family].builds;
-    if (!built.ok()) return nullptr;
-    auto [it, inserted] = map_.emplace(std::move(key), *built);
-    (void)inserted;  // first insert wins; a racing loser serves the winner
-    return it->second;
+    auto it = pairs_.find(key);
+    if (it != pairs_.end()) return it->second;
   }
+
+  // Built outside the lock, like table artifacts.
+  Result<PreparedPairPtr> built = TracedBuild(
+      context,
+      family + "/" + source.table().name() + "|" + target.table().name(),
+      "pair", prepare_key, [&](const MatchContext& inner) {
+        return matcher.PreparePair(source, target, inner);
+      });
+  if (!built.ok()) return nullptr;
+  if (*built != nullptr) pair_builds.fetch_add(1, std::memory_order_relaxed);
+  MutexLock lock(&mu_);
+  return pairs_.emplace(std::move(key), *built).first->second;
 }
 
 std::map<std::string, ArtifactCache::FamilyStats> ArtifactCache::StatsSnapshot()

@@ -2,21 +2,25 @@
 #define VALENTINE_MATCHERS_ARTIFACT_CACHE_H_
 
 /// \file artifact_cache.h
-/// Build-once, serve-many cache of per-table matcher artifacts: every
-/// family's Prepare output. A campaign prepares each suite table once per
-/// (family, prepare key) instead of once per (pair, config). It is the
-/// campaign's only in-memory cache; discovery keeps each repository
-/// table's artifact in its registry entry instead
+/// Build-once, serve-many cache of matcher artifacts: every family's
+/// Prepare output per table, and its PreparePair output per table pair.
+/// A campaign prepares each suite table once per (family, prepare key)
+/// instead of once per (pair, config), and each pair's
+/// configuration-independent work once per (family, prepare key)
+/// instead of once per config. It is the campaign's only in-memory
+/// cache and lives for one campaign call; discovery keeps each
+/// repository table's artifact in its registry entry instead
 /// (RegisteredTable::prepared).
 ///
-/// Keying: entries are keyed by *value* — a content fingerprint of the
-/// table plus the table name, the family name, and the matcher's
-/// PrepareKey() — never by address (the `pointer-cache-key` lint rule
-/// has no exception in src/). Value keys make hits well-defined across
-/// table copies and make the cache immune to allocator address reuse.
-/// The caller owns the fingerprint: the campaign runners fingerprint
-/// each suite table once per call and pass it to every lookup, so the
-/// cache never hashes a table.
+/// Keying: entries are keyed by *value* — the content fingerprint and
+/// name of each table (one for a table artifact, source then target for
+/// a pair artifact), the family name, and the matcher's PrepareKey() —
+/// never by address (the `pointer-cache-key` lint rule has no exception
+/// in src/). Value keys make hits well-defined across table copies and
+/// make the cache immune to allocator address reuse. The caller owns the
+/// fingerprints: the campaign runners fingerprint each suite table once
+/// per call and pass them to every lookup, so the cache never hashes a
+/// table.
 ///
 /// Contract: a cache hit must be byte-identical to an inline Prepare,
 /// and every consumer falls back to the inline path unconditionally
@@ -30,6 +34,7 @@
 /// artifact is discarded. Stats counters are aggregate observability
 /// (hit/miss/build totals can vary with thread interleaving) and are
 /// excluded from the byte-identity contract, like wall-clock fields.
+/// They count table artifacts only.
 
 #include <cstdint>
 #include <map>
@@ -54,6 +59,12 @@ uint64_t TableContentFingerprint(const Table& table);
 /// thread. A test seam for call-count contracts, such as a campaign
 /// fingerprinting each suite table once per call.
 uint64_t TableContentFingerprintCalls();
+
+/// Pair artifacts ArtifactCache::GetOrPreparePair has built in this
+/// process so far, on every thread (a family without a pair stage builds
+/// none). A test seam for build-count contracts, such as a campaign
+/// building one Cupid pair artifact per suite pair per call.
+uint64_t PairArtifactBuilds();
 
 /// \brief Mutex-guarded build-once cache of PreparedTable artifacts.
 class ArtifactCache {
@@ -81,19 +92,39 @@ class ArtifactCache {
                                 const TableProfile* profile,
                                 const MatchContext& context) EXCLUDES(mu_);
 
+  /// Returns the cached pair artifact for (source, target, matcher
+  /// family, prepare key), building it with `matcher.PreparePair(source,
+  /// target, context)` on first use. The fingerprints must be
+  /// TableContentFingerprint of each artifact's table. A null build (a
+  /// family without a pair stage) is cached like an artifact, so each
+  /// pair asks once. Returns nullptr for such a family and when the
+  /// build fails (which is not cached); the
+  /// caller then scores without a pair artifact, and Score builds the
+  /// pair work inline. Traced as cache-build > prepare, like table
+  /// artifacts; kept out of StatsSnapshot.
+  PreparedPairPtr GetOrPreparePair(const ColumnMatcher& matcher,
+                                   const PreparedTable& source,
+                                   uint64_t source_fingerprint,
+                                   const PreparedTable& target,
+                                   uint64_t target_fingerprint,
+                                   const MatchContext& context) EXCLUDES(mu_);
+
   /// Snapshot of per-family stats, keyed by family Name() (sorted, so
   /// iteration order is deterministic for reports).
   std::map<std::string, FamilyStats> StatsSnapshot() const EXCLUDES(mu_);
 
-  /// Number of distinct artifacts currently held.
+  /// Number of distinct table artifacts currently held.
   size_t size() const EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_{LockRank::kArtifactCache, "ArtifactCache"};
-  /// Value-based key: fingerprint + table name + family + prepare key,
-  /// composed with 0x1f separators (none of which occur in hex digits;
-  /// names pass through a length prefix to stay unambiguous).
+  /// Value-based keys: fingerprint(s) in hex, then each table name,
+  /// the family and the prepare key, each behind its length, so no
+  /// name can make two keys collide.
   std::map<std::string, PreparedTablePtr> map_ GUARDED_BY(mu_);
+  /// Pair artifacts by value key; a null entry records a family without
+  /// a pair stage.
+  std::map<std::string, PreparedPairPtr> pairs_ GUARDED_BY(mu_);
   std::map<std::string, FamilyStats> stats_ GUARDED_BY(mu_);
 };
 

@@ -418,6 +418,7 @@ Result<PreparedTablePtr> ComaMatcher::Prepare(
 
 Result<MatchResult> ComaMatcher::Score(const PreparedTable& source,
                                        const PreparedTable& target,
+                                       const PreparedPair* /*pair*/,
                                        const MatchContext& context) const {
   const auto* src = dynamic_cast<const ComaPrepared*>(&source);
   const auto* tgt = dynamic_cast<const ComaPrepared*>(&target);

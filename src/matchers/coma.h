@@ -136,7 +136,7 @@ class ComaMatcher : public ColumnMatcher {
       const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
-      const MatchContext& context) const override;
+      const PreparedPair* pair, const MatchContext& context) const override;
 
   /// The full per-matcher score breakdown for one column pair (schema
   /// part only — instance matchers need the whole columns). Exposed for

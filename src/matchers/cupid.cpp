@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "obs/opcount.h"
 #include "text/stemmer.h"
 #include "text/string_similarity.h"
 #include "text/tokenizer.h"
@@ -12,46 +13,56 @@ namespace valentine {
 
 namespace {
 
-/// One normalized identifier token: the abbreviation-expanded surface
-/// form (for thesaurus lookup — the thesaurus stores surface forms) and
-/// its stem (for string similarity and plural folding).
+/// One normalized identifier token with its thesaurus lookups resolved:
+/// the abbreviation-expanded surface form (the thesaurus stores surface
+/// forms) and its stem (for string similarity and plural folding).
 struct Tok {
-  std::string raw;
-  std::string stem;
+  Thesaurus::Term raw;
+  Thesaurus::Term stem;
 };
 
 std::vector<Tok> NormalizeName(const std::string& name,
                                const Thesaurus& thesaurus) {
   std::vector<Tok> tokens;
   for (const std::string& t : TokenizeIdentifier(name)) {
-    std::string raw = thesaurus.Expand(t);
-    tokens.push_back({raw, StemToken(raw)});
+    const std::string raw = thesaurus.Expand(t);
+    tokens.push_back({thesaurus.Resolve(raw), thesaurus.Resolve(StemToken(raw))});
   }
   return tokens;
 }
 
 /// The linguistic-similarity core over two normalized token lists:
 /// thesaurus relatedness (raw or stemmed forms) dominates, Jaro-Winkler
-/// on stems as fallback for unknown vocabulary. Callers handle the
-/// empty-list case.
+/// on stems as fallback for unknown vocabulary; the symmetric
+/// best-match average, 0 when either list is empty. Token similarity is
+/// symmetric, so one sweep over the token pairs serves both directions:
+/// the row maxima give a→b and the column maxima (`best_for_b`,
+/// scratch) b→a.
 double LsimFromTokens(const std::vector<Tok>& ta, const std::vector<Tok>& tb,
-                      const Thesaurus& thesaurus) {
-  auto token_sim = [&](const Tok& x, const Tok& y) {
-    double rel = std::max(thesaurus.Relatedness(x.raw, y.raw),
-                          thesaurus.Relatedness(x.stem, y.stem));
-    double jw = JaroWinklerSimilarity(x.stem, y.stem);
+                      std::vector<double>* best_for_b) {
+  if (ta.empty() || tb.empty()) return 0.0;
+  opcount::Add(opcount::Op::kNameTokenPairs, ta.size() * tb.size());
+  auto token_sim = [](const Tok& x, const Tok& y) {
+    double rel = std::max(Thesaurus::Relatedness(x.raw, y.raw),
+                          Thesaurus::Relatedness(x.stem, y.stem));
+    double jw = JaroWinklerSimilarity(x.stem.word, y.stem.word);
     return std::max(rel, jw);
   };
-  auto one_way = [&](const std::vector<Tok>& xs, const std::vector<Tok>& ys) {
-    double total = 0.0;
-    for (const auto& x : xs) {
-      double best = 0.0;
-      for (const auto& y : ys) best = std::max(best, token_sim(x, y));
-      total += best;
+  best_for_b->assign(tb.size(), 0.0);
+  double a_total = 0.0;
+  for (const Tok& x : ta) {
+    double best = 0.0;
+    for (size_t j = 0; j < tb.size(); ++j) {
+      const double sim = token_sim(x, tb[j]);
+      best = std::max(best, sim);
+      (*best_for_b)[j] = std::max((*best_for_b)[j], sim);
     }
-    return total / static_cast<double>(xs.size());
-  };
-  return 0.5 * (one_way(ta, tb) + one_way(tb, ta));
+    a_total += best;
+  }
+  double b_total = 0.0;
+  for (double best : *best_for_b) b_total += best;
+  return 0.5 * (a_total / static_cast<double>(ta.size()) +
+                b_total / static_cast<double>(tb.size()));
 }
 
 /// Per-table artifact: normalized name tokens for every column and for
@@ -61,6 +72,36 @@ struct CupidPrepared : PreparedTable {
   std::vector<std::vector<Tok>> column_tokens;
   std::vector<Tok> table_tokens;
 };
+
+/// Pair artifact: linguistic similarity of every (source column, target
+/// column) name pair, row-major, and of the two table names.
+struct CupidPair : PreparedPair {
+  using PreparedPair::PreparedPair;
+  std::vector<double> lsim;
+  double table_lsim = 0.0;
+};
+
+Result<std::shared_ptr<const CupidPair>> BuildCupidPair(
+    const CupidPrepared& src, const CupidPrepared& tgt,
+    const MatchContext& context) {
+  const size_t ns = src.column_tokens.size();
+  const size_t nt = tgt.column_tokens.size();
+  auto pair = std::make_shared<CupidPair>(src, tgt);
+  pair->lsim.resize(ns * nt);
+  std::vector<double> best_for_b;
+  // One check per matrix row keeps cancellation latency proportional to
+  // a single row of token comparisons.
+  for (size_t i = 0; i < ns; ++i) {
+    VALENTINE_RETURN_NOT_OK(context.Check("cupid linguistic matching"));
+    for (size_t j = 0; j < nt; ++j) {
+      pair->lsim[i * nt + j] = LsimFromTokens(
+          src.column_tokens[i], tgt.column_tokens[j], &best_for_b);
+    }
+  }
+  pair->table_lsim =
+      LsimFromTokens(src.table_tokens, tgt.table_tokens, &best_for_b);
+  return std::shared_ptr<const CupidPair>(std::move(pair));
+}
 
 }  // namespace
 
@@ -72,27 +113,14 @@ double CupidMatcher::TypeCompatibility(DataType a, DataType b) {
 
 double CupidMatcher::LinguisticSimilarity(const std::string& a,
                                           const std::string& b) const {
-  std::string key = a + "\x1f" + b;
-  {
-    MutexLock lock(&cache_mutex_);
-    if (auto it = lsim_cache_.find(key); it != lsim_cache_.end()) {
-      return it->second;
-    }
-  }
-  std::vector<Tok> ta = NormalizeName(a, *thesaurus_);
-  std::vector<Tok> tb = NormalizeName(b, *thesaurus_);
-  if (ta.empty() || tb.empty()) return 0.0;
-  double sim = LsimFromTokens(ta, tb, *thesaurus_);
-  {
-    MutexLock lock(&cache_mutex_);
-    lsim_cache_.emplace(std::move(key), sim);
-  }
-  return sim;
+  std::vector<double> best_for_b;
+  return LsimFromTokens(NormalizeName(a, *thesaurus_),
+                        NormalizeName(b, *thesaurus_), &best_for_b);
 }
 
 std::string CupidMatcher::PrepareKey() const {
   // Every TreeMatch constant is score-stage; the token artifact depends
-  // only on the thesaurus content (abbreviation expansion).
+  // only on the thesaurus content (abbreviation expansion, lookups).
   return "thes=" + std::to_string(thesaurus_->Fingerprint());
 }
 
@@ -112,15 +140,42 @@ Result<PreparedTablePtr> CupidMatcher::Prepare(
   return PreparedTablePtr(std::move(prepared));
 }
 
+Result<PreparedPairPtr> CupidMatcher::PreparePair(
+    const PreparedTable& source, const PreparedTable& target,
+    const MatchContext& context) const {
+  const auto* src = dynamic_cast<const CupidPrepared*>(&source);
+  const auto* tgt = dynamic_cast<const CupidPrepared*>(&target);
+  const std::string key = PrepareKey();
+  if (src == nullptr || tgt == nullptr || src->prepare_key() != key ||
+      tgt->prepare_key() != key) {
+    return PreparedPairPtr();
+  }
+  Result<std::shared_ptr<const CupidPair>> built =
+      BuildCupidPair(*src, *tgt, context);
+  VALENTINE_RETURN_NOT_OK(built.status());
+  return PreparedPairPtr(std::move(built).ValueOrDie());
+}
+
 Result<MatchResult> CupidMatcher::Score(const PreparedTable& source,
                                         const PreparedTable& target,
+                                        const PreparedPair* pair,
                                         const MatchContext& context) const {
   const auto* src = dynamic_cast<const CupidPrepared*>(&source);
   const auto* tgt = dynamic_cast<const CupidPrepared*>(&target);
-  if (src == nullptr || tgt == nullptr ||
-      src->prepare_key() != PrepareKey() ||
-      tgt->prepare_key() != PrepareKey()) {
+  const std::string key = PrepareKey();
+  if (src == nullptr || tgt == nullptr || src->prepare_key() != key ||
+      tgt->prepare_key() != key) {
     return MatchWithContext(source.table(), target.table(), context);
+  }
+  // The shared pair artifact when it is this pair's, else built inline.
+  const auto* linguistic = dynamic_cast<const CupidPair*>(pair);
+  std::shared_ptr<const CupidPair> inline_pair;
+  if (linguistic == nullptr || !linguistic->Serves(source, target, key)) {
+    Result<std::shared_ptr<const CupidPair>> built =
+        BuildCupidPair(*src, *tgt, context);
+    VALENTINE_RETURN_NOT_OK(built.status());
+    inline_pair = std::move(built).ValueOrDie();
+    linguistic = inline_pair.get();
   }
 
   const Table& source_table = src->table();
@@ -128,43 +183,11 @@ Result<MatchResult> CupidMatcher::Score(const PreparedTable& source,
   const size_t ns = src->column_tokens.size();
   const size_t nt = tgt->column_tokens.size();
 
-  // Prepared-token variant of LinguisticSimilarity: same memo cache,
-  // same key, same result — normalization is skipped, not changed.
-  auto cached_lsim = [&](const std::string& name_a,
-                         const std::vector<Tok>& ta,
-                         const std::string& name_b,
-                         const std::vector<Tok>& tb) {
-    std::string key = name_a + "\x1f" + name_b;
-    {
-      MutexLock lock(&cache_mutex_);
-      if (auto it = lsim_cache_.find(key); it != lsim_cache_.end()) {
-        return it->second;
-      }
-    }
-    if (ta.empty() || tb.empty()) return 0.0;
-    double sim = LsimFromTokens(ta, tb, *thesaurus_);
-    {
-      MutexLock lock(&cache_mutex_);
-      lsim_cache_.emplace(std::move(key), sim);
-    }
-    return sim;
-  };
-
-  // --- Linguistic matching over leaves (columns). ---
-  // One check per matrix row keeps cancellation latency proportional to
-  // a single row of thesaurus lookups.
-  std::vector<std::vector<double>> lsim(ns, std::vector<double>(nt, 0.0));
-  for (size_t i = 0; i < ns; ++i) {
-    VALENTINE_RETURN_NOT_OK(context.Check("cupid linguistic matching"));
-    for (size_t j = 0; j < nt; ++j) {
-      lsim[i][j] = cached_lsim(source_table.column(i).name(),
-                               src->column_tokens[i],
-                               target_table.column(j).name(),
-                               tgt->column_tokens[j]);
-    }
-  }
+  // --- Linguistic matching over leaves (columns): the pair artifact. ---
+  const std::vector<double>& lsim = linguistic->lsim;
 
   // --- Structural matching (TreeMatch on a 2-level tree). ---
+  VALENTINE_RETURN_NOT_OK(context.Check("cupid structural matching"));
   // Initial leaf structural similarity: data-type compatibility.
   std::vector<std::vector<double>> ssim(ns, std::vector<double>(nt, 0.0));
   for (size_t i = 0; i < ns; ++i) {
@@ -174,7 +197,7 @@ Result<MatchResult> CupidMatcher::Score(const PreparedTable& source,
     }
   }
   auto wsim_at = [&](size_t i, size_t j, double w_struct) {
-    return w_struct * ssim[i][j] + (1.0 - w_struct) * lsim[i][j];
+    return w_struct * ssim[i][j] + (1.0 - w_struct) * lsim[i * nt + j];
   };
 
   // Table-level structural similarity: fraction of leaves with a strong
@@ -203,8 +226,7 @@ Result<MatchResult> CupidMatcher::Score(const PreparedTable& source,
   };
 
   // Table-level linguistic similarity between the two table names.
-  double table_lsim = cached_lsim(source_table.name(), src->table_tokens,
-                                  target_table.name(), tgt->table_tokens);
+  const double table_lsim = linguistic->table_lsim;
   double parent_ssim = table_ssim();
   double parent_wsim =
       options_.w_struct * parent_ssim + (1.0 - options_.w_struct) * table_lsim;

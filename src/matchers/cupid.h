@@ -13,10 +13,6 @@
 /// with a string-similarity fallback; the structural matcher runs the
 /// TreeMatch leaf/ancestor mutual-reinforcement loop.
 
-#include <unordered_map>
-
-#include "core/mutex.h"
-#include "core/thread_annotations.h"
 #include "knowledge/thesaurus.h"
 #include "matchers/matcher.h"
 
@@ -51,16 +47,23 @@ class CupidMatcher : public ColumnMatcher {
             MatchType::kDataType};
   }
   /// Artifact: normalized (tokenized, abbreviation-expanded, stemmed)
-  /// name tokens per column plus the table name's tokens. Keyed on the
-  /// thesaurus fingerprint; every TreeMatch parameter is score-stage,
-  /// so the whole Cupid grid shares one artifact per table.
+  /// name tokens per column plus the table name's tokens, each with its
+  /// thesaurus lookups resolved. Keyed on the thesaurus fingerprint;
+  /// every TreeMatch parameter is score-stage, so the whole Cupid grid
+  /// shares one artifact per table.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
       const Table& table, const TableProfile* profile,
       const MatchContext& context) const override;
-  [[nodiscard]] Result<MatchResult> Score(
+  /// Pair artifact: the linguistic similarity of every column-name pair
+  /// and of the two table names. It depends on no TreeMatch parameter,
+  /// so the whole grid shares one per table pair.
+  [[nodiscard]] Result<PreparedPairPtr> PreparePair(
       const PreparedTable& source, const PreparedTable& target,
       const MatchContext& context) const override;
+  [[nodiscard]] Result<MatchResult> Score(
+      const PreparedTable& source, const PreparedTable& target,
+      const PreparedPair* pair, const MatchContext& context) const override;
 
   /// Linguistic similarity between two attribute names (exposed for
   /// tests and ablations): tokenize, expand, stem, thesaurus + string
@@ -72,15 +75,8 @@ class CupidMatcher : public ColumnMatcher {
   static double TypeCompatibility(DataType a, DataType b);
 
  private:
-  const CupidOptions options_;  // lint:allow(guarded-by-coverage) immutable
-  const Thesaurus* const thesaurus_;  // lint:allow(guarded-by-coverage) immutable
-  /// Linguistic similarity is parameter-independent, so results are
-  /// memoized per name pair (grid runs revisit the same names often).
-  /// Guarded by cache_mutex_ so Match() is safe to call concurrently
-  /// (the parallel runner shares matcher instances across threads).
-  mutable Mutex cache_mutex_{LockRank::kCupidMemo, "CupidMatcher"};
-  mutable std::unordered_map<std::string, double> lsim_cache_
-      GUARDED_BY(cache_mutex_);
+  const CupidOptions options_;
+  const Thesaurus* const thesaurus_;
 };
 
 }  // namespace valentine

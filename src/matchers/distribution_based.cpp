@@ -113,6 +113,31 @@ struct DistPrepared : PreparedTable {
   std::vector<QuantileHistogram> hists;
 };
 
+/// Pair artifact: the phase-1 EMD of every (source column, target
+/// column) pair, row-major.
+struct DistPair : PreparedPair {
+  using PreparedPair::PreparedPair;
+  std::vector<double> emd;
+};
+
+Result<std::shared_ptr<const DistPair>> BuildDistPair(
+    const DistPrepared& src, const DistPrepared& tgt,
+    const MatchContext& context) {
+  const size_t ns = src.hists.size();
+  const size_t nt = tgt.hists.size();
+  auto pair = std::make_shared<DistPair>(src, tgt);
+  pair->emd.resize(ns * nt);
+  for (size_t i = 0; i < ns; ++i) {
+    // One check per source column bounds cancellation latency to a row
+    // of EMD computations.
+    VALENTINE_RETURN_NOT_OK(context.Check("distribution-based EMD sweep"));
+    for (size_t j = 0; j < nt; ++j) {
+      pair->emd[i * nt + j] = EmdBetweenHistograms(src.hists[i], tgt.hists[j]);
+    }
+  }
+  return std::shared_ptr<const DistPair>(std::move(pair));
+}
+
 }  // namespace
 
 std::string DistributionBasedMatcher::PrepareKey() const {
@@ -161,15 +186,41 @@ Result<PreparedTablePtr> DistributionBasedMatcher::Prepare(
   return PreparedTablePtr(std::move(prepared));
 }
 
-Result<MatchResult> DistributionBasedMatcher::Score(
+Result<PreparedPairPtr> DistributionBasedMatcher::PreparePair(
     const PreparedTable& source, const PreparedTable& target,
     const MatchContext& context) const {
   const auto* src = dynamic_cast<const DistPrepared*>(&source);
   const auto* tgt = dynamic_cast<const DistPrepared*>(&target);
-  if (src == nullptr || tgt == nullptr ||
-      src->prepare_key() != PrepareKey() ||
-      tgt->prepare_key() != PrepareKey()) {
+  const std::string key = PrepareKey();
+  if (src == nullptr || tgt == nullptr || src->prepare_key() != key ||
+      tgt->prepare_key() != key) {
+    return PreparedPairPtr();
+  }
+  Result<std::shared_ptr<const DistPair>> built =
+      BuildDistPair(*src, *tgt, context);
+  VALENTINE_RETURN_NOT_OK(built.status());
+  return PreparedPairPtr(std::move(built).ValueOrDie());
+}
+
+Result<MatchResult> DistributionBasedMatcher::Score(
+    const PreparedTable& source, const PreparedTable& target,
+    const PreparedPair* pair, const MatchContext& context) const {
+  const auto* src = dynamic_cast<const DistPrepared*>(&source);
+  const auto* tgt = dynamic_cast<const DistPrepared*>(&target);
+  const std::string key = PrepareKey();
+  if (src == nullptr || tgt == nullptr || src->prepare_key() != key ||
+      tgt->prepare_key() != key) {
     return MatchWithContext(source.table(), target.table(), context);
+  }
+  // The shared pair artifact when it is this pair's, else built inline.
+  const auto* phase1 = dynamic_cast<const DistPair*>(pair);
+  std::shared_ptr<const DistPair> inline_pair;
+  if (phase1 == nullptr || !phase1->Serves(source, target, key)) {
+    Result<std::shared_ptr<const DistPair>> built =
+        BuildDistPair(*src, *tgt, context);
+    VALENTINE_RETURN_NOT_OK(built.status());
+    inline_pair = std::move(built).ValueOrDie();
+    phase1 = inline_pair.get();
   }
 
   const Table& source_table = src->table();
@@ -190,7 +241,7 @@ Result<MatchResult> DistributionBasedMatcher::Score(
     return tgt_sets[j];
   };
 
-  // --- Phase 1: full-set EMD under θ1 over cross-table pairs. ---
+  // --- Phase 1: the pair artifact's full-set EMD under θ1. ---
   // Signed weights for the final partition: surviving links positive,
   // everything else mildly repulsive so blocks stay clique-like.
   constexpr double kNonEdgePenalty = -0.25;
@@ -204,11 +255,10 @@ Result<MatchResult> DistributionBasedMatcher::Score(
   std::vector<Link> links;
   for (size_t i = 0; i < ns; ++i) {
     // One check per source column bounds cancellation latency to a row
-    // of EMD computations (the phase-1/phase-2 sweep dominates runtime).
-    VALENTINE_RETURN_NOT_OK(context.Check("distribution-based EMD sweep"));
+    // of phase-2 work.
+    VALENTINE_RETURN_NOT_OK(context.Check("distribution-based phase 2"));
     for (size_t j = 0; j < nt; ++j) {
-      double emd1 = EmdBetweenHistograms(src->hists[i], tgt->hists[j]);
-      if (emd1 > options_.phase1_threshold) continue;
+      if (phase1->emd[i * nt + j] > options_.phase1_threshold) continue;
 
       // --- Phase 2: intersection EMD under θ2. ---
       const std::unordered_set<std::string>& set_b = target_set(j);

@@ -52,9 +52,15 @@ class DistributionBasedMatcher : public ColumnMatcher {
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
       const Table& table, const TableProfile* profile,
       const MatchContext& context) const override;
-  [[nodiscard]] Result<MatchResult> Score(
+  /// Pair artifact: the phase-1 EMD of every cross-table column pair,
+  /// which no θ depends on. Phase 2, cluster selection and ranking stay
+  /// in Score.
+  [[nodiscard]] Result<PreparedPairPtr> PreparePair(
       const PreparedTable& source, const PreparedTable& target,
       const MatchContext& context) const override;
+  [[nodiscard]] Result<MatchResult> Score(
+      const PreparedTable& source, const PreparedTable& target,
+      const PreparedPair* pair, const MatchContext& context) const override;
 
  private:
   DistributionBasedOptions options_;

@@ -81,6 +81,7 @@ Result<PreparedTablePtr> EmbdiMatcher::Prepare(
 
 Result<MatchResult> EmbdiMatcher::Score(const PreparedTable& source,
                                         const PreparedTable& target,
+                                        const PreparedPair* /*pair*/,
                                         const MatchContext& context) const {
   const auto* src = dynamic_cast<const EmbdiPrepared*>(&source);
   const auto* tgt = dynamic_cast<const EmbdiPrepared*>(&target);

@@ -63,7 +63,7 @@ class EmbdiMatcher : public ColumnMatcher {
       const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
-      const MatchContext& context) const override;
+      const PreparedPair* pair, const MatchContext& context) const override;
 
  private:
   EmbdiOptions options_;

@@ -87,6 +87,7 @@ Result<PreparedTablePtr> EnsembleMatcher::Prepare(
 
 Result<MatchResult> EnsembleMatcher::Score(const PreparedTable& source,
                                            const PreparedTable& target,
+                                           const PreparedPair* /*pair*/,
                                            const MatchContext& context) const {
   const auto* src = dynamic_cast<const EnsemblePrepared*>(&source);
   const auto* tgt = dynamic_cast<const EnsemblePrepared*>(&target);
@@ -110,7 +111,7 @@ Result<MatchResult> EnsembleMatcher::Score(const PreparedTable& source,
     // fails the whole ensemble (a partial fusion would silently rank
     // from fewer voters).
     Result<MatchResult> member_result = members_[mi]->Score(
-        *src->members[mi], *tgt->members[mi], context);
+        *src->members[mi], *tgt->members[mi], /*pair=*/nullptr, context);
     if (!member_result.ok()) return member_result.status();
     MatchResult ranked = std::move(member_result).ValueOrDie();
     for (size_t rank = 0; rank < ranked.size(); ++rank) {

@@ -111,7 +111,7 @@ Result<PreparedTablePtr> JaccardLevenshteinMatcher::Prepare(
 
 Result<MatchResult> JaccardLevenshteinMatcher::Score(
     const PreparedTable& source, const PreparedTable& target,
-    const MatchContext& context) const {
+    const PreparedPair* /*pair*/, const MatchContext& context) const {
   const auto* src = dynamic_cast<const JlPrepared*>(&source);
   const auto* tgt = dynamic_cast<const JlPrepared*>(&target);
   if (src == nullptr || tgt == nullptr ||

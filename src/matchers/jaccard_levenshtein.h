@@ -69,7 +69,7 @@ class JaccardLevenshteinMatcher : public ColumnMatcher {
       const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
-      const MatchContext& context) const override;
+      const PreparedPair* pair, const MatchContext& context) const override;
 
  private:
   JaccardLevenshteinOptions options_;

@@ -23,8 +23,15 @@ Result<PreparedTablePtr> ColumnMatcher::Prepare(
       std::make_shared<const PreparedTable>(&table, Name(), PrepareKey()));
 }
 
+Result<PreparedPairPtr> ColumnMatcher::PreparePair(
+    const PreparedTable& /*source*/, const PreparedTable& /*target*/,
+    const MatchContext& /*context*/) const {
+  return PreparedPairPtr();  // no pair stage
+}
+
 Result<MatchResult> ColumnMatcher::Score(const PreparedTable& source,
                                          const PreparedTable& target,
+                                         const PreparedPair* /*pair*/,
                                          const MatchContext& context) const {
   // Monolithic matchers (decorators, approximate matchers) have no
   // separable prepare stage: scoring a prepared pair is just matching
@@ -42,7 +49,8 @@ Result<MatchResult> ColumnMatcher::MatchWithContext(
   Result<PreparedTablePtr> prepared_target =
       Prepare(target, /*profile=*/nullptr, context);
   VALENTINE_RETURN_NOT_OK(prepared_target.status());
-  return Score(**prepared_source, **prepared_target, context);
+  return Score(**prepared_source, **prepared_target, /*pair=*/nullptr,
+               context);
 }
 
 const char* MatchTypeName(MatchType type) {

@@ -52,21 +52,24 @@ const char* MatcherCategoryName(MatcherCategory category);
 /// override MatchWithContext(). The context threads a cooperative
 /// deadline and cancellation token through the computation — iterative
 /// matchers (Similarity Flooding fixpoints, EmbDI word2vec epochs, Cupid
-/// memoized traversal, distribution-based EMD sweeps) check it at
+/// linguistic-matrix rows, distribution-based EMD sweeps) check it at
 /// iteration boundaries and return kDeadlineExceeded / kCancelled
 /// instead of running unbounded.
 ///
-/// Two-stage pipeline: matching factors into `Prepare(table) ->
-/// PreparedTable` (per-table, pair-independent) and `Score(prepared,
-/// prepared) -> MatchResult` (pair-dependent), with MatchWithContext as
-/// their composition. The three virtuals have mutually-recursive
-/// defaults — Prepare wraps the raw table, Score degrades to
+/// Staged pipeline: matching factors into `Prepare(table) ->
+/// PreparedTable` (per-table, pair-independent), an optional
+/// `PreparePair(prepared, prepared) -> PreparedPair` (per-pair,
+/// configuration-independent) and `Score(prepared, prepared, pair) ->
+/// MatchResult`, with MatchWithContext as their composition. The
+/// virtuals have mutually-recursive defaults — Prepare wraps the raw
+/// table, PreparePair builds nothing, Score degrades to
 /// MatchWithContext, MatchWithContext composes Prepare+Score — so a
 /// subclass MUST override either MatchWithContext (monolithic matcher,
 /// e.g. a decorator) or Score (pipelined matcher; usually Prepare too).
 /// Overriding neither recurses forever. The seven paper families are
-/// pipelined; Prepare+Score must be byte-identical to MatchWithContext
-/// for any artifact built with the same PrepareKey().
+/// pipelined; Prepare+PreparePair+Score must be byte-identical to
+/// MatchWithContext for any artifacts built with the same PrepareKey(),
+/// and so must Score without a pair artifact.
 class ColumnMatcher {
  public:
   virtual ~ColumnMatcher() = default;
@@ -116,15 +119,27 @@ class ColumnMatcher {
       const Table& table, const TableProfile* profile,
       const MatchContext& context) const;
 
+  /// Optional pair stage: the work Score does for this table pair under
+  /// every configuration with this Name() and PrepareKey(), built from
+  /// the two table artifacts alone so those configurations can share it.
+  /// Returns nullptr when the family has no pair stage (the default) or
+  /// either artifact is not this family's under the current key.
+  [[nodiscard]] virtual Result<PreparedPairPtr> PreparePair(
+      const PreparedTable& source, const PreparedTable& target,
+      const MatchContext& context) const;
+
   /// Stage 2: scores a prepared pair. Implementations accept only
   /// artifacts of their own dynamic type whose prepare_key() equals the
   /// current PrepareKey(), and fall back to re-preparing inline from
   /// `source.table()` / `target.table()` otherwise — a foreign or stale
-  /// artifact costs time, never bytes. The default delegates to
-  /// MatchWithContext on the underlying tables.
+  /// artifact costs time, never bytes. `pair` is nullable: a family with
+  /// a pair stage serves it only when it is its own and
+  /// PreparedPair::Serves the two table artifacts, and builds the pair
+  /// work inline otherwise. The default delegates to MatchWithContext on
+  /// the underlying tables.
   [[nodiscard]] virtual Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
-      const MatchContext& context) const;
+      const PreparedPair* pair, const MatchContext& context) const;
 
   /// The monolithic hook: ranked matches for a raw table pair. Check
   /// `context` at iteration boundaries of any loop whose trip count

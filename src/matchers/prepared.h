@@ -2,7 +2,8 @@
 #define VALENTINE_MATCHERS_PREPARED_H_
 
 /// \file prepared.h
-/// The per-table half of the two-stage matching pipeline. A
+/// The artifacts of the staged matching pipeline: per-table
+/// (`PreparedTable`) and, optionally, per-pair (`PreparedPair`). A
 /// `PreparedTable` is an immutable, family-specific artifact computed by
 /// `ColumnMatcher::Prepare` from one table: capped value lists, token
 /// vectors, MinHash signatures, schema graphs, EmbDI replay fragments —
@@ -68,6 +69,53 @@ class PreparedTable {
 
 /// Shared const handle: one artifact, many concurrent readers.
 using PreparedTablePtr = std::shared_ptr<const PreparedTable>;
+
+/// \brief Base class of every family-specific pair artifact.
+///
+/// The optional stage between Prepare and Score: what a family's Score
+/// would compute for a table pair under *every* configuration with the
+/// same Name() and PrepareKey() — Cupid's linguistic-similarity matrix,
+/// Distribution's phase-1 EMD matrix. `ColumnMatcher::PreparePair`
+/// builds it from the two table artifacts alone, so a grid that sweeps
+/// score-stage parameters computes it once per pair instead of once per
+/// configuration.
+///
+/// Like a table artifact it borrows both tables and must not outlive
+/// them. `Score` serves it only when the dynamic type is its own and
+/// `Serves` holds for the table artifacts it was handed; otherwise it
+/// builds the pair work inline, so a foreign or mismatched pair artifact
+/// costs time, never bytes.
+class PreparedPair {
+ public:
+  /// Records the two artifacts' tables and the source artifact's prepare
+  /// key: PreparePair builds only from two artifacts of its own family
+  /// under the current key.
+  PreparedPair(const PreparedTable& source, const PreparedTable& target)
+      : source_(&source.table()),
+        target_(&target.table()),
+        prepare_key_(source.prepare_key()) {}
+
+  virtual ~PreparedPair() = default;
+
+  PreparedPair(const PreparedPair&) = delete;
+  PreparedPair& operator=(const PreparedPair&) = delete;
+
+  /// True when this artifact was built over the tables of `source` and
+  /// `target`, in that order, under `prepare_key`.
+  bool Serves(const PreparedTable& source, const PreparedTable& target,
+              const std::string& prepare_key) const {
+    return &source.table() == source_ && &target.table() == target_ &&
+           prepare_key == prepare_key_;
+  }
+
+ private:
+  const Table* source_;
+  const Table* target_;
+  std::string prepare_key_;
+};
+
+/// Shared const handle: one pair artifact, many concurrent readers.
+using PreparedPairPtr = std::shared_ptr<const PreparedPair>;
 
 }  // namespace valentine
 

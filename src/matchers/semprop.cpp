@@ -122,6 +122,7 @@ Result<PreparedTablePtr> SemPropMatcher::Prepare(
 
 Result<MatchResult> SemPropMatcher::Score(const PreparedTable& source,
                                           const PreparedTable& target,
+                                          const PreparedPair* /*pair*/,
                                           const MatchContext& context) const {
   const auto* src = dynamic_cast<const SemPropPrepared*>(&source);
   const auto* tgt = dynamic_cast<const SemPropPrepared*>(&target);

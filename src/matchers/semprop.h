@@ -65,7 +65,7 @@ class SemPropMatcher : public ColumnMatcher {
       const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
-      const MatchContext& context) const override;
+      const PreparedPair* pair, const MatchContext& context) const override;
 
   /// Best ontology class link for a name: (class index, cosine), or
   /// (npos, 0) when nothing clears the semantic threshold.

@@ -68,7 +68,7 @@ Result<PreparedTablePtr> SimilarityFloodingMatcher::Prepare(
 
 Result<MatchResult> SimilarityFloodingMatcher::Score(
     const PreparedTable& source, const PreparedTable& target,
-    const MatchContext& context) const {
+    const PreparedPair* /*pair*/, const MatchContext& context) const {
   const auto* src = dynamic_cast<const SfPrepared*>(&source);
   const auto* tgt = dynamic_cast<const SfPrepared*>(&target);
   if (src == nullptr || tgt == nullptr ||

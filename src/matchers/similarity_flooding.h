@@ -64,7 +64,7 @@ class SimilarityFloodingMatcher : public ColumnMatcher {
       const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
-      const MatchContext& context) const override;
+      const PreparedPair* pair, const MatchContext& context) const override;
 
  private:
   SimilarityFloodingOptions options_;

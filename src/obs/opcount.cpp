@@ -23,6 +23,8 @@ const char* OpName(Op op) {
       return "rank_refs";
     case Op::kRankCells:
       return "rank_cells";
+    case Op::kNameTokenPairs:
+      return "name_token_pairs";
   }
   return "unknown";
 }
@@ -33,7 +35,7 @@ const std::array<Op, kNumOps>& AllOps() {
       Op::kBagPrefilterMisses,  Op::kMinHashHashes,
       Op::kNGramEmissions,      Op::kEmdSweepIterations,
       Op::kLevenshteinBitParallelSteps, Op::kRankRefs,
-      Op::kRankCells,
+      Op::kRankCells,           Op::kNameTokenPairs,
   };
   return kAll;
 }

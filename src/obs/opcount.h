@@ -62,9 +62,11 @@ enum class Op : int {
                                      ///< Levenshtein kernel stepped
   kRankRefs = 7,           ///< column refs ranked by the ordering core
   kRankCells = 8,          ///< match cells sorted into rank order
+  kNameTokenPairs = 9,     ///< name-token pairs Cupid's linguistic
+                           ///< matcher compared
 };
 
-inline constexpr int kNumOps = 9;
+inline constexpr int kNumOps = 10;
 
 /// True when this translation unit was built with counting compiled in.
 inline constexpr bool kEnabled = (VALENTINE_OPCOUNT_ENABLED == 1);

@@ -112,14 +112,6 @@ Result<Table> TableFromJson(const JsonValue& value) {
   if (name == nullptr || !name->is_string() || name->string_value().empty()) {
     return Status::InvalidArgument("table requires a non-empty string 'name'");
   }
-  // Cupid's memo key joins two names with '\x1f', so a name holding it
-  // could make two name pairs share one memo entry under a Cupid
-  // reranker. Rejected here, at the wire boundary, before any engine
-  // work; the repository checks again for direct callers.
-  if (name->string_value().find('\x1f') != std::string::npos) {
-    return Status::InvalidArgument(
-        "table name contains reserved character U+001F");
-  }
   const JsonValue* columns = value.Find("columns");
   if (columns == nullptr || !columns->is_array()) {
     return Status::InvalidArgument("table requires a 'columns' array");
@@ -134,10 +126,6 @@ Result<Table> TableFromJson(const JsonValue& value) {
         col_name->string_value().empty()) {
       return Status::InvalidArgument(
           "each column requires a non-empty string 'name'");
-    }
-    if (col_name->string_value().find('\x1f') != std::string::npos) {
-      return Status::InvalidArgument(
-          "column name contains reserved character U+001F");
     }
     const JsonValue* values = col.Find("values");
     if (values == nullptr || !values->is_array()) {

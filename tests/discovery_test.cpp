@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -144,24 +145,32 @@ TEST(DiscoveryEngineTest, CustomMatcherInjected) {
   EXPECT_DOUBLE_EQ(results[0].score, 1.0);  // identical single column
 }
 
-TEST(DiscoveryEngineTest, RejectsReservedSeparatorInNames) {
+TEST(DiscoveryEngineTest, AcceptsUnitSeparatorInNames) {
   DiscoveryEngine engine;
-  // Table name carrying the LSH key separator (U+001F) would let one
-  // registration forge another table's posting keys.
-  Table bad_table(std::string("evil\x1f") + "twin");
+  // U+001F is an ordinary name character, in table and column names.
+  Table odd_table(std::string("evil\x1f") + "twin");
   Column c1("c", DataType::kString);
   c1.Append(Value::String("v"));
-  ASSERT_TRUE(bad_table.AddColumn(std::move(c1)).ok());
-  EXPECT_EQ(engine.AddTable(bad_table).code(),
-            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(odd_table.AddColumn(std::move(c1)).ok());
+  EXPECT_TRUE(engine.AddTable(odd_table).ok());
 
-  Table bad_column("ok_table");
+  Table odd_column("ok_table");
   Column c2(std::string("col\x1f") + "umn", DataType::kString);
   c2.Append(Value::String("v"));
-  ASSERT_TRUE(bad_column.AddColumn(std::move(c2)).ok());
-  EXPECT_EQ(engine.AddTable(bad_column).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.num_tables(), 0u);
+  ASSERT_TRUE(odd_column.AddColumn(std::move(c2)).ok());
+  EXPECT_TRUE(engine.AddTable(odd_column).ok());
+  EXPECT_EQ(engine.num_tables(), 2u);
+
+  // Both are found by a query with the same values.
+  Table query("q");
+  Column c3("c", DataType::kString);
+  c3.Append(Value::String("v"));
+  ASSERT_TRUE(query.AddColumn(std::move(c3)).ok());
+  std::set<std::string> found;
+  for (const DiscoveryResult& r : engine.FindUnionable(query, 2)) {
+    found.insert(r.table_name);
+  }
+  EXPECT_EQ(found, (std::set<std::string>{odd_table.name(), "ok_table"}));
 }
 
 TEST(DiscoveryEngineTest, RejectsDuplicateColumnNames) {

@@ -172,6 +172,48 @@ TEST(FingerprintOnceTest, FamilyRunnersFingerprintEachSuiteTableOncePerCall) {
             0u);
 }
 
+// Cupid's pair artifact (its linguistic-similarity matrix) is built once
+// per suite pair per family call wherever one worker owns a pair's grid:
+// at kPair, and at kConfig on one thread. Configuration-major kConfig
+// workers may race to build a pair's first artifact, at most once each.
+// Nothing is built without the cache, nor for a family with no pair
+// stage.
+TEST(PairArtifactOnceTest, CampaignBuildsOneCupidPairArtifactPerSuitePair) {
+  const std::vector<DatasetPair> suite =
+      BuildFabricatedSuite(MakeTpcdiProspect(30, 87), SmallCampaign().suite);
+  ASSERT_EQ(suite.size(), 6u);
+  auto builds_during = [&](const std::vector<MethodFamily>& families,
+                           CampaignOptions opt) {
+    const uint64_t before = PairArtifactBuilds();
+    const CampaignReport report = RunCampaignOnSuite(suite, families, opt);
+    EXPECT_EQ(report.failed_experiments, 0u);
+    return PairArtifactBuilds() - before;
+  };
+  const std::vector<MethodFamily> families = TwoFamilies();  // Cupid + JL
+  for (const auto& [granularity, threads] :
+       std::vector<std::pair<ParallelGranularity, size_t>>{
+           {ParallelGranularity::kPair, 1},
+           {ParallelGranularity::kPair, 4},
+           {ParallelGranularity::kConfig, 1}}) {
+    CampaignOptions opt = SmallCampaign();
+    opt.granularity = granularity;
+    opt.num_threads = threads;
+    EXPECT_EQ(builds_during(families, opt), suite.size())
+        << "granularity " << static_cast<int>(granularity) << ", " << threads
+        << " threads";
+  }
+  CampaignOptions racing = SmallCampaign();
+  racing.num_threads = 4;
+  const uint64_t raced = builds_during(families, racing);
+  EXPECT_GE(raced, suite.size());
+  EXPECT_LE(raced, 4 * suite.size());
+
+  CampaignOptions uncached = SmallCampaign();
+  uncached.use_artifact_cache = false;
+  EXPECT_EQ(builds_during(families, uncached), 0u);
+  EXPECT_EQ(builds_during({JaccardLevenshteinFamily()}, SmallCampaign()), 0u);
+}
+
 TEST(CsvDirectoryTest, LoadsAllCsvFiles) {
   namespace fs = std::filesystem;
   std::string dir = ::testing::TempDir() + "/valentine_repo_test";

@@ -596,7 +596,7 @@ TEST(ComaReferenceTest, PreparedKernelsMatchPerPairFormulas) {
               const MatchResult want =
                   reference::Match(opt, components, src, tgt);
               ASSERT_EQ(matcher.PrepareKey(), preparer.PrepareKey());
-              auto got = matcher.Score(**ps, **pt, context);
+              auto got = matcher.Score(**ps, **pt, nullptr, context);
               ASSERT_TRUE(got.ok());
               const std::string where =
                   "strategy=" + std::to_string(static_cast<int>(strategy)) +

@@ -373,7 +373,7 @@ TEST(FuzzyJaccardKernelTest, PrepareScoreMatchesReferenceBitForBit) {
         Result<PreparedTablePtr> ps = matcher.Prepare(src, nullptr, context);
         Result<PreparedTablePtr> pt = matcher.Prepare(tgt, nullptr, context);
         ASSERT_TRUE(ps.ok() && pt.ok());
-        Result<MatchResult> scored = matcher.Score(**ps, **pt, context);
+        Result<MatchResult> scored = matcher.Score(**ps, **pt, nullptr, context);
         ASSERT_TRUE(scored.ok());
         ASSERT_EQ(scored->size(), src_cols.size() * tgt_cols.size());
         for (size_t k = 0; k < scored->size(); ++k) {

@@ -1,15 +1,16 @@
-// Byte-identity contract of the two-stage matcher pipeline (matcher.h):
+// Byte-identity contract of the staged matcher pipeline (matcher.h):
 // for every family and every grid configuration, Prepare(src) +
 // Prepare(tgt) + Score must produce the same serialized MatchResult as
 // the monolithic Match — with or without a column profile handed to
-// Prepare, matching spec or not — and Score must degrade gracefully
-// (identical bytes, by re-preparing inline) when handed foreign or
-// stale artifacts.
-// Also covers the ArtifactCache: build-once semantics, value keying,
-// failure propagation, stats counters, and concurrent GetOrPrepare
-// (tsan-labeled); and the knowledge-base fingerprints PrepareKeys embed:
-// mutations reach the key, concurrent first reads of the memo are
-// race-free (tsan-labeled).
+// Prepare, matching spec or not, with or without a pair artifact shared
+// by every configuration — and Score must degrade gracefully (identical
+// bytes, by re-preparing inline) when handed foreign or stale table or
+// pair artifacts.
+// Also covers the ArtifactCache: build-once semantics for table and pair
+// artifacts, value keying, failure propagation, stats counters, and
+// concurrent GetOrPrepare (tsan-labeled); and the knowledge-base
+// fingerprints PrepareKeys embed: mutations reach the key, concurrent
+// first reads of the memo are race-free (tsan-labeled).
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,8 @@
 #include "matchers/artifact_cache.h"
 #include "matchers/coma.h"
 #include "matchers/cupid.h"
+#include "matchers/distribution_based.h"
+#include "matchers/embdi.h"
 #include "matchers/ensemble.h"
 #include "matchers/jaccard_levenshtein.h"
 #include "matchers/matcher.h"
@@ -68,6 +71,19 @@ MethodFamily Truncate(MethodFamily family, size_t n) {
   return family;
 }
 
+/// EmbDI at the race tests' tiny word2vec budget: the pipeline contract
+/// does not depend on how long embeddings train, and the default budget
+/// made these cases most of this binary's run time under TSan.
+MethodFamily TinyEmbdiFamily() {
+  EmbdiOptions opt;
+  opt.dimensions = 8;
+  opt.walks_per_node = 1;
+  opt.epochs = 1;
+  opt.sentence_length = 20;
+  opt.max_rows = 40;
+  return {"EmbDI", {{"word2vec tiny", std::make_shared<EmbdiMatcher>(opt)}}};
+}
+
 std::vector<MethodFamily> AllTestFamilies() {
   static const Ontology kOntology = TestOntology();
   std::vector<MethodFamily> families;
@@ -76,7 +92,7 @@ std::vector<MethodFamily> AllTestFamilies() {
   families.push_back(ComaFamily());
   families.push_back(Truncate(DistributionFamily1(), 3));
   families.push_back(Truncate(SemPropFamily(&kOntology), 3));
-  families.push_back(EmbdiFamily());
+  families.push_back(TinyEmbdiFamily());
   families.push_back(Truncate(JaccardLevenshteinFamily(), 3));
   MethodFamily ensemble{"Ensemble", {}};
   ensemble.grid.push_back({"default", MakeDefaultEnsemble()});
@@ -87,9 +103,7 @@ std::vector<MethodFamily> AllTestFamilies() {
 class PrepareScoreFamilyTest : public ::testing::TestWithParam<size_t> {};
 
 /// Match's bytes on SharedPair() per (family, configuration), computed
-/// once per process: both parameterized tests compare against them, and
-/// EmbDI's Match trains word2vec, which dominates this binary's run time
-/// under the sanitizers.
+/// once per process: every parameterized test compares against them.
 const std::string& MatchBytes(const MethodFamily& family,
                               const ConfiguredMatcher& cm) {
   static std::map<std::string, std::string> memo;
@@ -152,7 +166,7 @@ TEST_P(PrepareScoreFamilyTest, PipelineMatchesMonolithicBytes) {
                            << input.name;
       ASSERT_TRUE(pt.ok()) << family.name << " " << cm.description << " "
                            << input.name;
-      Result<MatchResult> scored = m.Score(**ps, **pt, context);
+      Result<MatchResult> scored = m.Score(**ps, **pt, nullptr, context);
       ASSERT_TRUE(scored.ok()) << family.name << " " << cm.description << " "
                                << input.name;
       EXPECT_EQ(ToJson(*scored), expected)
@@ -162,7 +176,7 @@ TEST_P(PrepareScoreFamilyTest, PipelineMatchesMonolithicBytes) {
       // Artifacts are reusable: scoring again must not consume state.
       // Once per configuration is enough (EmbDI retrains per Score).
       if (input.source != nullptr) continue;
-      Result<MatchResult> again = m.Score(**ps, **pt, context);
+      Result<MatchResult> again = m.Score(**ps, **pt, nullptr, context);
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(ToJson(*again), expected)
           << family.name << " " << cm.description
@@ -185,7 +199,7 @@ TEST_P(PrepareScoreFamilyTest, ForeignArtifactFallsBackToIdenticalBytes) {
   auto foreign_tgt = std::make_shared<const PreparedTable>(
       &pair.target, "Foreign", "not-a-real-key");
   MatchContext context;
-  Result<MatchResult> scored = m.Score(*foreign_src, *foreign_tgt, context);
+  Result<MatchResult> scored = m.Score(*foreign_src, *foreign_tgt, nullptr, context);
   ASSERT_TRUE(scored.ok()) << family.name;
   EXPECT_EQ(ToJson(*scored), expected)
       << family.name << " changed bytes on a foreign artifact";
@@ -193,10 +207,97 @@ TEST_P(PrepareScoreFamilyTest, ForeignArtifactFallsBackToIdenticalBytes) {
   // Mixed: one genuine artifact, one foreign — still a clean fallback.
   Result<PreparedTablePtr> genuine = m.Prepare(pair.source, nullptr, context);
   ASSERT_TRUE(genuine.ok());
-  Result<MatchResult> mixed = m.Score(**genuine, *foreign_tgt, context);
+  Result<MatchResult> mixed = m.Score(**genuine, *foreign_tgt, nullptr, context);
   ASSERT_TRUE(mixed.ok());
   EXPECT_EQ(ToJson(*mixed), expected)
       << family.name << " changed bytes on a mixed artifact pair";
+}
+
+// Prepare, one PreparePair per prepare key, and every configuration's
+// Score against that shared pair artifact == Match, bit for bit. Cupid
+// and Distribution have a pair stage; the other families build none.
+TEST_P(PrepareScoreFamilyTest, SharedPairArtifactMatchesMonolithicBytes) {
+  const MethodFamily family = AllTestFamilies()[GetParam()];
+  const DatasetPair& pair = SharedPair();
+  const bool has_pair_stage =
+      family.name == "Cupid" || family.name.rfind("Distribution", 0) == 0;
+  struct Shared {
+    PreparedTablePtr source;
+    PreparedTablePtr target;
+    PreparedPairPtr pair;
+  };
+  std::map<std::string, Shared> by_prepare_key;
+  MatchContext context;
+  for (const ConfiguredMatcher& cm : family.grid) {
+    const ColumnMatcher& m = *cm.matcher;
+    auto it = by_prepare_key.find(m.PrepareKey());
+    if (it == by_prepare_key.end()) {
+      Result<PreparedTablePtr> ps = m.Prepare(pair.source, nullptr, context);
+      Result<PreparedTablePtr> pt = m.Prepare(pair.target, nullptr, context);
+      ASSERT_TRUE(ps.ok() && pt.ok()) << family.name << " " << cm.description;
+      Result<PreparedPairPtr> pp = m.PreparePair(**ps, **pt, context);
+      ASSERT_TRUE(pp.ok()) << family.name << " " << cm.description;
+      EXPECT_EQ(*pp != nullptr, has_pair_stage)
+          << family.name << " " << cm.description;
+      it = by_prepare_key.emplace(m.PrepareKey(), Shared{*ps, *pt, *pp}).first;
+    }
+    const Shared& shared = it->second;
+    Result<MatchResult> scored =
+        m.Score(*shared.source, *shared.target, shared.pair.get(), context);
+    ASSERT_TRUE(scored.ok()) << family.name << " " << cm.description;
+    EXPECT_EQ(ToJson(*scored), MatchBytes(family, cm))
+        << family.name << " " << cm.description
+        << " diverged on a shared pair artifact";
+  }
+}
+
+/// A pair artifact of the base type: right tables, no family's own.
+class ForeignPair : public PreparedPair {
+ public:
+  using PreparedPair::PreparedPair;
+};
+
+// A foreign or mismatched pair artifact must cost time, never bytes:
+// Score builds the pair work inline and matches Match.
+TEST_P(PrepareScoreFamilyTest, ForeignPairArtifactFallsBackToIdenticalBytes) {
+  const MethodFamily family = AllTestFamilies()[GetParam()];
+  const DatasetPair& pair = SharedPair();
+  const ColumnMatcher& m = *family.grid[0].matcher;
+  const std::string& expected = MatchBytes(family, family.grid[0]);
+  MatchContext context;
+  Result<PreparedTablePtr> ps = m.Prepare(pair.source, nullptr, context);
+  Result<PreparedTablePtr> pt = m.Prepare(pair.target, nullptr, context);
+  ASSERT_TRUE(ps.ok() && pt.ok()) << family.name;
+
+  // Another family's pair artifact over the same tables, and one with a
+  // key no matcher has.
+  const CupidMatcher cupid;
+  const DistributionBasedMatcher distribution;
+  const ColumnMatcher& other =
+      family.name == "Cupid" ? static_cast<const ColumnMatcher&>(distribution)
+                             : cupid;
+  Result<PreparedTablePtr> other_src = other.Prepare(pair.source, nullptr, context);
+  Result<PreparedTablePtr> other_tgt = other.Prepare(pair.target, nullptr, context);
+  ASSERT_TRUE(other_src.ok() && other_tgt.ok());
+  Result<PreparedPairPtr> other_pair =
+      other.PreparePair(**other_src, **other_tgt, context);
+  ASSERT_TRUE(other_pair.ok());
+  ASSERT_NE(*other_pair, nullptr);
+  // Built over the swapped pair: this family's type, the wrong tables.
+  Result<PreparedPairPtr> swapped = m.PreparePair(**pt, **ps, context);
+  ASSERT_TRUE(swapped.ok());
+  const ForeignPair foreign(**ps, **pt);
+
+  for (const auto& [what, artifact] :
+       std::vector<std::pair<const char*, const PreparedPair*>>{
+           {"another family's", other_pair->get()},
+           {"a swapped", swapped->get()},
+           {"a base-class", &foreign}}) {
+    Result<MatchResult> scored = m.Score(**ps, **pt, artifact, context);
+    ASSERT_TRUE(scored.ok()) << family.name << " " << what;
+    EXPECT_EQ(ToJson(*scored), expected)
+        << family.name << " changed bytes on " << what << " pair artifact";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -367,7 +468,7 @@ TEST(ArtifactCacheTest, ConcurrentGetOrPrepareIsSafeAndDeterministic) {
       PreparedTablePtr pt =
           cache.GetOrPrepare(matcher, pair.target, fp.target, nullptr, context);
       if (ps == nullptr || pt == nullptr) return;  // leaves jsons[t] empty
-      Result<MatchResult> scored = matcher.Score(*ps, *pt, context);
+      Result<MatchResult> scored = matcher.Score(*ps, *pt, nullptr, context);
       if (scored.ok()) jsons[t] = ToJson(*scored);
     });
   }
@@ -418,11 +519,106 @@ TEST(ArtifactCacheTest, SharedCacheKeepsThesauriApart) {
         cache.GetOrPrepare(*matcher, tgt, tgt_fp, nullptr, context);
     ASSERT_NE(ps, nullptr);
     ASSERT_NE(pt, nullptr);
-    Result<MatchResult> scored = matcher->Score(*ps, *pt, context);
+    Result<MatchResult> scored = matcher->Score(*ps, *pt, nullptr, context);
     ASSERT_TRUE(scored.ok());
     EXPECT_EQ(ToJson(*scored), ToJson(matcher->Match(src, tgt)));
   }
   EXPECT_EQ(cache.size(), 4u);
+}
+
+// A pair artifact built under another thesaurus (another prepare key)
+// over the same tables is declined: Score builds its own inline.
+TEST(PairArtifactTest, OtherPrepareKeyFallsBackToIdenticalBytes) {
+  Thesaurus plain;
+  plain.AddSynonymSet({"customer", "client"});
+  Thesaurus expanding = plain;
+  expanding.AddAbbreviation("cust", "customer");
+  const Table src = MakeNamedTable("s", {"cust_name", "cust_city", "total"});
+  const Table tgt = MakeNamedTable("t", {"client_name", "client_town", "sum"});
+  const CupidMatcher with_plain({}, &plain);
+  const CupidMatcher with_expanding({}, &expanding);
+  const std::string expected = ToJson(with_expanding.Match(src, tgt));
+  ASSERT_NE(ToJson(with_plain.Match(src, tgt)), expected)
+      << "the thesauri must disagree on this pair for the test to bite";
+
+  MatchContext context;
+  Result<PreparedTablePtr> plain_src = with_plain.Prepare(src, nullptr, context);
+  Result<PreparedTablePtr> plain_tgt = with_plain.Prepare(tgt, nullptr, context);
+  ASSERT_TRUE(plain_src.ok() && plain_tgt.ok());
+  Result<PreparedPairPtr> plain_pair =
+      with_plain.PreparePair(**plain_src, **plain_tgt, context);
+  ASSERT_TRUE(plain_pair.ok());
+  ASSERT_NE(*plain_pair, nullptr);
+
+  Result<PreparedTablePtr> ps = with_expanding.Prepare(src, nullptr, context);
+  Result<PreparedTablePtr> pt = with_expanding.Prepare(tgt, nullptr, context);
+  ASSERT_TRUE(ps.ok() && pt.ok());
+  Result<MatchResult> scored =
+      with_expanding.Score(**ps, **pt, plain_pair->get(), context);
+  ASSERT_TRUE(scored.ok());
+  EXPECT_EQ(ToJson(*scored), expected);
+  // And PreparePair declines the other key's table artifacts.
+  Result<PreparedPairPtr> declined =
+      with_expanding.PreparePair(**plain_src, **plain_tgt, context);
+  ASSERT_TRUE(declined.ok());
+  EXPECT_EQ(*declined, nullptr);
+}
+
+// Pair artifacts are built once per (pair, family, prepare key) and
+// served to every later lookup; a family without a pair stage builds
+// none, and pair lookups stay out of the table-artifact stats.
+TEST(ArtifactCacheTest, PairArtifactsBuildOncePerPairFamilyAndKey) {
+  const DatasetPair& pair = SharedPair();
+  const PairFingerprints fp = FingerprintPair(pair);
+  const CupidMatcher cupid;
+  const JaccardLevenshteinMatcher jl;
+  ArtifactCache cache;
+  MatchContext context;
+
+  PreparedTablePtr ps =
+      cache.GetOrPrepare(cupid, pair.source, fp.source, nullptr, context);
+  PreparedTablePtr pt =
+      cache.GetOrPrepare(cupid, pair.target, fp.target, nullptr, context);
+  ASSERT_NE(ps, nullptr);
+  ASSERT_NE(pt, nullptr);
+  const auto table_stats = cache.StatsSnapshot();
+
+  const uint64_t before = PairArtifactBuilds();
+  PreparedPairPtr first =
+      cache.GetOrPreparePair(cupid, *ps, fp.source, *pt, fp.target, context);
+  PreparedPairPtr second =
+      cache.GetOrPreparePair(cupid, *ps, fp.source, *pt, fp.target, context);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first.get(), second.get()) << "second lookup rebuilt";
+  EXPECT_EQ(PairArtifactBuilds() - before, 1u);
+  // The reversed pair is another key.
+  PreparedPairPtr reversed =
+      cache.GetOrPreparePair(cupid, *pt, fp.target, *ps, fp.source, context);
+  ASSERT_NE(reversed, nullptr);
+  EXPECT_NE(reversed.get(), first.get());
+  EXPECT_EQ(PairArtifactBuilds() - before, 2u);
+
+  PreparedTablePtr jl_src =
+      cache.GetOrPrepare(jl, pair.source, fp.source, nullptr, context);
+  PreparedTablePtr jl_tgt =
+      cache.GetOrPrepare(jl, pair.target, fp.target, nullptr, context);
+  ASSERT_NE(jl_src, nullptr);
+  ASSERT_NE(jl_tgt, nullptr);
+  EXPECT_EQ(cache.GetOrPreparePair(jl, *jl_src, fp.source, *jl_tgt,
+                                   fp.target, context),
+            nullptr);
+  EXPECT_EQ(PairArtifactBuilds() - before, 2u);
+
+  const auto stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.at("Cupid").hits, table_stats.at("Cupid").hits);
+  EXPECT_EQ(stats.at("Cupid").misses, table_stats.at("Cupid").misses);
+  EXPECT_EQ(stats.at("Cupid").builds, table_stats.at("Cupid").builds);
+  EXPECT_EQ(cache.size(), 4u);  // table artifacts only
+
+  // The cached pair artifact scores the pair as Match does.
+  Result<MatchResult> scored = cupid.Score(*ps, *pt, first.get(), context);
+  ASSERT_TRUE(scored.ok());
+  EXPECT_EQ(ToJson(*scored), ToJson(cupid.Match(pair.source, pair.target)));
 }
 
 // Keys are recomputed from the memoized fingerprint on every call, never

@@ -6,7 +6,9 @@
 //
 // Each experiment renders as its "family|config|pair" header followed
 // by one "source > target = %.17g" line per match, in rank order, and
-// each family's text is folded into a 64-bit FNV-1a digest. The grid
+// each family's text is folded into a 64-bit FNV-1a digest, once from
+// Match and once from Score over table and pair artifacts that an
+// ArtifactCache shares across each family's configurations. The grid
 // is Table II's (EmbDI at the race tests' tiny budget) plus the
 // selection and filter variants that rank sparse pair subsets (COMA
 // SelectPairs, the Similarity Flooding filters) and two matchers whose
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,8 +26,10 @@
 #include <vector>
 
 #include "datasets/tpcdi.h"
+#include "harness/parallel.h"
 #include "harness/param_grid.h"
 #include "harness/runner.h"
+#include "matchers/artifact_cache.h"
 #include "matchers/coma.h"
 #include "matchers/embdi.h"
 #include "matchers/ensemble.h"
@@ -131,6 +136,40 @@ std::string RankedText(const std::string& header, const MatchResult& result) {
   return out;
 }
 
+/// Ranks every configuration x pair of `suite` through `rank` and
+/// returns each family's (digest, match count), plus the map literal
+/// below as this build computes it.
+using Digests = std::map<std::string, std::pair<std::string, size_t>>;
+using RankFn = std::function<Result<MatchResult>(
+    const MethodFamily&, const ConfiguredMatcher&, size_t pair_index)>;
+
+Digests DigestFamilies(const std::vector<MethodFamily>& families,
+                       const std::vector<DatasetPair>& suite,
+                       const RankFn& rank, std::string* listing) {
+  Digests got;
+  for (const MethodFamily& family : families) {
+    std::string text;
+    size_t matches = 0;
+    for (const ConfiguredMatcher& cm : family.grid) {
+      for (size_t p = 0; p < suite.size(); ++p) {
+        Result<MatchResult> result = rank(family, cm, p);
+        EXPECT_TRUE(result.ok()) << family.name << " " << cm.description;
+        if (!result.ok()) continue;
+        matches += result->size();
+        text += RankedText(
+            family.name + "|" + cm.description + "|" + suite[p].id, *result);
+      }
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a(text)));
+    got[family.name] = {digest, matches};
+    *listing += "{\"" + family.name + "\", {\"" + digest + "\", " +
+                std::to_string(matches) + "}},\n";
+  }
+  return got;
+}
+
 TEST(RankedOutputGoldenTest, EveryFamilyRanksTheSuiteAsPinned) {
   static const Ontology kOntology = GoldenOntology();
   const std::vector<DatasetPair>& suite = GoldenSuite();
@@ -138,7 +177,7 @@ TEST(RankedOutputGoldenTest, EveryFamilyRanksTheSuiteAsPinned) {
 
   // Digests and match counts as first recorded, from the comparator
   // sort over Match records.
-  const std::map<std::string, std::pair<std::string, size_t>> kExpected = {
+  const Digests kExpected = {
       {"Cupid", {"71d13dbf54e1b8db", 354048}},
       {"SimilarityFlooding", {"740a0819bb648597", 3688}},
       {"COMA", {"f180c0c7ec2369f0", 7376}},
@@ -151,30 +190,47 @@ TEST(RankedOutputGoldenTest, EveryFamilyRanksTheSuiteAsPinned) {
       {"COMA-selections", {"e57054139e804655", 1351}},
       {"Merged", {"223bd8e172be795e", 7376}},
   };
+  const std::vector<MethodFamily> families = GoldenFamilies(&kOntology);
 
-  std::map<std::string, std::pair<std::string, size_t>> got;
-  std::string listing;  // the map literal above, as this build computes it
-  for (const MethodFamily& family : GoldenFamilies(&kOntology)) {
-    std::string text;
-    size_t matches = 0;
-    for (const ConfiguredMatcher& cm : family.grid) {
-      for (const DatasetPair& pair : suite) {
-        Result<MatchResult> result =
-            cm.matcher->MatchWithContext(pair.source, pair.target, {});
-        ASSERT_TRUE(result.ok()) << family.name << " " << cm.description;
-        matches += result->size();
-        text += RankedText(family.name + "|" + cm.description + "|" + pair.id,
-                           *result);
-      }
-    }
-    char digest[17];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(Fnv1a(text)));
-    got[family.name] = {digest, matches};
-    listing += "{\"" + family.name + "\", {\"" + digest + "\", " +
-               std::to_string(matches) + "}},\n";
-  }
-  EXPECT_EQ(got, kExpected) << listing;
+  std::string listing;
+  EXPECT_EQ(DigestFamilies(families, suite,
+                           [&](const MethodFamily&,
+                               const ConfiguredMatcher& cm, size_t p) {
+                             return cm.matcher->MatchWithContext(
+                                 suite[p].source, suite[p].target, {});
+                           },
+                           &listing),
+            kExpected)
+      << listing;
+
+  // Prepare, PreparePair and Score, with every artifact built once per
+  // family and shared by all its configurations, as a campaign does.
+  const std::vector<PairFingerprints> fingerprints = FingerprintSuite(suite, 1);
+  std::map<std::string, ArtifactCache> caches;  // one per family
+  listing.clear();
+  EXPECT_EQ(
+      DigestFamilies(
+          families, suite,
+          [&](const MethodFamily& family, const ConfiguredMatcher& cm,
+              size_t p) -> Result<MatchResult> {
+            ArtifactCache& cache = caches[family.name];
+            const ColumnMatcher& m = *cm.matcher;
+            const MatchContext context;
+            PreparedTablePtr ps = cache.GetOrPrepare(
+                m, suite[p].source, fingerprints[p].source, nullptr, context);
+            PreparedTablePtr pt = cache.GetOrPrepare(
+                m, suite[p].target, fingerprints[p].target, nullptr, context);
+            if (ps == nullptr || pt == nullptr) {
+              return Status::Internal("prepare failed");
+            }
+            PreparedPairPtr pp =
+                cache.GetOrPreparePair(m, *ps, fingerprints[p].source, *pt,
+                                       fingerprints[p].target, context);
+            return m.Score(*ps, *pt, pp.get(), context);
+          },
+          &listing),
+      kExpected)
+      << listing;
 }
 
 }  // namespace

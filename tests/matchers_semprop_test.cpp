@@ -141,7 +141,7 @@ TEST(SemPropTest, SemanticThresholdIsAppliedAtScore) {
     SemPropMatcher m(&efo, opt);
     EXPECT_EQ(m.PrepareKey(), preparer.PrepareKey()) << threshold;
     const std::string expected = ToJson(m.Match(assays, other));
-    Result<MatchResult> scored = m.Score(**ps, **pt, context);
+    Result<MatchResult> scored = m.Score(**ps, **pt, nullptr, context);
     ASSERT_TRUE(scored.ok()) << threshold;
     EXPECT_EQ(ToJson(*scored), expected) << threshold;
     outputs.insert(expected);

@@ -49,6 +49,8 @@ TEST(OpCount, NamesAndOrderAreStable) {
                "levenshtein_bitparallel_steps");
   EXPECT_STREQ(opcount::OpName(opcount::Op::kRankRefs), "rank_refs");
   EXPECT_STREQ(opcount::OpName(opcount::Op::kRankCells), "rank_cells");
+  EXPECT_STREQ(opcount::OpName(opcount::Op::kNameTokenPairs),
+               "name_token_pairs");
   const auto& all = opcount::AllOps();
   ASSERT_EQ(all.size(), static_cast<size_t>(opcount::kNumOps));
   for (int i = 0; i < opcount::kNumOps; ++i) {

@@ -82,28 +82,48 @@ TEST(ServeTableFromJson, RejectsBadShapes) {
   }
 }
 
-TEST(ServeTableFromJson, RejectsReservedSeparatorCharacter) {
-  // U+001F is the LSH posting-key separator; a table or column name
-  // carrying it could forge another table's index keys, so the serve
-  // boundary rejects it before the registry ever sees the table.
-  for (const char* doc : {
-           "{\"name\":\"evil\\u001ftwin\",\"columns\":["
-           "{\"name\":\"c\",\"values\":[1]}]}",
-           "{\"name\":\"t\",\"columns\":["
-           "{\"name\":\"c\\u001fol\",\"values\":[1]}]}",
-       }) {
-    Result<JsonValue> parsed = ParseJson(doc);
-    ASSERT_TRUE(parsed.ok()) << doc;
-    Result<Table> table = TableFromJson(parsed.ValueOrDie());
-    EXPECT_FALSE(table.ok()) << doc;
-    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument) << doc;
-  }
+TEST(ServeService, UnitSeparatorNamesServeLikeADirectEngine) {
+  // U+001F is an ordinary name character: a table and a column whose
+  // names hold it register over the wire and are served byte for byte
+  // as a direct engine serves them (k covers all four tables).
+  std::string table_json = ServeTableJson("evil\\u001ftwin", 30, 3);
+  const std::string key_column = "\"name\":\"key\"";
+  table_json.replace(table_json.find(key_column), key_column.size(),
+                     "\"name\":\"k\\u001fey\"");
+  Result<JsonValue> parsed = ParseJson(table_json);
+  ASSERT_TRUE(parsed.ok()) << table_json;
+  Result<Table> decoded = TableFromJson(parsed.ValueOrDie());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->name(), std::string("evil\x1f") + "twin");
+  EXPECT_EQ(decoded->column(0).name(), std::string("k\x1f") + "ey");
+
   DiscoveryService service;
-  HttpResponse r = service.Handle(MakeRequest(
-      "POST", "/v1/tables",
-      "{\"name\":\"evil\\u001ftwin\",\"columns\":["
-      "{\"name\":\"c\",\"values\":[1]}]}"));
-  EXPECT_EQ(r.status, 400);
+  DiscoveryEngine direct;
+  HttpResponse created =
+      service.Handle(MakeRequest("POST", "/v1/tables", table_json));
+  ASSERT_EQ(created.status, 200) << created.body;
+  ASSERT_TRUE(direct.AddTable(std::move(decoded).ValueOrDie()).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    Table t = MakeServeTable("table_" + std::to_string(i), 30, i + 2);
+    ASSERT_TRUE(service.RegisterTable(t).ok());
+    ASSERT_TRUE(direct.AddTable(std::move(t)).ok());
+  }
+  Table query = MakeServeTable("query_t", 30, 3);
+
+  for (const std::string mode : {"joinable", "unionable"}) {
+    HttpResponse served = service.Handle(MakeRequest(
+        "POST", "/v1/discovery/" + mode,
+        "{\"table\":" + ServeTableJson("query_t", 30, 3) + ",\"k\":4}"));
+    ASSERT_EQ(served.status, 200) << served.body;
+    std::vector<DiscoveryResult> expected =
+        mode == "joinable" ? direct.FindJoinable(query, 4)
+                           : direct.FindUnionable(query, 4);
+    EXPECT_EQ(served.body,
+              RenderDiscoveryResults("query_t", mode, 4, expected))
+        << "mode=" << mode;
+    EXPECT_NE(served.body.find("evil\\u001ftwin"), std::string::npos)
+        << "mode=" << mode << ": " << served.body;
+  }
 }
 
 TEST(ServeService, RegistryRebuildsNeverRepayArtifactWork) {

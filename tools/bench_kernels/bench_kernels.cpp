@@ -27,7 +27,8 @@
 // checked against a reference (banded == full Levenshtein, packed ==
 // string trigrams, MinHash == the serial per-seed hash family, per-Add
 // LSH segments == one segment, key-sorted rankings == the comparator
-// sort over Match records, ...); where op counters are compiled in, two
+// sort over Match records, a Cupid grid scored from one shared pair
+// artifact == Match, ...); where op counters are compiled in, two
 // runs of each workload must also count the same nonzero ops.
 //
 // Usage: bench_kernels [--out PATH] [--repeats N] [--pessimize]
@@ -50,9 +51,11 @@
 #include "core/status.h"
 #include "core/table.h"
 #include "datasets/chembl.h"
+#include "datasets/tpcdi.h"
 #include "discovery/candidate_index.h"
 #include "discovery/repository.h"
 #include "fabrication/fabricator.h"
+#include "harness/param_grid.h"
 #include "matchers/coma.h"
 #include "matchers/jaccard_levenshtein.h"
 #include "matchers/match_result.h"
@@ -174,9 +177,60 @@ MatchResult JlScore(LevenshteinKernel kernel) {
   Result<PreparedTablePtr> tgt =
       matcher.Prepare(JlPair().target, nullptr, context);
   if (!src.ok() || !tgt.ok()) std::abort();
-  Result<MatchResult> scored = matcher.Score(**src, **tgt, context);
+  Result<MatchResult> scored = matcher.Score(**src, **tgt, nullptr, context);
   if (!scored.ok()) std::abort();
   return std::move(scored).ValueOrDie();
+}
+
+/// A fixed fabricated pair with noisy schema names from the campaign's
+/// TPC-DI source, and the 16-configuration Cupid grid the benchmark
+/// campaign runs (every sixth Table II configuration).
+struct CupidGrid {
+  DatasetPair pair;
+  MethodFamily family;
+};
+
+const CupidGrid& FixedCupidGrid() {
+  static const CupidGrid kGrid = [] {
+    FabricationOptions options;
+    options.scenario = Scenario::kViewUnionable;
+    options.column_overlap = 0.5;
+    options.noisy_schema = true;
+    options.seed = 23;
+    Result<DatasetPair> pair =
+        FabricateDatasetPair(MakeTpcdiProspect(60, 2026), options);
+    if (!pair.ok()) std::abort();
+    const MethodFamily full = CupidFamily();
+    MethodFamily thin{full.name, {}};
+    for (size_t i = 0; i < full.grid.size(); i += 6) {
+      thin.grid.push_back(full.grid[i]);
+    }
+    return CupidGrid{std::move(pair).ValueOrDie(), std::move(thin)};
+  }();
+  return kGrid;
+}
+
+/// Cupid's grid on FixedCupidGrid()'s pair as a campaign scores it: two
+/// Prepares and one PreparePair shared by every configuration's Score.
+std::vector<MatchResult> CupidGridScores() {
+  const CupidGrid& grid = FixedCupidGrid();
+  const ColumnMatcher& first = *grid.family.grid[0].matcher;
+  MatchContext context;
+  Result<PreparedTablePtr> src =
+      first.Prepare(grid.pair.source, nullptr, context);
+  Result<PreparedTablePtr> tgt =
+      first.Prepare(grid.pair.target, nullptr, context);
+  if (!src.ok() || !tgt.ok()) std::abort();
+  Result<PreparedPairPtr> pair = first.PreparePair(**src, **tgt, context);
+  if (!pair.ok() || *pair == nullptr) std::abort();
+  std::vector<MatchResult> results;
+  for (const ConfiguredMatcher& cm : grid.family.grid) {
+    Result<MatchResult> scored =
+        cm.matcher->Score(**src, **tgt, pair->get(), context);
+    if (!scored.ok()) std::abort();
+    results.push_back(std::move(scored).ValueOrDie());
+  }
+  return results;
 }
 
 /// A Cupid-shaped ranking input: a 28-column source and a 29-column
@@ -421,7 +475,7 @@ std::vector<Kernel> MakeKernels() {
     Result<PreparedTablePtr> tgt =
         matcher.Prepare(ComaTargetTable(), nullptr, context);
     if (!src.ok() || !tgt.ok()) std::abort();
-    Result<MatchResult> scored = matcher.Score(**src, **tgt, context);
+    Result<MatchResult> scored = matcher.Score(**src, **tgt, nullptr, context);
     if (!scored.ok() || scored->size() != 100) std::abort();
   }, [] {
     ComaMatcher matcher;
@@ -513,6 +567,31 @@ std::vector<Kernel> MakeKernels() {
           return "per-Add segments != one segment nominations for " +
                  query.name() + " " + DiscoveryModeName(mode);
         }
+      }
+    }
+    return std::string();
+  }});
+
+  // Cupid's grid on one pair: the linguistic matrix (name_token_pairs)
+  // is built once for all 16 configurations, each of which then ranks
+  // its own blend of it with the structural similarity.
+  kernels.push_back({"cupid_grid", [] {
+    if (CupidGridScores().size() != 16) std::abort();
+  }, [] {
+    const CupidGrid& grid = FixedCupidGrid();
+    const std::vector<MatchResult> scored = CupidGridScores();
+    for (size_t c = 0; c < grid.family.grid.size(); ++c) {
+      const MatchResult want =
+          grid.family.grid[c].matcher->Match(grid.pair.source,
+                                             grid.pair.target);
+      bool same = want.size() == scored[c].size();
+      for (size_t i = 0; same && i < want.size(); ++i) {
+        same = scored[c][i].SamePair(want[i]) &&
+               scored[c][i].score == want[i].score;
+      }
+      if (!same) {
+        return "shared pair artifact != Match for " +
+               grid.family.grid[c].description;
       }
     }
     return std::string();
