@@ -11,7 +11,6 @@
 #include "datasets/chembl.h"
 #include "harness/json_export.h"
 #include "harness/campaign.h"
-#include "harness/parallel.h"
 #include "matchers/embdi.h"
 #include "matchers/jaccard_levenshtein.h"
 

@@ -61,7 +61,7 @@ class Deadline {
 
   /// A deadline that has already passed: expired() is true from
   /// construction onward, independent of clock reads or their
-  /// granularity.
+  /// resolution.
   static Deadline AlreadyExpired() {
     return Deadline(std::chrono::steady_clock::time_point::min());
   }

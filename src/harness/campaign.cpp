@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "harness/journal.h"
-#include "harness/parallel.h"
 
 namespace valentine {
 
@@ -65,13 +64,12 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
   // One artifact cache for the whole campaign: each (table, family,
   // prepare-key) artifact and each pair's pair artifact is built once;
   // configurations that only sweep score-stage parameters share them.
-  // Scoped to this call — artifacts borrow the suite's tables.
-  std::optional<ArtifactCache> artifacts;
+  // Scoped to this call — artifacts borrow the suite's tables. Reports
+  // are byte-identical to an uncached run (modulo wall-clock runtime
+  // fields): Score accepts only its own family's same-key artifacts.
+  ArtifactCache artifacts;
   std::vector<PairFingerprints> fingerprints;
-  if (options.use_artifact_cache) {
-    artifacts.emplace();
-    run.artifacts = &*artifacts;
-  }
+  run.artifacts = &artifacts;
 
   CampaignReport report;
   report.num_pairs = suite.size();
@@ -82,7 +80,7 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
                   family.name) == options.family_filter.end()) {
       continue;
     }
-    if (run.artifacts != nullptr && run.fingerprints == nullptr) {
+    if (run.fingerprints == nullptr) {
       // The cache's table identity, computed once for every family and
       // configuration of the call.
       fingerprints = FingerprintSuite(suite, options.num_threads);
@@ -94,8 +92,7 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
     report.num_configurations += family.grid.size();
     CampaignFamilyReport fr;
     fr.family = family.name;
-    fr.outcomes = RunFamilyOnSuiteParallel(family, suite, options.num_threads,
-                                           run, options.granularity);
+    fr.outcomes = RunFamilyOnSuite(family, suite, run, options.num_threads);
     fr.by_scenario = AggregateByScenario(fr.outcomes);
     fr.avg_runtime_ms = AverageRuntimeMsPerRun(fr.outcomes);
     // Failures and retries flow through the registry: the outcomes'
@@ -144,21 +141,19 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
   // wins a build race varies), so they are exported only through the
   // registry — the single exclusion point from the report byte-identity
   // contract — never as report fields.
-  if (artifacts.has_value()) {
-    for (const auto& [family, stats] : artifacts->StatsSnapshot()) {
-      metrics
-          .CounterFor("valentine_artifact_cache_hits_total",
-                      {{"family", family}})
-          ->Increment(stats.hits);
-      metrics
-          .CounterFor("valentine_artifact_cache_misses_total",
-                      {{"family", family}})
-          ->Increment(stats.misses);
-      metrics
-          .CounterFor("valentine_artifact_cache_builds_total",
-                      {{"family", family}})
-          ->Increment(stats.builds);
-    }
+  for (const auto& [family, stats] : artifacts.StatsSnapshot()) {
+    metrics
+        .CounterFor("valentine_artifact_cache_hits_total",
+                    {{"family", family}})
+        ->Increment(stats.hits);
+    metrics
+        .CounterFor("valentine_artifact_cache_misses_total",
+                    {{"family", family}})
+        ->Increment(stats.misses);
+    metrics
+        .CounterFor("valentine_artifact_cache_builds_total",
+                    {{"family", family}})
+        ->Increment(stats.builds);
   }
   campaign_span.End();
   if (options.metrics != nullptr) options.metrics->MergeFrom(metrics);

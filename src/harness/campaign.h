@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/parallel.h"
 #include "harness/param_grid.h"
 #include "harness/runner.h"
 
@@ -32,18 +31,6 @@ struct CampaignOptions {
   /// and the final report is byte-identical to an uninterrupted run
   /// (modulo wall-clock runtime fields).
   std::string journal_path;
-  /// Work slicing for the thread pool: kConfig (the default) also
-  /// parallelizes the grid inside each pair, so small suites with wide
-  /// grids saturate the cores. Either value yields byte-identical
-  /// reports.
-  ParallelGranularity granularity = ParallelGranularity::kConfig;
-  /// Share one ArtifactCache — the campaign's only cache — across every
-  /// family and configuration of the campaign: each (table, family,
-  /// prepare-key) artifact and each pair's pair artifact is built once
-  /// and all configurations sharing the key score against them. Reports are
-  /// byte-identical either way (modulo wall-clock runtime fields and the
-  /// cache-stats diagnostics).
-  bool use_artifact_cache = true;
   /// Observability (obs/), all optional and borrowed. `clock` is the
   /// timing source for every runtime measurement in the campaign
   /// (inject a FakeClock for byte-reproducible reports); `tracer`

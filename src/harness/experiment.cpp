@@ -8,20 +8,6 @@ namespace valentine {
 
 ExperimentResult RunExperiment(const ColumnMatcher& matcher,
                                const std::string& config,
-                               const DatasetPair& pair) {
-  return RunExperiment(matcher, config, pair, MatchContext());
-}
-
-ExperimentResult RunExperiment(const ColumnMatcher& matcher,
-                               const std::string& config,
-                               const DatasetPair& pair,
-                               const MatchContext& context) {
-  return RunExperiment(matcher, config, pair, context, nullptr, nullptr,
-                       nullptr);
-}
-
-ExperimentResult RunExperiment(const ColumnMatcher& matcher,
-                               const std::string& config,
                                const DatasetPair& pair,
                                const MatchContext& context,
                                const PreparedTable* prepared_source,

@@ -31,33 +31,23 @@ struct ExperimentResult {
   size_t attempts = 1;
 };
 
-/// Runs one matcher configuration on one pair and scores it.
-ExperimentResult RunExperiment(const ColumnMatcher& matcher,
-                               const std::string& config,
-                               const DatasetPair& pair);
-
-/// Budget-aware variant: the context's deadline/token is threaded into
-/// the matcher; a kDeadlineExceeded / kCancelled abort is reported via
-/// `code` + `error` instead of a score. runtime_ms still measures the
-/// (partial) wall-clock spent.
-ExperimentResult RunExperiment(const ColumnMatcher& matcher,
-                               const std::string& config,
-                               const DatasetPair& pair,
-                               const MatchContext& context);
-
-/// Prepared-artifact variant: when both table artifacts are non-null
-/// the matcher's Score stage runs against them and the nullable pair
-/// artifact (the harness's artifact-cache fast path); when either table
-/// artifact is null this degrades to the monolithic overload above.
-/// Results are byte-identical either way — only runtime_ms (which no
-/// longer includes prepare work on the fast path) may differ.
+/// Runs one matcher configuration on one pair and scores it. The
+/// context's deadline/token is threaded into the matcher; a
+/// kDeadlineExceeded / kCancelled abort is reported via `code` + `error`
+/// instead of a score, and runtime_ms still measures the (partial)
+/// wall-clock spent. When both table artifacts are non-null the
+/// matcher's Score stage runs against them and the nullable pair
+/// artifact (the harness's artifact-cache fast path); otherwise the
+/// matcher runs monolithically. Results are byte-identical either way —
+/// only runtime_ms (which excludes prepare work on the fast path) may
+/// differ.
 ExperimentResult RunExperiment(const ColumnMatcher& matcher,
                                const std::string& config,
                                const DatasetPair& pair,
-                               const MatchContext& context,
-                               const PreparedTable* prepared_source,
-                               const PreparedTable* prepared_target,
-                               const PreparedPair* prepared_pair);
+                               const MatchContext& context = {},
+                               const PreparedTable* prepared_source = nullptr,
+                               const PreparedTable* prepared_target = nullptr,
+                               const PreparedPair* prepared_pair = nullptr);
 
 }  // namespace valentine
 

@@ -1,5 +1,6 @@
 #include "harness/journal.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -138,6 +139,14 @@ std::optional<JournalEntry> ParseJournalEntry(const std::string& line) {
   }
   auto parsed_code = StatusCodeFromName(*code);
   if (!parsed_code) return std::nullopt;
+  // An experiment ran at least once, and every whole number up to 2^53
+  // converts to size_t exactly; anything else (0, negative, fractional,
+  // NaN, past 2^53) is a malformed line, not a count to replay.
+  constexpr double kMaxAttempts = 9007199254740992.0;  // 2^53
+  if (!(*attempts >= 1.0 && *attempts <= kMaxAttempts) ||
+      *attempts != std::floor(*attempts)) {
+    return std::nullopt;
+  }
   e.family = std::move(*family);
   e.pair_id = std::move(*pair_id);
   e.config = std::move(*config);

@@ -1,10 +1,13 @@
 #include "harness/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <thread>
 
 #include "core/rng.h"
 #include "metrics/metrics.h"
@@ -215,16 +218,37 @@ ExperimentResult ReplayJournalEntry(const JournalEntry& entry,
   return result;
 }
 
+size_t ResolveThreads(size_t num_threads) {
+  return num_threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                          : num_threads;
+}
+
+/// Calls `item(i)` for every i < n over min(num_threads, n) workers that
+/// claim indices from one atomic cursor; inline when that is one worker.
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t)>& item) {
+  num_threads = std::min(num_threads, n);
+  if (num_threads <= 1) {
+    for (size_t i = 0; i < n; ++i) item(i);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      item(i);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads);
+  for (size_t t = 0; t < num_threads; ++t) threads.emplace_back(worker);
+  for (auto& t : threads) t.join();
+}
+
 }  // namespace
 
 PairFingerprints FingerprintPair(const DatasetPair& pair) {
   return {TableContentFingerprint(pair.source),
           TableContentFingerprint(pair.target)};
-}
-
-FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
-                                  const DatasetPair& pair) {
-  return RunFamilyOnPair(family, pair, FamilyRunContext());
 }
 
 ExperimentResult RunConfigOnPair(const MethodFamily& family,
@@ -343,44 +367,56 @@ FamilyPairOutcome ReducePairOutcome(
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair,
                                   const FamilyRunContext& run) {
-  if (run.artifacts == nullptr) {
-    return RunFamilyOnPair(family, pair, nullptr, run);
-  }
-  const PairFingerprints fingerprints = FingerprintPair(pair);
-  return RunFamilyOnPair(family, pair, &fingerprints, run);
-}
-
-FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
-                                  const DatasetPair& pair,
-                                  const PairFingerprints* fingerprints,
-                                  const FamilyRunContext& run) {
+  const PairFingerprints fingerprints =
+      run.artifacts != nullptr ? FingerprintPair(pair) : PairFingerprints{};
   std::vector<ExperimentResult> results;
   results.reserve(family.grid.size());
   for (size_t c = 0; c < family.grid.size(); ++c) {
-    results.push_back(RunConfigOnPair(family, c, pair, fingerprints, run));
+    results.push_back(RunConfigOnPair(family, c, pair, &fingerprints, run));
   }
   return ReducePairOutcome(family, pair, results);
 }
 
-std::vector<FamilyPairOutcome> RunFamilyOnSuite(
-    const MethodFamily& family, const std::vector<DatasetPair>& suite) {
-  return RunFamilyOnSuite(family, suite, FamilyRunContext());
+std::vector<PairFingerprints> FingerprintSuite(
+    const std::vector<DatasetPair>& suite, size_t num_threads) {
+  std::vector<PairFingerprints> fingerprints(suite.size());
+  ParallelFor(suite.size(), ResolveThreads(num_threads),
+              [&](size_t i) { fingerprints[i] = FingerprintPair(suite[i]); });
+  return fingerprints;
 }
 
 std::vector<FamilyPairOutcome> RunFamilyOnSuite(
     const MethodFamily& family, const std::vector<DatasetPair>& suite,
-    const FamilyRunContext& run) {
-  assert(run.fingerprints == nullptr ||
-         run.fingerprints->size() == suite.size());
+    const FamilyRunContext& run, size_t num_threads) {
+  num_threads = ResolveThreads(num_threads);
+  // The suite's fingerprints, computed here only when the caller has
+  // none: every configuration of a pair reads the same two.
+  const std::vector<PairFingerprints>* fingerprints = run.fingerprints;
+  std::vector<PairFingerprints> own_fingerprints;
+  if (run.artifacts != nullptr && fingerprints == nullptr) {
+    own_fingerprints = FingerprintSuite(suite, num_threads);
+    fingerprints = &own_fingerprints;
+  }
+  assert(fingerprints == nullptr || fingerprints->size() == suite.size());
+  const size_t num_configs = family.grid.size();
+  const size_t num_pairs = suite.size();
+  // Per-experiment results land at their (pair, config) slot; workers
+  // share nothing else, so any interleaving produces the same matrix,
+  // and the fold below walks it in deterministic order.
+  std::vector<std::vector<ExperimentResult>> results(
+      num_pairs, std::vector<ExperimentResult>(num_configs));
+  ParallelFor(num_pairs * num_configs, num_threads, [&](size_t w) {
+    const size_t config_index = w / num_pairs;
+    const size_t pair_index = w % num_pairs;
+    results[pair_index][config_index] = RunConfigOnPair(
+        family, config_index, suite[pair_index],
+        fingerprints != nullptr ? &(*fingerprints)[pair_index] : nullptr,
+        run);
+  });
   std::vector<FamilyPairOutcome> outcomes;
-  outcomes.reserve(suite.size());
-  for (size_t i = 0; i < suite.size(); ++i) {
-    // Without the caller's fingerprints, each pair is fingerprinted once,
-    // before its grid runs.
-    outcomes.push_back(
-        run.fingerprints != nullptr
-            ? RunFamilyOnPair(family, suite[i], &(*run.fingerprints)[i], run)
-            : RunFamilyOnPair(family, suite[i], run));
+  outcomes.reserve(num_pairs);
+  for (size_t i = 0; i < num_pairs; ++i) {
+    outcomes.push_back(ReducePairOutcome(family, suite[i], results[i]));
   }
   return outcomes;
 }

@@ -127,10 +127,10 @@ struct FamilyRunContext {
   ArtifactCache* artifacts = nullptr;
   /// The suite's fingerprints, one per pair in suite order, read only
   /// when `artifacts` is set. RunCampaignOnSuite fingerprints its suite
-  /// once and shares the vector across families; a RunFamilyOnSuite*
+  /// once and shares the vector across families; a RunFamilyOnSuite
   /// call given none fingerprints its suite itself, once. Either way a
   /// suite of P pairs costs 2P fingerprints per call, however wide the
-  /// grid and whatever the granularity.
+  /// grid and however many threads run it.
   const std::vector<PairFingerprints>* fingerprints = nullptr;
   /// Observability (obs/): all optional, all borrowed. `clock` is the
   /// timing source for runtime measurements (nullptr = steady clock);
@@ -149,7 +149,7 @@ struct FamilyRunContext {
 /// Runs one grid configuration of the family on the pair under the run
 /// context: journaled results are replayed (crash resume), everything
 /// else executes under the policy and is appended to the journal. This
-/// is the parallel unit of ParallelGranularity::kConfig; it is safe to
+/// is the unit of work RunFamilyOnSuite hands its workers; it is safe to
 /// call concurrently for distinct (pair, config) work items.
 /// `fingerprints` are the pair's, for the artifact cache: required when
 /// `run.artifacts` is set, unread otherwise.
@@ -166,36 +166,49 @@ FamilyPairOutcome ReducePairOutcome(const MethodFamily& family,
                                     const DatasetPair& pair,
                                     const std::vector<ExperimentResult>& results);
 
-/// Runs every configuration of the family on the pair; keeps the best
-/// recall and accumulates runtime.
-FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
-                                  const DatasetPair& pair);
-
-/// Fault-tolerant variant: applies the policy's deadline/retry budget
-/// per configuration, replays journaled results, and records failures
-/// in the outcome's taxonomy instead of aborting. Failed configurations
-/// never update best_recall/best_config. With an artifact cache, the
-/// pair is fingerprinted once for the whole grid.
+/// Runs every configuration of the family on the pair under the run
+/// context (see RunConfigOnPair) and keeps the best recall: the policy's
+/// deadline/retry budget applies per configuration, journaled results
+/// are replayed, and failures land in the outcome's taxonomy instead of
+/// aborting. Failed configurations never update best_recall/best_config.
+/// With an artifact cache, the pair is fingerprinted once for the whole
+/// grid.
 FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
                                   const DatasetPair& pair,
-                                  const FamilyRunContext& run);
+                                  const FamilyRunContext& run = {});
 
-/// The same grid run on fingerprints from the caller (see
-/// RunConfigOnPair): every configuration in grid order, folded by
-/// ReducePairOutcome. The unit of ParallelGranularity::kPair.
-FamilyPairOutcome RunFamilyOnPair(const MethodFamily& family,
-                                  const DatasetPair& pair,
-                                  const PairFingerprints* fingerprints,
-                                  const FamilyRunContext& run);
-
-/// Runs the family over a whole suite.
-std::vector<FamilyPairOutcome> RunFamilyOnSuite(
-    const MethodFamily& family, const std::vector<DatasetPair>& suite);
-
-/// Fault-tolerant suite run (see the pair-level overload).
+/// Runs the family over the suite with `num_threads` workers
+/// (0 = hardware concurrency); the harness's one way to run a grid.
+/// Work items are the flattened (pair, configuration) grid, walked
+/// configuration-major: item `w` is configuration `w / P` on pair
+/// `w % P`, so concurrent workers start on different pairs instead of
+/// all building the same pair's artifacts. Each result lands at its
+/// (pair, configuration) slot and the slots fold with ReducePairOutcome
+/// in grid order, so the outcomes — suite order, one per pair — are
+/// byte-identical at every thread count, with or without a cache. One
+/// thread runs the items inline. With an artifact cache and no
+/// fingerprints from the caller, the suite is fingerprinted first, once,
+/// over the same workers.
+///
+/// ColumnMatcher::Match must be safe to call concurrently on one
+/// instance (all built-in matchers are; the fault-injecting decorator
+/// guards its attempt counts with a mutex). The runner itself holds no
+/// valentine::Mutex: workers claim items from one std::atomic cursor and
+/// write each result to its pre-sized slot, so there is no shared
+/// mutable state for GUARDED_BY to name. Everything the workers call
+/// into — cache, journal, metrics, tracer — locks through the annotated
+/// layer (src/core/mutex.h, DESIGN.md §11), and those mutexes are
+/// leaf-level by rank, so workers never deadlock each other. The journal
+/// is internally synchronized: its line order varies with the
+/// interleaving, but the resume index — and so the report — does not.
 std::vector<FamilyPairOutcome> RunFamilyOnSuite(
     const MethodFamily& family, const std::vector<DatasetPair>& suite,
-    const FamilyRunContext& run);
+    const FamilyRunContext& run = {}, size_t num_threads = 1);
+
+/// FingerprintPair of every pair, in suite order, over `num_threads`
+/// workers (0 = hardware concurrency).
+std::vector<PairFingerprints> FingerprintSuite(
+    const std::vector<DatasetPair>& suite, size_t num_threads);
 
 /// Per-scenario recall distribution of a batch of outcomes.
 struct ScenarioStats {

@@ -1,11 +1,12 @@
 // Byte-identity contract of the campaign's shared ArtifactCache
-// (runner.h, campaign.h): serving prepared artifacts to a family run
-// changes where per-table work is done, never what it produces, so
-// canonical outcomes must be bit-for-bit identical with and without the
-// cache — for every family, cold and warm, and at campaign level across
-// every (use_artifact_cache, granularity, threads) combination. Runs
-// under TSan with the cache shared across worker threads. Also pins the
-// Jaccard-Levenshtein reference kernel to the default banded one.
+// (runner.h, campaign.h): serving prepared artifacts changes where
+// per-table work is done, never what it produces, so each family's
+// campaign outcomes must be bit-for-bit identical to the uncached
+// one-thread family run, and the campaign's report identical at every
+// thread count. Runs under TSan with the cache shared across worker
+// threads (the per-family matrix, threads x cache on/off, is
+// harness_parallel_race_test's). Also pins the Jaccard-Levenshtein
+// reference kernel to the default banded one.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,6 @@
 #include "datasets/tpcdi.h"
 #include "harness/campaign.h"
 #include "harness/json_export.h"
-#include "harness/parallel.h"
-#include "matchers/embdi.h"
 #include "matchers/jaccard_levenshtein.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -47,35 +46,9 @@ MethodFamily Truncate(MethodFamily family, size_t n) {
   return family;
 }
 
-Ontology ProfileTestOntology() {
-  Ontology o;
-  size_t root = o.AddClass("root", {"entity"});
-  o.AddSubclass(root, "person", {"person", "customer", "prospect"});
-  o.AddSubclass(root, "address", {"address", "city", "country"});
-  return o;
-}
-
 MethodFamily MakeFamily(const std::string& name) {
-  if (name == "Cupid") return Truncate(CupidFamily(), 2);
-  if (name == "SimilarityFlooding") return SimilarityFloodingFamily();
   if (name == "COMA") return ComaFamily();
   if (name == "Distribution") return Truncate(DistributionFamily1(), 2);
-  if (name == "SemProp") {
-    static const Ontology kOntology = ProfileTestOntology();
-    return Truncate(SemPropFamily(&kOntology), 2);
-  }
-  if (name == "EmbDI") {
-    EmbdiOptions opt;
-    opt.dimensions = 8;
-    opt.walks_per_node = 1;
-    opt.epochs = 1;
-    opt.sentence_length = 20;
-    opt.max_rows = 40;
-    MethodFamily family{"EmbDI", {}};
-    family.grid.push_back(
-        {"word2vec tiny", std::make_shared<EmbdiMatcher>(opt)});
-    return family;
-  }
   if (name == "JaccardLevenshtein") return Truncate(JaccardLevenshteinFamily(), 2);
   ADD_FAILURE() << "unknown family " << name;
   return {};
@@ -92,38 +65,6 @@ const std::vector<DatasetPair>& SharedSuite() {
   }();
   return kSuite;
 }
-
-class ArtifactCacheFamilyTest
-    : public ::testing::TestWithParam<std::string> {};
-
-// Every family: cached == uncached, bit for bit.
-TEST_P(ArtifactCacheFamilyTest, CachedRunMatchesUncachedBytes) {
-  const std::string family_name = GetParam();
-  MethodFamily family = MakeFamily(family_name);
-  ASSERT_FALSE(SharedSuite().empty());
-
-  const std::string uncached =
-      ToJson(RunFamilyOnSuite(family, SharedSuite(), ClockedRun()));
-
-  // Prepared-artifact fast path: must match the monolithic bytes, cold
-  // and warm.
-  ArtifactCache artifacts;
-  FamilyRunContext run = ClockedRun();
-  run.artifacts = &artifacts;
-  EXPECT_EQ(ToJson(RunFamilyOnSuite(family, SharedSuite(), run)), uncached)
-      << family_name << " diverged when scored from cached artifacts";
-  EXPECT_GT(artifacts.size(), 0u) << "artifact cache was never consulted";
-  EXPECT_EQ(ToJson(RunFamilyOnSuite(family, SharedSuite(), run)), uncached)
-      << family_name << " diverged on warm artifacts";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, ArtifactCacheFamilyTest,
-    ::testing::Values("Cupid", "SimilarityFlooding", "COMA", "Distribution",
-                      "SemProp", "EmbDI", "JaccardLevenshtein"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return info.param;
-    });
 
 // The reference full-matrix Levenshtein kernel and the default banded
 // one score bit-identically, so the whole Jaccard-Levenshtein grid
@@ -144,48 +85,42 @@ TEST(JaccardLevenshteinKernelTest, NaiveKernelMatchesBandedOutcomes) {
             ToJson(RunFamilyOnSuite(banded, SharedSuite(), ClockedRun())));
 }
 
-// Campaign level: the report is byte-identical across every combination
-// of artifact caching and work-slicing granularity, threaded or not.
-TEST(CampaignCacheTest, ReportInvariantUnderCacheAndGranularity) {
+// Campaign level: each family's outcomes match the uncached one-thread
+// family run, and the report is byte-identical at every thread count.
+TEST(CampaignCacheTest, ReportInvariantUnderThreads) {
   std::vector<MethodFamily> families = {
       MakeFamily("JaccardLevenshtein"),
       MakeFamily("Distribution"),
       MakeFamily("COMA"),
   };
 
-  CampaignOptions baseline;
-  baseline.num_threads = 1;
-  baseline.clock = &SharedFakeClock();
-  baseline.use_artifact_cache = false;
-  baseline.granularity = ParallelGranularity::kPair;
-  const std::string expected =
-      ToJson(RunCampaignOnSuite(SharedSuite(), families, baseline));
+  CampaignOptions one_thread;
+  one_thread.num_threads = 1;
+  one_thread.clock = &SharedFakeClock();
+  const CampaignReport report =
+      RunCampaignOnSuite(SharedSuite(), families, one_thread);
+  ASSERT_EQ(report.families.size(), families.size());
+  for (size_t f = 0; f < families.size(); ++f) {
+    EXPECT_EQ(ToJson(report.families[f].outcomes),
+              ToJson(RunFamilyOnSuite(families[f], SharedSuite(),
+                                      ClockedRun())))
+        << families[f].name;
+  }
 
-  for (bool use_artifacts : {false, true}) {
-    for (ParallelGranularity granularity :
-         {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{0}}) {
-        CampaignOptions options;
-        options.num_threads = threads;
-        options.clock = &SharedFakeClock();
-        options.use_artifact_cache = use_artifacts;
-        options.granularity = granularity;
-        EXPECT_EQ(
-            ToJson(RunCampaignOnSuite(SharedSuite(), families, options)),
-            expected)
-            << "artifacts=" << use_artifacts << " granularity="
-            << (granularity == ParallelGranularity::kConfig ? "config"
-                                                            : "pair")
-            << " threads=" << threads;
-      }
-    }
+  const std::string expected = ToJson(report);
+  for (size_t threads : {size_t{2}, size_t{0}}) {
+    CampaignOptions options;
+    options.num_threads = threads;
+    options.clock = &SharedFakeClock();
+    EXPECT_EQ(ToJson(RunCampaignOnSuite(SharedSuite(), families, options)),
+              expected)
+        << "threads=" << threads;
   }
 }
 
 // The per-family artifact-cache counters live on the MetricsRegistry
 // (the single exclusion point from the byte-identity contract), never
-// on the report: present when the cache is on, absent when it is off,
-// and the report JSON carries no cache diagnostics either way.
+// on the report: the report JSON carries no cache diagnostics.
 TEST(CampaignCacheTest, ArtifactCacheCountersOnMetricsRegistry) {
   std::vector<MethodFamily> families = {MakeFamily("JaccardLevenshtein"),
                                         MakeFamily("Distribution")};
@@ -219,17 +154,6 @@ TEST(CampaignCacheTest, ArtifactCacheCountersOnMetricsRegistry) {
             std::string::npos);
   // The report itself carries no cache diagnostics.
   EXPECT_EQ(ToJson(report).find("artifact_cache"), std::string::npos);
-
-  MetricsRegistry off_metrics;
-  CampaignOptions cache_off;
-  cache_off.num_threads = 1;
-  cache_off.clock = &SharedFakeClock();
-  cache_off.use_artifact_cache = false;
-  cache_off.metrics = &off_metrics;
-  CampaignReport off = RunCampaignOnSuite(SharedSuite(), families, cache_off);
-  EXPECT_EQ(off_metrics.RenderPrometheusText().find("valentine_artifact_cache"),
-            std::string::npos);
-  EXPECT_EQ(ToJson(off).find("artifact_cache"), std::string::npos);
 }
 
 }  // namespace

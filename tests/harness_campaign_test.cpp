@@ -112,27 +112,17 @@ TEST(FingerprintOnceTest, CampaignFingerprintsEachSuiteTableOncePerCall) {
   const std::vector<DatasetPair> suite =
       BuildFabricatedSuite(MakeTpcdiProspect(30, 85), SmallCampaign().suite);
   ASSERT_EQ(suite.size(), 6u);
-  for (ParallelGranularity granularity :
-       {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
-    for (size_t threads : {1, 4}) {
-      CampaignOptions opt = SmallCampaign();
-      opt.granularity = granularity;
-      opt.num_threads = threads;
-      const uint64_t before = TableContentFingerprintCalls();
-      const CampaignReport report =
-          RunCampaignOnSuite(suite, TwoFamilies(), opt);
-      EXPECT_EQ(TableContentFingerprintCalls() - before, 2 * suite.size())
-          << "granularity " << static_cast<int>(granularity) << ", "
-          << threads << " threads";
-      EXPECT_EQ(report.num_experiments, 9 * suite.size());
-      EXPECT_EQ(report.failed_experiments, 0u);
-    }
+  for (size_t threads : {1, 4}) {
+    CampaignOptions opt = SmallCampaign();
+    opt.num_threads = threads;
+    const uint64_t before = TableContentFingerprintCalls();
+    const CampaignReport report =
+        RunCampaignOnSuite(suite, TwoFamilies(), opt);
+    EXPECT_EQ(TableContentFingerprintCalls() - before, 2 * suite.size())
+        << threads << " threads";
+    EXPECT_EQ(report.num_experiments, 9 * suite.size());
+    EXPECT_EQ(report.failed_experiments, 0u);
   }
-  CampaignOptions uncached = SmallCampaign();
-  uncached.use_artifact_cache = false;
-  const uint64_t before = TableContentFingerprintCalls();
-  RunCampaignOnSuite(suite, TwoFamilies(), uncached);
-  EXPECT_EQ(TableContentFingerprintCalls() - before, 0u);
 }
 
 TEST(FingerprintOnceTest, FamilyRunnersFingerprintEachSuiteTableOncePerCall) {
@@ -147,34 +137,31 @@ TEST(FingerprintOnceTest, FamilyRunnersFingerprintEachSuiteTableOncePerCall) {
     call();
     return TableContentFingerprintCalls() - before;
   };
-  EXPECT_EQ(calls_during([&] { RunFamilyOnSuite(family, suite, run); }),
-            2 * suite.size());
+  for (size_t threads : {1, 4}) {
+    EXPECT_EQ(
+        calls_during([&] { RunFamilyOnSuite(family, suite, run, threads); }),
+        2 * suite.size())
+        << threads << " threads";
+  }
   EXPECT_EQ(calls_during([&] { RunFamilyOnPair(family, suite[0], run); }),
             2u);
-  for (ParallelGranularity granularity :
-       {ParallelGranularity::kPair, ParallelGranularity::kConfig}) {
-    EXPECT_EQ(calls_during([&] {
-                RunFamilyOnSuiteParallel(family, suite, 4, run, granularity);
-              }),
-              2 * suite.size())
-        << "granularity " << static_cast<int>(granularity);
-  }
+  // Without a cache nothing is fingerprinted.
+  EXPECT_EQ(calls_during([&] { RunFamilyOnSuite(family, suite); }), 0u);
 
   // Fingerprints the caller passes are used as they are.
   const std::vector<PairFingerprints> fingerprints =
       FingerprintSuite(suite, 2);
   run.fingerprints = &fingerprints;
-  EXPECT_EQ(calls_during([&] { RunFamilyOnSuite(family, suite, run); }), 0u);
-  EXPECT_EQ(calls_during([&] {
-              RunFamilyOnSuiteParallel(family, suite, 4, run,
-                                       ParallelGranularity::kConfig);
-            }),
-            0u);
+  for (size_t threads : {1, 4}) {
+    EXPECT_EQ(
+        calls_during([&] { RunFamilyOnSuite(family, suite, run, threads); }),
+        0u)
+        << threads << " threads";
+  }
 }
 
 // Cupid's pair artifact (its linguistic-similarity matrix) is built once
-// per suite pair per family call wherever one worker owns a pair's grid:
-// at kPair, and at kConfig on one thread. Configuration-major kConfig
+// per suite pair per family call on one thread. Configuration-major
 // workers may race to build a pair's first artifact, at most once each.
 // Nothing is built without the cache, nor for a family with no pair
 // stage.
@@ -190,27 +177,18 @@ TEST(PairArtifactOnceTest, CampaignBuildsOneCupidPairArtifactPerSuitePair) {
     return PairArtifactBuilds() - before;
   };
   const std::vector<MethodFamily> families = TwoFamilies();  // Cupid + JL
-  for (const auto& [granularity, threads] :
-       std::vector<std::pair<ParallelGranularity, size_t>>{
-           {ParallelGranularity::kPair, 1},
-           {ParallelGranularity::kPair, 4},
-           {ParallelGranularity::kConfig, 1}}) {
-    CampaignOptions opt = SmallCampaign();
-    opt.granularity = granularity;
-    opt.num_threads = threads;
-    EXPECT_EQ(builds_during(families, opt), suite.size())
-        << "granularity " << static_cast<int>(granularity) << ", " << threads
-        << " threads";
-  }
+  CampaignOptions one_thread = SmallCampaign();
+  one_thread.num_threads = 1;
+  EXPECT_EQ(builds_during(families, one_thread), suite.size());
   CampaignOptions racing = SmallCampaign();
   racing.num_threads = 4;
   const uint64_t raced = builds_during(families, racing);
   EXPECT_GE(raced, suite.size());
   EXPECT_LE(raced, 4 * suite.size());
 
-  CampaignOptions uncached = SmallCampaign();
-  uncached.use_artifact_cache = false;
-  EXPECT_EQ(builds_during(families, uncached), 0u);
+  const uint64_t before = PairArtifactBuilds();
+  for (const MethodFamily& family : families) RunFamilyOnSuite(family, suite);
+  EXPECT_EQ(PairArtifactBuilds() - before, 0u);
   EXPECT_EQ(builds_during({JaccardLevenshteinFamily()}, SmallCampaign()), 0u);
 }
 

@@ -9,7 +9,6 @@
 #include "datasets/tpcdi.h"
 #include "harness/campaign.h"
 #include "harness/json_export.h"
-#include "harness/parallel.h"
 #include "matchers/fault_injection.h"
 #include "obs/clock.h"
 
@@ -218,8 +217,8 @@ TEST(HarnessFaultsConcurrencyTest, ParallelFaultRunMatchesSequential) {
   std::string expected =
       ToJson(RunFamilyOnSuite(Wrapped(plan), suite, run));
   for (size_t threads : {2u, 4u, 8u}) {
-    std::string got = ToJson(
-        RunFamilyOnSuiteParallel(Wrapped(plan), suite, threads, run));
+    std::string got =
+        ToJson(RunFamilyOnSuite(Wrapped(plan), suite, run, threads));
     EXPECT_EQ(got, expected) << threads << " threads";
   }
 }

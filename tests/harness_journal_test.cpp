@@ -78,6 +78,23 @@ TEST(JournalEntryTest, TornLinesAreRejected) {
   }
   EXPECT_FALSE(ParseJournalEntry("not json at all").has_value());
   EXPECT_FALSE(ParseJournalEntry("{\"family\":\"x\"}").has_value());
+  // An attempts count the writer can never produce: below one,
+  // fractional, not a number, or past what a double holds exactly.
+  const std::string good = "\"attempts\":3}";
+  ASSERT_EQ(line.substr(line.size() - good.size()), good);
+  const std::string head = line.substr(0, line.size() - good.size());
+  for (const char* attempts :
+       {"0", "-1", "0.5", "2.5", "nan", "inf", "9007199254740994",
+        "18446744073709551615", "18446744073709551616", "1e300"}) {
+    EXPECT_FALSE(ParseJournalEntry(head + "\"attempts\":" + attempts + "}")
+                     .has_value())
+        << attempts;
+  }
+  for (const char* attempts : {"1", "1.0", "9007199254740992"}) {
+    auto parsed = ParseJournalEntry(head + "\"attempts\":" + attempts + "}");
+    ASSERT_TRUE(parsed.has_value()) << attempts;
+    EXPECT_EQ(parsed->attempts, static_cast<size_t>(std::stod(attempts)));
+  }
 }
 
 TEST(JournalIndexTest, MissingFileLoadsEmpty) {
@@ -251,6 +268,45 @@ TEST(CampaignResumeTest, PartialJournalResumesToIdenticalReport) {
   EXPECT_EQ(ToJson(replayed), expected);
   std::remove(opt.journal_path.c_str());
   std::remove(resume_opt.journal_path.c_str());
+}
+
+// A journal line whose attempts count no run could have written ends
+// the replayable prefix like a torn line: its experiment runs again
+// instead of replaying a retry count of SIZE_MAX.
+TEST(CampaignResumeTest, ImpossibleAttemptsAreNeverReplayed) {
+  std::vector<DatasetPair> suite = SmallSuite();
+  CampaignOptions opt = ClockedOptions();
+  opt.journal_path = TempPath("attempts_full.jsonl");
+  CampaignReport fresh = RunCampaignOnSuite(suite, {SmallFamily()}, opt);
+  ASSERT_EQ(fresh.failed_experiments, 0u);
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(opt.journal_path);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), fresh.num_experiments);
+  const std::string one = "\"attempts\":1}";
+  ASSERT_EQ(lines.back().substr(lines.back().size() - one.size()), one);
+  for (const char* attempts : {"0", "-1"}) {
+    CampaignOptions resume_opt = opt;
+    resume_opt.journal_path = TempPath("attempts_bad.jsonl");
+    {
+      std::ofstream out(resume_opt.journal_path);
+      for (size_t i = 0; i + 1 < lines.size(); ++i) out << lines[i] << "\n";
+      out << lines.back().substr(0, lines.back().size() - one.size())
+          << "\"attempts\":" << attempts << "}\n";
+    }
+    // Every other line replays; the bad one runs, and always fails.
+    CampaignReport resumed = RunCampaignOnSuite(
+        suite, {AlwaysFailing(SmallFamily())}, resume_opt);
+    ASSERT_EQ(resumed.families.size(), 1u) << attempts;
+    EXPECT_EQ(resumed.failed_experiments, 1u) << attempts;
+    EXPECT_EQ(resumed.families[0].retry_attempts, 0u) << attempts;
+    std::remove(resume_opt.journal_path.c_str());
+  }
+  std::remove(opt.journal_path.c_str());
 }
 
 TEST(CampaignResumeTest, QuarantinedFailuresAreNotReAttempted) {

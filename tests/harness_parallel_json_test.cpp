@@ -5,7 +5,7 @@
 
 #include "datasets/tpcdi.h"
 #include "harness/json_export.h"
-#include "harness/parallel.h"
+#include "harness/runner.h"
 
 namespace valentine {
 namespace {
@@ -19,7 +19,7 @@ TEST(ParallelRunnerTest, MatchesSequentialResults) {
   MethodFamily family = JaccardLevenshteinFamily();
 
   auto sequential = RunFamilyOnSuite(family, suite);
-  auto parallel = RunFamilyOnSuiteParallel(family, suite, 4);
+  auto parallel = RunFamilyOnSuite(family, suite, {}, 4);
   ASSERT_EQ(sequential.size(), parallel.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(sequential[i].pair_id, parallel[i].pair_id);
@@ -37,7 +37,7 @@ TEST(ParallelRunnerTest, SharedCupidCacheIsThreadSafe) {
   auto suite = BuildFabricatedSuite(original, opt);
   // A small Cupid grid shares matcher instances across worker threads.
   MethodFamily family{"Cupid", {CupidFamily().grid[0], CupidFamily().grid[50]}};
-  auto outcomes = RunFamilyOnSuiteParallel(family, suite, 8);
+  auto outcomes = RunFamilyOnSuite(family, suite, {}, 8);
   EXPECT_EQ(outcomes.size(), suite.size());
   for (const auto& o : outcomes) {
     EXPECT_GE(o.best_recall, 0.0);
@@ -45,7 +45,7 @@ TEST(ParallelRunnerTest, SharedCupidCacheIsThreadSafe) {
   }
 }
 
-TEST(ParallelRunnerTest, SingleThreadFallsBack) {
+TEST(ParallelRunnerTest, SingleThreadRunsInline) {
   Table original = MakeTpcdiProspect(30, 73);
   PairSuiteOptions opt;
   opt.row_overlaps = {0.5};
@@ -53,8 +53,7 @@ TEST(ParallelRunnerTest, SingleThreadFallsBack) {
   opt.schema_noise_variants = false;
   opt.instance_noise_variants = false;
   auto suite = BuildFabricatedSuite(original, opt);
-  auto outcomes =
-      RunFamilyOnSuiteParallel(SimilarityFloodingFamily(), suite, 1);
+  auto outcomes = RunFamilyOnSuite(SimilarityFloodingFamily(), suite, {}, 1);
   EXPECT_EQ(outcomes.size(), suite.size());
 }
 

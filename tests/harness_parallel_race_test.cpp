@@ -1,10 +1,10 @@
-// Determinism contract of RunFamilyOnSuiteParallel (parallel.h): results
-// are byte-identical to the sequential runner for every matcher family
-// and every thread count, run after run. This is the test ThreadSanitizer
-// actually exercises (`ctest -L tsan`): all workers share the same
-// matcher instances, so any unsynchronized mutable state (e.g. Cupid's
-// linguistic-similarity memo cache) shows up both as a TSan report and as
-// a byte diff here.
+// Determinism contract of RunFamilyOnSuite (runner.h): results are
+// byte-identical to the uncached one-thread run for every matcher family,
+// every thread count and with or without a shared ArtifactCache, run
+// after run. This is the test ThreadSanitizer actually exercises
+// (`ctest -L tsan`): all workers share the same matcher instances and,
+// when cached, the same table and pair artifacts, so any unsynchronized
+// mutable state shows up both as a TSan report and as a byte diff here.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 
 #include "datasets/tpcdi.h"
 #include "harness/json_export.h"
-#include "harness/parallel.h"
+#include "harness/runner.h"
 #include "matchers/embdi.h"
 #include "obs/clock.h"
 
@@ -95,8 +95,8 @@ const std::vector<DatasetPair>& SharedSuite() {
   return kSuite;
 }
 
-// Sequential baselines are deterministic per family, so compute each one
-// once and share it across the four thread-count instantiations.
+// The uncached one-thread reference is deterministic per family, so
+// compute each one once and share it across the instantiations.
 const std::string& SequentialBaseline(const std::string& family_name) {
   static std::map<std::string, std::string> baselines;
   auto it = baselines.find(family_name);
@@ -111,28 +111,35 @@ const std::string& SequentialBaseline(const std::string& family_name) {
   return it->second;
 }
 
-// (family, num_threads); 0 = hardware concurrency.
-using RaceParam = std::tuple<std::string, size_t>;
+// (family, num_threads, shared cache); 0 threads = hardware concurrency.
+using RaceParam = std::tuple<std::string, size_t, bool>;
 
 class ParallelDeterminismTest : public ::testing::TestWithParam<RaceParam> {};
 
-TEST_P(ParallelDeterminismTest, ParallelMatchesSequentialBytes) {
-  const auto& [family_name, num_threads] = GetParam();
+TEST_P(ParallelDeterminismTest, MatchesUncachedOneThreadBytes) {
+  const auto& [family_name, num_threads, cached] = GetParam();
   const std::string& expected = SequentialBaseline(family_name);
   ASSERT_FALSE(SharedSuite().empty());
 
-  // One family object for all repeats: workers share matcher instances,
-  // and warm memo caches must not change results.
+  // One family object and one cache for all repeats: workers share
+  // matcher instances and artifacts, and warm state must not change
+  // results. The cache rides along as in a real campaign, so TSan also
+  // sees concurrent GetOrPrepare, GetOrPreparePair and artifact reads.
   MethodFamily family = MakeFamily(family_name);
+  ArtifactCache cache;
+  FamilyRunContext run = ClockedRun();
+  if (cached) run.artifacts = &cache;
   for (int repeat = 0; repeat < 3; ++repeat) {
-    auto outcomes = RunFamilyOnSuiteParallel(family, SharedSuite(),
-                                             num_threads, ClockedRun());
-    EXPECT_EQ(ToJson(std::move(outcomes)), expected)
-        << family_name << " diverged from sequential with "
-        << (num_threads == 0 ? std::string("hardware") :
-                               std::to_string(num_threads))
-        << " threads (repeat " << repeat << ")";
+    EXPECT_EQ(ToJson(RunFamilyOnSuite(family, SharedSuite(), run,
+                                      num_threads)),
+              expected)
+        << family_name << " diverged from the uncached one-thread run with "
+        << (num_threads == 0 ? std::string("hardware")
+                             : std::to_string(num_threads))
+        << " threads, cache " << (cached ? "on" : "off") << " (repeat "
+        << repeat << ")";
   }
+  if (cached) EXPECT_GT(cache.size(), 0u) << "cache was never consulted";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,57 +148,15 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("Cupid", "SimilarityFlooding", "COMA",
                           "Distribution", "SemProp", "EmbDI",
                           "JaccardLevenshtein"),
-        // 1 exercises the sequential fallback; 0 = hardware concurrency.
-        ::testing::Values<size_t>(1, 2, 8, 0)),
+        // 1 runs the work items inline; 0 = hardware concurrency.
+        ::testing::Values<size_t>(1, 2, 8, 0), ::testing::Bool()),
     [](const ::testing::TestParamInfo<RaceParam>& info) {
       // No structured bindings here: the preprocessor would split the
       // macro argument at the comma inside the bracket list.
       size_t threads = std::get<1>(info.param);
       return std::get<0>(info.param) + "_t" +
-             (threads == 0 ? std::string("hw") : std::to_string(threads));
-    });
-
-// kConfig granularity slices work per (pair, configuration) and folds
-// per-config results with ReducePairOutcome; the fold — and therefore
-// the bytes — must still match the sequential runner. A shared
-// ArtifactCache rides along, as in a real campaign, so TSan also sees
-// concurrent GetOrPrepare and concurrent artifact reads.
-class ConfigGranularityDeterminismTest
-    : public ::testing::TestWithParam<RaceParam> {};
-
-TEST_P(ConfigGranularityDeterminismTest, ConfigSlicingMatchesSequentialBytes) {
-  const auto& [family_name, num_threads] = GetParam();
-  const std::string& expected = SequentialBaseline(family_name);
-  ASSERT_FALSE(SharedSuite().empty());
-
-  MethodFamily family = MakeFamily(family_name);
-  ArtifactCache cache;
-  FamilyRunContext run = ClockedRun();
-  run.artifacts = &cache;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    auto outcomes =
-        RunFamilyOnSuiteParallel(family, SharedSuite(), num_threads, run,
-                                 ParallelGranularity::kConfig);
-    EXPECT_EQ(ToJson(std::move(outcomes)), expected)
-        << family_name << " diverged from sequential under kConfig with "
-        << (num_threads == 0 ? std::string("hardware") :
-                               std::to_string(num_threads))
-        << " threads (repeat " << repeat << ")";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFamiliesConfigGranularity, ConfigGranularityDeterminismTest,
-    ::testing::Combine(
-        ::testing::Values("Cupid", "SimilarityFlooding", "COMA",
-                          "Distribution", "SemProp", "EmbDI",
-                          "JaccardLevenshtein"),
-        // Two counts keep the sanitizer cycle bounded; 0 = hardware.
-        ::testing::Values<size_t>(2, 0)),
-    [](const ::testing::TestParamInfo<RaceParam>& info) {
-      size_t threads = std::get<1>(info.param);
-      return std::get<0>(info.param) + "_t" +
-             (threads == 0 ? std::string("hw") : std::to_string(threads));
+             (threads == 0 ? std::string("hw") : std::to_string(threads)) +
+             (std::get<2>(info.param) ? "_cached" : "_uncached");
     });
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "datasets/tpcdi.h"
-#include "harness/parallel.h"
 #include "harness/param_grid.h"
 #include "harness/runner.h"
 #include "matchers/artifact_cache.h"

@@ -18,12 +18,12 @@
 #include "harness/campaign.h"
 #include "harness/journal.h"
 #include "harness/json_export.h"
-#include "json_mini.h"
 #include "matchers/fault_injection.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/json.h"
 
 namespace valentine {
 namespace {
@@ -157,7 +157,7 @@ TEST(CampaignTraceTest, FakeClockRunsAreByteIdentical) {
   EXPECT_EQ(first.prometheus, second.prometheus);
   EXPECT_EQ(ToJson(first.report), ToJson(second.report));
   // The exported Chrome trace parses as one JSON document.
-  EXPECT_NE(json_mini::Parse(first.chrome), nullptr);
+  EXPECT_TRUE(serve::ParseJson(first.chrome).ok());
 }
 
 TEST(CampaignTraceTest, ReportIsByteIdenticalWithTracingOnOrOff) {
@@ -272,7 +272,7 @@ TEST(CampaignTraceConcurrencyTest, ThreadedTracedRunKeepsReportIdentity) {
     if (span.kind == "experiment") expected_traces.insert(span.trace_id);
   }
   EXPECT_EQ(experiment_traces, expected_traces);
-  EXPECT_NE(json_mini::Parse(threaded.chrome), nullptr);
+  EXPECT_TRUE(serve::ParseJson(threaded.chrome).ok());
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "json_mini.h"
 #include "obs/export.h"
+#include "serve/json.h"
 
 namespace valentine {
 namespace {
@@ -234,14 +234,14 @@ TEST(PrometheusTextTest, HistogramBucketsAreCumulative) {
   EXPECT_NE(text.find("lat_count{family=\"JL\"} 3"), std::string::npos);
 }
 
-TEST(MetricsJsonTest, CountersRoundTripThroughTheMiniParser) {
+TEST(MetricsJsonTest, CountersRoundTripThroughTheJsonParser) {
   MetricsRegistry registry;
   registry.CounterFor("valentine_experiments_total", {{"family", "JL"}})
       ->Increment(12);
   registry.CounterFor("plain")->Increment(1);
   std::string json = ToMetricsJson(registry);
-  json_mini::ValuePtr doc = json_mini::Parse(json);
-  ASSERT_NE(doc, nullptr) << json;
+  Result<serve::JsonValue> doc = serve::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
   ASSERT_TRUE(doc->is_object());
 }
 

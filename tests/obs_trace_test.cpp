@@ -7,9 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "json_mini.h"
 #include "obs/clock.h"
 #include "obs/export.h"
+#include "serve/json.h"
 
 namespace valentine {
 namespace {
@@ -170,35 +170,36 @@ TEST(ChromeTraceExportTest, EmitsValidSchemaWithVirtualTids) {
   std::vector<SpanRecord> spans = SampleSpans();
   std::string json = ToChromeTraceJson(spans);
 
-  json_mini::ValuePtr doc = json_mini::Parse(json);
-  ASSERT_NE(doc, nullptr) << json;
-  ASSERT_TRUE(doc->is_object());
-  json_mini::ValuePtr events = doc->Get("traceEvents");
+  Result<serve::JsonValue> parsed = serve::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << json;
+  const serve::JsonValue& doc = parsed.ValueOrDie();
+  ASSERT_TRUE(doc.is_object());
+  const serve::JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->array.size(), spans.size());
+  ASSERT_EQ(events->array_items().size(), spans.size());
 
   std::set<double> tids;
-  for (const json_mini::ValuePtr& ev : events->array) {
-    ASSERT_TRUE(ev->is_object());
+  for (const serve::JsonValue& ev : events->array_items()) {
+    ASSERT_TRUE(ev.is_object());
     // Complete events: name/cat/ph/ts/dur/pid/tid all present.
-    ASSERT_NE(ev->Get("name"), nullptr);
-    ASSERT_NE(ev->Get("cat"), nullptr);
-    ASSERT_NE(ev->Get("ph"), nullptr);
-    EXPECT_EQ(ev->Get("ph")->string, "X");
-    ASSERT_NE(ev->Get("ts"), nullptr);
-    EXPECT_TRUE(ev->Get("ts")->is_number());
-    ASSERT_NE(ev->Get("dur"), nullptr);
-    ASSERT_NE(ev->Get("pid"), nullptr);
-    EXPECT_EQ(ev->Get("pid")->number, 1.0);
-    ASSERT_NE(ev->Get("tid"), nullptr);
-    tids.insert(ev->Get("tid")->number);
+    ASSERT_NE(ev.Find("name"), nullptr);
+    ASSERT_NE(ev.Find("cat"), nullptr);
+    ASSERT_NE(ev.Find("ph"), nullptr);
+    EXPECT_EQ(ev.Find("ph")->string_value(), "X");
+    ASSERT_NE(ev.Find("ts"), nullptr);
+    EXPECT_TRUE(ev.Find("ts")->is_number());
+    ASSERT_NE(ev.Find("dur"), nullptr);
+    ASSERT_NE(ev.Find("pid"), nullptr);
+    EXPECT_EQ(ev.Find("pid")->number_value(), 1.0);
+    ASSERT_NE(ev.Find("tid"), nullptr);
+    tids.insert(ev.Find("tid")->number_value());
     // Correlation ids ride in args.
-    json_mini::ValuePtr args = ev->Get("args");
+    const serve::JsonValue* args = ev.Find("args");
     ASSERT_NE(args, nullptr);
     ASSERT_TRUE(args->is_object());
-    EXPECT_NE(args->Get("trace_id"), nullptr);
-    EXPECT_NE(args->Get("span_id"), nullptr);
+    EXPECT_NE(args->Find("trace_id"), nullptr);
+    EXPECT_NE(args->Find("span_id"), nullptr);
   }
   // Two distinct trace ids -> two deterministic virtual tids, 1-based.
   EXPECT_EQ(tids.size(), 2u);
@@ -230,17 +231,18 @@ TEST(TraceJsonlExportTest, OneValidObjectPerSpanInSortedOrder) {
 
   std::string prev_key;
   for (size_t i = 0; i < lines.size(); ++i) {
-    json_mini::ValuePtr obj = json_mini::Parse(lines[i]);
-    ASSERT_NE(obj, nullptr) << lines[i];
-    ASSERT_TRUE(obj->is_object());
+    Result<serve::JsonValue> parsed = serve::ParseJson(lines[i]);
+    ASSERT_TRUE(parsed.ok()) << lines[i];
+    const serve::JsonValue& obj = parsed.ValueOrDie();
+    ASSERT_TRUE(obj.is_object());
     for (const char* field : {"trace_id", "span_id", "parent_id", "kind",
                               "name", "seq", "start_ns", "end_ns",
                               "attributes"}) {
-      EXPECT_NE(obj->Get(field), nullptr) << field << " on line " << i;
+      EXPECT_NE(obj.Find(field), nullptr) << field << " on line " << i;
     }
-    EXPECT_EQ(obj->Get("trace_id")->string, spans[i].trace_id);
-    EXPECT_EQ(obj->Get("kind")->string, spans[i].kind);
-    std::string key = obj->Get("trace_id")->string;
+    EXPECT_EQ(obj.Find("trace_id")->string_value(), spans[i].trace_id);
+    EXPECT_EQ(obj.Find("kind")->string_value(), spans[i].kind);
+    std::string key = obj.Find("trace_id")->string_value();
     EXPECT_GE(key, prev_key) << "lines not sorted by trace_id";
     prev_key = key;
   }

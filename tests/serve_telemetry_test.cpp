@@ -15,8 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "http_client.h"
-#include "json_mini.h"
 #include "obs/trace.h"
+#include "serve/json.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve_test_util.h"
@@ -302,41 +302,41 @@ TEST(ServeTelemetryEndpoints, StatuszSchema) {
   HttpResponse statusz = service.Handle(MakeRequest("GET", "/statusz"));
   ASSERT_EQ(statusz.status, 200);
 
-  json_mini::Parser parser(statusz.body);
-  json_mini::ValuePtr doc = parser.Parse();
-  ASSERT_NE(doc, nullptr) << statusz.body;
-  ASSERT_TRUE(doc->is_object());
+  Result<JsonValue> parsed = ParseJson(statusz.body);
+  ASSERT_TRUE(parsed.ok()) << statusz.body;
+  const JsonValue& doc = parsed.ValueOrDie();
+  ASSERT_TRUE(doc.is_object());
 
-  json_mini::ValuePtr build = doc->Get("build");
+  const JsonValue* build = doc.Find("build");
   ASSERT_NE(build, nullptr);
-  EXPECT_EQ(build->Get("name")->string, "valentine-serve");
-  EXPECT_TRUE(build->Get("version")->is_string());
+  EXPECT_EQ(build->Find("name")->string_value(), "valentine-serve");
+  EXPECT_TRUE(build->Find("version")->is_string());
 
-  EXPECT_TRUE(doc->Get("tables")->is_number());
-  EXPECT_TRUE(doc->Get("uptime_ms")->is_number());
-  EXPECT_EQ(doc->Get("requests_logged")->number, 1.0);
+  EXPECT_TRUE(doc.Find("tables")->is_number());
+  EXPECT_TRUE(doc.Find("uptime_ms")->is_number());
+  EXPECT_EQ(doc.Find("requests_logged")->number_value(), 1.0);
 
-  json_mini::ValuePtr server = doc->Get("server");
+  const JsonValue* server = doc.Find("server");
   ASSERT_NE(server, nullptr);
-  EXPECT_TRUE(server->Get("running")->boolean);
-  EXPECT_FALSE(server->Get("draining")->boolean);
-  EXPECT_EQ(server->Get("workers")->number, 4.0);
-  EXPECT_EQ(server->Get("queue_capacity")->number, 64.0);
+  EXPECT_TRUE(server->Find("running")->bool_value());
+  EXPECT_FALSE(server->Find("draining")->bool_value());
+  EXPECT_EQ(server->Find("workers")->number_value(), 4.0);
+  EXPECT_EQ(server->Find("queue_capacity")->number_value(), 64.0);
 
-  json_mini::ValuePtr admission = doc->Get("admission");
+  const JsonValue* admission = doc.Find("admission");
   ASSERT_NE(admission, nullptr);
-  EXPECT_TRUE(admission->Get("queue_depth")->is_number());
-  EXPECT_TRUE(admission->Get("connections_total")->is_number());
-  EXPECT_TRUE(admission->Get("shed_total")->is_number());
+  EXPECT_TRUE(admission->Find("queue_depth")->is_number());
+  EXPECT_TRUE(admission->Find("connections_total")->is_number());
+  EXPECT_TRUE(admission->Find("shed_total")->is_number());
 
   // Per-route counters: healthz got one 200, and the /statusz request
   // itself is counted before rendering.
-  json_mini::ValuePtr routes = doc->Get("routes");
+  const JsonValue* routes = doc.Find("routes");
   ASSERT_NE(routes, nullptr);
-  ASSERT_NE(routes->Get("healthz"), nullptr);
-  EXPECT_EQ(routes->Get("healthz")->Get("200")->number, 1.0);
-  ASSERT_NE(routes->Get("statusz"), nullptr);
-  EXPECT_EQ(routes->Get("statusz")->Get("200")->number, 1.0);
+  ASSERT_NE(routes->Find("healthz"), nullptr);
+  EXPECT_EQ(routes->Find("healthz")->Find("200")->number_value(), 1.0);
+  ASSERT_NE(routes->Find("statusz"), nullptr);
+  EXPECT_EQ(routes->Find("statusz")->Find("200")->number_value(), 1.0);
 }
 
 TEST(ServeTelemetryEndpoints, TracezSchemaAndCapacity) {
@@ -356,25 +356,27 @@ TEST(ServeTelemetryEndpoints, TracezSchemaAndCapacity) {
   HttpResponse tracez = service.Handle(MakeRequest("GET", "/tracez"));
   ASSERT_EQ(tracez.status, 200);
 
-  json_mini::Parser parser(tracez.body);
-  json_mini::ValuePtr doc = parser.Parse();
-  ASSERT_NE(doc, nullptr) << tracez.body;
-  EXPECT_EQ(doc->Get("capacity")->number, 2.0);
-  json_mini::ValuePtr requests = doc->Get("requests");
+  Result<JsonValue> parsed = ParseJson(tracez.body);
+  ASSERT_TRUE(parsed.ok()) << tracez.body;
+  const JsonValue& doc = parsed.ValueOrDie();
+  EXPECT_EQ(doc.Find("capacity")->number_value(), 2.0);
+  const JsonValue* requests = doc.Find("requests");
   ASSERT_NE(requests, nullptr);
   ASSERT_TRUE(requests->is_array());
-  ASSERT_EQ(requests->array.size(), 2u);  // ring, not history
-  for (const json_mini::ValuePtr& entry : requests->array) {
-    ASSERT_TRUE(entry->is_object());
-    EXPECT_TRUE(entry->Get("trace_id")->is_string());
-    EXPECT_EQ(entry->Get("route")->string, "healthz");
-    EXPECT_EQ(entry->Get("status")->number, 200.0);
-    EXPECT_TRUE(entry->Get("handler_ms")->is_number());
-    EXPECT_TRUE(entry->Get("start_ns")->is_number());
+  ASSERT_EQ(requests->array_items().size(), 2u);  // ring, not history
+  for (const JsonValue& entry : requests->array_items()) {
+    ASSERT_TRUE(entry.is_object());
+    EXPECT_TRUE(entry.Find("trace_id")->is_string());
+    EXPECT_EQ(entry.Find("route")->string_value(), "healthz");
+    EXPECT_EQ(entry.Find("status")->number_value(), 200.0);
+    EXPECT_TRUE(entry.Find("handler_ms")->is_number());
+    EXPECT_TRUE(entry.Find("start_ns")->is_number());
   }
   // Oldest dropped: the ring holds requests 2 and 3.
-  EXPECT_EQ(requests->array[0]->Get("trace_id")->string, "serve/2");
-  EXPECT_EQ(requests->array[1]->Get("trace_id")->string, "serve/3");
+  EXPECT_EQ(requests->array_items()[0].Find("trace_id")->string_value(),
+            "serve/2");
+  EXPECT_EQ(requests->array_items()[1].Find("trace_id")->string_value(),
+            "serve/3");
 }
 
 // ---------------------------------------------------------------------------
@@ -514,13 +516,12 @@ TEST(ServeTelemetryServer, WireRequestsLandInAccessLogAndStatusz) {
 
   // /statusz (served mid-flight) saw the server running with the
   // configured shape.
-  json_mini::Parser parser(statusz.ValueOrDie().body);
-  json_mini::ValuePtr doc = parser.Parse();
-  ASSERT_NE(doc, nullptr);
-  json_mini::ValuePtr state = doc->Get("server");
+  Result<JsonValue> doc = ParseJson(statusz.ValueOrDie().body);
+  ASSERT_TRUE(doc.ok());
+  const JsonValue* state = doc->Find("server");
   ASSERT_NE(state, nullptr);
-  EXPECT_TRUE(state->Get("running")->boolean);
-  EXPECT_EQ(state->Get("workers")->number, 2.0);
+  EXPECT_TRUE(state->Find("running")->bool_value());
+  EXPECT_EQ(state->Find("workers")->number_value(), 2.0);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@
 
 #include "datasets/tpcdi.h"
 #include "harness/json_export.h"
-#include "harness/parallel.h"
+#include "harness/runner.h"
 #include "matchers/fault_injection.h"
 
 namespace valentine {
@@ -129,8 +129,8 @@ int RunStress(const StressOptions& opt) {
     // Contract 1: parallel == sequential for every thread count.
     for (size_t threads = 2; threads <= opt.max_threads; threads *= 2) {
       for (int repeat = 0; repeat < opt.repeats; ++repeat) {
-        std::string got = CanonicalJson(RunFamilyOnSuiteParallel(
-            WrappedFamily(pc.plan), suite, threads, run));
+        std::string got = CanonicalJson(
+            RunFamilyOnSuite(WrappedFamily(pc.plan), suite, run, threads));
         ++runs;
         if (got != expected) {
           ++violations;

@@ -2,9 +2,10 @@
 """valentine_lint: repo-invariant linter for the Valentine C++ suite.
 
 The experiment pipeline promises byte-identical results whether a suite
-runs sequentially or on 80 cores (see src/harness/parallel.h). Most of
-that contract cannot be expressed in the type system, so this linter
-machine-checks the repo-wide invariants that protect it:
+runs on one thread or on 80 (see RunFamilyOnSuite in
+src/harness/runner.h). Most of that contract cannot be expressed in the
+type system, so this linter machine-checks the repo-wide invariants
+that protect it:
 
   forbidden-random      Nondeterministic randomness sources (std::rand,
                         srand, time(), std::random_device, raw mt19937

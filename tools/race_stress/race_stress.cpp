@@ -1,9 +1,10 @@
-// Race-detector stress driver for RunFamilyOnSuiteParallel.
+// Race-detector stress driver for RunFamilyOnSuite.
 //
-// Hammers the parallel runner with every matcher family — all workers
-// sharing one set of matcher instances — across a sweep of thread counts
-// (default 8..32), and asserts that every run is byte-identical to the
-// sequential baseline. Built for soaking under ThreadSanitizer:
+// Hammers the runner with every matcher family — all workers sharing one
+// set of matcher instances and, per family, one ArtifactCache, as a
+// campaign does — across a sweep of thread counts (default 8..32), and
+// asserts that every run is byte-identical to the sequential, uncached
+// baseline. Built for soaking under ThreadSanitizer:
 //
 //   cmake --preset tsan && cmake --build --preset tsan --target race_stress
 //   TSAN_OPTIONS=halt_on_error=1 ./build/tsan/tools/race_stress/race_stress
@@ -24,7 +25,7 @@
 
 #include "datasets/tpcdi.h"
 #include "harness/json_export.h"
-#include "harness/parallel.h"
+#include "harness/runner.h"
 #include "matchers/embdi.h"
 
 namespace valentine {
@@ -114,13 +115,17 @@ int RunStress(const StressOptions& opt) {
   for (MethodFamily& family : StressFamilies(&ontology)) {
     if (!WantFamily(opt, family.name)) continue;
     std::string expected = CanonicalJson(RunFamilyOnSuite(family, suite));
+    // Same family object and cache throughout: every worker of every run
+    // hits the same matcher instances, and concurrent GetOrPrepare and
+    // GetOrPreparePair calls the same cache.
+    ArtifactCache artifacts;
+    FamilyRunContext run;
+    run.artifacts = &artifacts;
     for (size_t threads = opt.min_threads; threads <= opt.max_threads;
          threads *= 2) {
       for (int repeat = 0; repeat < opt.repeats; ++repeat) {
-        // Same family object throughout: every worker of every run hits
-        // the same matcher instances and their memo caches.
         std::string got =
-            CanonicalJson(RunFamilyOnSuiteParallel(family, suite, threads));
+            CanonicalJson(RunFamilyOnSuite(family, suite, run, threads));
         ++runs;
         if (got != expected) {
           ++divergences;
