@@ -13,6 +13,7 @@
 #include "harness/campaign.h"
 #include "matchers/embdi.h"
 #include "matchers/jaccard_levenshtein.h"
+#include "obs/export.h"
 
 using namespace valentine;
 using namespace valentine::bench;
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
     for (const auto& o : fr.outcomes) all_outcomes.push_back(o);
   }
 
-  Status st = WriteJsonFile(ToJson(all_outcomes), json_path);
+  Status st = WriteTextFile(ToJson(all_outcomes), json_path);
   if (!st.ok()) {
     std::fprintf(stderr, "JSON export failed: %s\n", st.ToString().c_str());
     return 1;

@@ -238,7 +238,8 @@ struct QueryStats {
 
 // Runs the fixed query workload (one fresh shard per queried family)
 // and returns timing + canonical ranking bytes.
-QueryStats RunQueries(const DiscoveryEngine& engine, MetricsRegistry* metrics,
+QueryStats RunQueries(const DiscoveryEngine& engine,
+                      const CandidateIndex& index, MetricsRegistry* metrics,
                       size_t queries) {
   QueryStats stats;
   const uint64_t scored_before =
@@ -248,10 +249,11 @@ QueryStats RunQueries(const DiscoveryEngine& engine, MetricsRegistry* metrics,
     // A fresh shard of family q: shares the family core, unseen tail.
     Table query =
         MakeShard(q, kFamilySize, "query_" + AlphaWord(q, 5));
-    stats.rankings.push_back(
-        CanonicalRanking(engine.FindJoinable(query, kTopK)));
-    stats.rankings.push_back(
-        CanonicalRanking(engine.FindUnionable(query, kTopK)));
+    for (DiscoveryMode mode :
+         {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
+      stats.rankings.push_back(CanonicalRanking(
+          engine.Find(index, mode, query, kTopK).ValueOrDie()));
+    }
   }
   stats.total_ms = NowMs() - t0;
   stats.scored = ScoredCount(metrics, "joinable") +
@@ -320,7 +322,7 @@ int Run(const Options& options) {
     }
 
     // Phase 2: LSH-path queries on the warm engine.
-    lsh = RunQueries(engine, &cold_metrics, queries);
+    lsh = RunQueries(engine, engine.lsh_index(), &cold_metrics, queries);
     std::fprintf(stderr,
                  "  lsh        %8.1f ms (%llu candidates scored over %zu "
                  "queries x 2 modes)\n",
@@ -347,8 +349,6 @@ int Run(const Options& options) {
     DiscoveryOptions opt;
     opt.store = &store;
     opt.metrics = &exhaustive_metrics;
-    opt.joinable_path = CandidatePath::kExhaustive;
-    opt.unionable_path = CandidatePath::kExhaustive;
     DiscoveryEngine engine(std::move(opt));
     for (size_t f = 0; f < families; ++f) {
       for (size_t s = 0; s < kFamilySize; ++s) {
@@ -360,7 +360,8 @@ int Run(const Options& options) {
         }
       }
     }
-    exhaustive = RunQueries(engine, &exhaustive_metrics, queries);
+    exhaustive = RunQueries(engine, ExhaustiveCandidateIndex(),
+                            &exhaustive_metrics, queries);
     std::fprintf(stderr, "  exhaustive %8.1f ms (%llu candidates scored)\n",
                  exhaustive.total_ms,
                  static_cast<unsigned long long>(exhaustive.scored));
@@ -417,7 +418,8 @@ int Run(const Options& options) {
       }
     }
     restart_ms = NowMs() - t0;
-    restarted = RunQueries(engine, &restart_metrics, queries);
+    restarted =
+        RunQueries(engine, engine.lsh_index(), &restart_metrics, queries);
   }
   const bool restart_all_hits =
       StoreCount(&restart_metrics, "hit") == tables &&

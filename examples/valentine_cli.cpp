@@ -34,6 +34,7 @@
 #include "matchers/jaccard_levenshtein.h"
 #include "matchers/semprop.h"
 #include "matchers/similarity_flooding.h"
+#include "obs/export.h"
 #include "scaling/approximate_matcher.h"
 
 using namespace valentine;
@@ -142,7 +143,7 @@ int CmdMatch(int argc, char** argv) {
                 m.target.column.c_str(), m.score);
   }
   if (!json_path.empty()) {
-    Status st = WriteJsonFile(ToJson(ranked), json_path);
+    Status st = WriteTextFile(ToJson(ranked), json_path);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;

@@ -78,14 +78,6 @@ const ColumnMatcher& DiscoveryEngine::matcher() const {
   return *kDefault;
 }
 
-const CandidateIndex& DiscoveryEngine::IndexFor(DiscoveryMode mode) const {
-  const CandidatePath path = mode == DiscoveryMode::kJoinable
-                                 ? options_.joinable_path
-                                 : options_.unionable_path;
-  if (path == CandidatePath::kExhaustive) return exhaustive_index_;
-  return lsh_index_;
-}
-
 Status DiscoveryEngine::AddTable(Table table) {
   auto entry = repository_.AddTable(std::move(table));
   VALENTINE_RETURN_NOT_OK(entry.status());
@@ -116,18 +108,19 @@ std::vector<DiscoveryResult> DiscoveryEngine::FindUnionable(
 Result<std::vector<DiscoveryResult>> DiscoveryEngine::FindJoinable(
     const Table& query, size_t k, const MatchContext& ctx,
     DiscoveryExplain* explain) const {
-  return Find(DiscoveryMode::kJoinable, query, k, ctx, explain);
+  return Find(lsh_index_, DiscoveryMode::kJoinable, query, k, ctx, explain);
 }
 
 Result<std::vector<DiscoveryResult>> DiscoveryEngine::FindUnionable(
     const Table& query, size_t k, const MatchContext& ctx,
     DiscoveryExplain* explain) const {
-  return Find(DiscoveryMode::kUnionable, query, k, ctx, explain);
+  return Find(lsh_index_, DiscoveryMode::kUnionable, query, k, ctx,
+              explain);
 }
 
 Result<std::vector<DiscoveryResult>> DiscoveryEngine::Find(
-    DiscoveryMode mode, const Table& query, size_t k, const MatchContext& ctx,
-    DiscoveryExplain* explain) const {
+    const CandidateIndex& index, DiscoveryMode mode, const Table& query,
+    size_t k, const MatchContext& ctx, DiscoveryExplain* explain) const {
   const char* mode_name = DiscoveryModeName(mode);
   const std::string trace_id =
       ctx.trace_id.empty() ? "discovery/" + query.name() : ctx.trace_id;
@@ -152,7 +145,7 @@ Result<std::vector<DiscoveryResult>> DiscoveryEngine::Find(
   {
     SpanScope stage(options_.tracer, trace_id, "stage", "discovery.retrieve",
                     query_span.id());
-    retrieved = IndexFor(mode).Retrieve(query, mode, repository_);
+    retrieved = index.Retrieve(query, mode, repository_);
     stage.Attr("index", retrieved.index);
     stage.Attr("candidates", std::to_string(retrieved.tables.size()));
     if (retrieved.fallback) stage.Attr("fallback", retrieved.fallback_reason);

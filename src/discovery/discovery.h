@@ -45,19 +45,6 @@
 
 namespace valentine {
 
-/// How a Find* call nominates candidate tables before the reranker
-/// verifies and scores them.
-enum class CandidatePath {
-  /// Nominate through the LSH index (and, for unionable queries, the
-  /// column-name token postings): scoring cost is bounded by the
-  /// candidates actually nominated, not the repository size.
-  kLsh,
-  /// Score every repository table. The reference path the LSH path is
-  /// A/B-checked against (bench/bench_repository.cpp); also the right
-  /// choice for tiny repositories where candidate pruning buys nothing.
-  kExhaustive,
-};
-
 /// Engine configuration.
 struct DiscoveryOptions {
   /// Column matcher used to verify/score candidate tables. When null, a
@@ -68,10 +55,6 @@ struct DiscoveryOptions {
   double min_containment = 0.3;
   /// How many column matches contribute to a table's union score.
   size_t union_evidence_columns = 3;
-  /// Candidate front-end per query mode. Both default to the LSH index;
-  /// kExhaustive restores the score-everything reference behaviour.
-  CandidatePath joinable_path = CandidatePath::kLsh;
-  CandidatePath unionable_path = CandidatePath::kLsh;
   /// On the LSH unionable path, also nominate tables that share a
   /// column-name token with the query. Value-disjoint but
   /// schema-aligned tables (the unionable case the value-based index
@@ -170,8 +153,7 @@ class DiscoveryEngine {
   /// Top-k unionable tables, scored by the mean of each candidate's
   /// `union_evidence_columns` best column matches against the query
   /// (schema-alignment semantics, §III-A). Candidates come from the
-  /// LSH index + name-token postings by default; with
-  /// unionable_path = kExhaustive every repository table is scored.
+  /// LSH index + name-token postings.
   std::vector<DiscoveryResult> FindUnionable(const Table& query,
                                              size_t k) const;
 
@@ -195,21 +177,24 @@ class DiscoveryEngine {
       const Table& query, size_t k, const MatchContext& ctx,
       DiscoveryExplain* explain = nullptr) const;
 
+  /// The staged pipeline behind both modes: `index` nominates
+  /// candidates from repository() (Retrieve), then Enrich → Rerank, sort
+  /// and truncate to the top-k. FindJoinable/FindUnionable pass
+  /// lsh_index(); passing an ExhaustiveCandidateIndex scores every
+  /// repository table, the reference the LSH path is A/B-checked
+  /// against (bench/bench_repository.cpp). `index` only decides which
+  /// tables pay the scoring cost, never a result's bytes.
+  Result<std::vector<DiscoveryResult>> Find(
+      const CandidateIndex& index, DiscoveryMode mode, const Table& query,
+      size_t k, const MatchContext& ctx = {},
+      DiscoveryExplain* explain = nullptr) const;
+
  private:
   const ColumnMatcher& matcher() const;
-  const CandidateIndex& IndexFor(DiscoveryMode mode) const;
-
-  /// The staged pipeline shared by both modes: Retrieve → Enrich →
-  /// Rerank, then sort and truncate to the top-k.
-  Result<std::vector<DiscoveryResult>> Find(DiscoveryMode mode,
-                                            const Table& query, size_t k,
-                                            const MatchContext& ctx,
-                                            DiscoveryExplain* explain) const;
 
   DiscoveryOptions options_;
   TableRepository repository_;
   LshCandidateIndex lsh_index_;
-  ExhaustiveCandidateIndex exhaustive_index_;
   Enricher enricher_;
   ExactReranker reranker_;
 };

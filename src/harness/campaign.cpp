@@ -35,10 +35,9 @@ void RegisterHelp(MetricsRegistry& metrics) {
 CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
                                   const std::vector<MethodFamily>& families,
                                   const CampaignOptions& options) {
-  // The campaign always aggregates into a fresh registry of its own:
-  // the report's failure taxonomy is derived from it, and only at the
-  // end is it merged into the caller's registry — so one long-lived
-  // registry can span many campaigns without double-counting reports.
+  // The campaign always aggregates into a fresh registry of its own,
+  // merged into the caller's registry only at the end — so one
+  // long-lived registry can span many campaigns without double-counting.
   MetricsRegistry metrics;
   RegisterHelp(metrics);
   SpanScope campaign_span(options.tracer, "campaign", "campaign", "campaign");
@@ -60,6 +59,12 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
     }
     journal.emplace(options.journal_path);
     run.journal = &*journal;
+    // A campaign that cannot journal cannot resume: refuse to start it.
+    if (Status opened = journal->status(); !opened.ok()) {
+      CampaignReport failed;
+      failed.status = std::move(opened);
+      return failed;
+    }
   }
   // One artifact cache for the whole campaign: each (table, family,
   // prepare-key) artifact and each pair's pair artifact is built once;
@@ -95,10 +100,9 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
     fr.outcomes = RunFamilyOnSuite(family, suite, run, options.num_threads);
     fr.by_scenario = AggregateByScenario(fr.outcomes);
     fr.avg_runtime_ms = AverageRuntimeMsPerRun(fr.outcomes);
-    // Failures and retries flow through the registry: the outcomes'
-    // deterministic per-pair counts are accumulated as labelled
-    // counters, and the report's taxonomy is read back from them — the
-    // registry is the source of truth, the report a deterministic view.
+    // The outcomes' deterministic per-pair counts fold into the
+    // family's taxonomy and are exported as labelled counters.
+    std::map<StatusCode, size_t> taxonomy;
     for (const FamilyPairOutcome& o : fr.outcomes) {
       fr.failed_experiments += o.failed_runs;
       fr.retry_attempts += o.retries;
@@ -109,6 +113,7 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
             ->Increment(o.retries);
       }
       for (const auto& [code, count] : o.failure_counts) {
+        taxonomy[code] += count;
         metrics
             .CounterFor("valentine_experiment_failures_total",
                         {{"family", family.name},
@@ -116,21 +121,7 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
             ->Increment(count);
       }
     }
-    for (const MetricsRegistry::CounterSample& sample :
-         metrics.CounterSamples()) {
-      if (sample.name != "valentine_experiment_failures_total") continue;
-      std::string code_name, family_name;
-      for (const auto& [key, value] : sample.labels) {
-        if (key == "code") code_name = value;
-        if (key == "family") family_name = value;
-      }
-      if (family_name != family.name) continue;
-      std::optional<StatusCode> code = StatusCodeFromName(code_name);
-      if (code.has_value()) {
-        fr.failure_taxonomy.emplace_back(*code, sample.value);
-      }
-    }
-    std::sort(fr.failure_taxonomy.begin(), fr.failure_taxonomy.end());
+    fr.failure_taxonomy.assign(taxonomy.begin(), taxonomy.end());
     family_span.Attr("pairs", std::to_string(suite.size()));
     family_span.Attr("configs", std::to_string(family.grid.size()));
     report.failed_experiments += fr.failed_experiments;
@@ -157,6 +148,9 @@ CampaignReport RunCampaignOnSuite(const std::vector<DatasetPair>& suite,
   }
   campaign_span.End();
   if (options.metrics != nullptr) options.metrics->MergeFrom(metrics);
+  // A write that failed mid-run lost journal lines: the report stands,
+  // but a resume would re-run what they recorded.
+  if (journal.has_value()) report.status = journal->status();
   return report;
 }
 

@@ -63,6 +63,12 @@ struct CampaignFamilyReport {
 /// (valentine_artifact_cache_*), the single exclusion point from that
 /// contract.
 struct CampaignReport {
+  /// OK unless the journal failed: when `journal_path` cannot be opened
+  /// no experiment runs and this holds the IOError; when a journal
+  /// write fails mid-run the campaign finishes and this holds the
+  /// journal's IOError. Not serialized (ToJson), so report bytes do not
+  /// depend on it.
+  Status status;
   size_t num_pairs = 0;
   size_t num_configurations = 0;
   size_t num_experiments = 0;

@@ -44,17 +44,22 @@ std::string JournalKey(const std::string& family, const std::string& pair_id,
                        const std::string& config);
 
 /// Serializes one entry as a single JSON line (no trailing newline).
-/// Doubles use %.17g so values round-trip exactly — a resumed campaign
-/// must reproduce recalls bit-for-bit or tie-breaks could flip.
+/// Doubles go through serve::JsonNumberToString (%.17g) so values
+/// round-trip exactly — a resumed campaign must reproduce recalls
+/// bit-for-bit or tie-breaks could flip.
 std::string SerializeJournalEntry(const JournalEntry& entry);
 
-/// Parses one JSONL line; nullopt when the line is malformed (e.g. the
-/// torn final line of a killed process).
+/// Parses one JSONL line with serve::ParseJson; nullopt when the line
+/// is malformed (e.g. the torn final line of a killed process), lacks a
+/// member or holds an attempts count no run could have written.
 std::optional<JournalEntry> ParseJournalEntry(const std::string& line);
 
 /// \brief Thread-safe append-only JSONL writer. Each Append writes one
 /// line and flushes; errors latch into status() instead of throwing so
-/// a full disk degrades the journal, never the campaign.
+/// a full disk degrades the journal, never the campaign. Opening an
+/// existing journal first cuts a torn final line (one with no newline,
+/// left by a killed writer), so appended entries start lines of their
+/// own and the journal stays a sequence of whole lines.
 class OutcomeJournal {
  public:
   explicit OutcomeJournal(const std::string& path);
@@ -79,7 +84,8 @@ class OutcomeJournal {
 /// (family, pair_id, config).
 class JournalIndex {
  public:
-  /// Loads a journal. A missing file yields an empty index (fresh run);
+  /// Loads a journal. A missing file, or a path that is not a regular
+  /// file (a device such as /dev/full), yields an empty index (fresh run);
   /// a torn final line is tolerated (parsing stops at the first
   /// malformed line). Later duplicates win, matching append order.
   static Result<JournalIndex> Load(const std::string& path);

@@ -1,7 +1,6 @@
 #include "harness/json_export.h"
 
 #include <cstdio>
-#include <fstream>
 
 namespace valentine {
 
@@ -138,14 +137,6 @@ std::string ToJson(const CampaignReport& report) {
   // MetricsRegistry and export via RenderPrometheusText/ToMetricsJson,
   // keeping this report inside the byte-identity contract.
   return out;
-}
-
-Status WriteJsonFile(const std::string& json, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << json;
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
 }
 
 }  // namespace valentine

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/status.h"
 #include "harness/campaign.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
@@ -40,9 +39,6 @@ std::string ToJson(const CampaignFamilyReport& report);
 /// byte-identically to an uninterrupted one — the crash-resume
 /// determinism contract, with no post-hoc field scrubbing.
 std::string ToJson(const CampaignReport& report);
-
-/// Writes any of the above to a file.
-Status WriteJsonFile(const std::string& json, const std::string& path);
 
 }  // namespace valentine
 

@@ -1,6 +1,5 @@
 #include "matchers/jaccard_levenshtein.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -53,21 +52,18 @@ ColumnValues ExtractValues(const Table& t, const TableProfile* profile,
 }
 
 /// Per-table artifact: per column, the capped distinct list with its
-/// fuzzy-Jaccard kernel inputs (lengths, sorted hashes, folded bags),
-/// plus MinHash sketches when the opt-in prune needs them.
+/// fuzzy-Jaccard kernel inputs (lengths, sorted hashes, folded bags).
 struct JlPrepared : PreparedTable {
   using PreparedTable::PreparedTable;
   std::vector<FuzzyJaccardColumn> columns;
-  std::vector<MinHashSignature> sigs;  ///< empty unless pruning
 };
 
 }  // namespace
 
 std::string JaccardLevenshteinMatcher::PrepareKey() const {
-  // threshold / kernel / prune thresholds are score-stage; the artifact
-  // depends only on the value cap and on whether sketches are needed.
-  return "cap=" + std::to_string(options_.max_distinct_values) +
-         ";sketch=" + (options_.prune_below > 0.0 ? "1" : "0");
+  // threshold / kernel are score-stage; the artifact depends only on
+  // the value cap.
+  return "cap=" + std::to_string(options_.max_distinct_values);
 }
 
 Result<PreparedTablePtr> JaccardLevenshteinMatcher::Prepare(
@@ -81,30 +77,6 @@ Result<PreparedTablePtr> JaccardLevenshteinMatcher::Prepare(
   prepared->columns.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     prepared->columns.push_back(FuzzyJaccardColumn::Build(*vals.views[i]));
-  }
-
-  // MinHash sketches for the opt-in prune: reuse the profile sketch when
-  // it was built over exactly our value set, else build from the lists
-  // in hand. Either way the sketch is a pure function of the set, so
-  // pruning decisions do not depend on whether a cache was attached.
-  if (options_.prune_below > 0.0) {
-    const size_t sketch_hashes = ProfileSpec().minhash_hashes;
-    const bool served = profile != nullptr && profile->Matches(table);
-    prepared->sigs.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (served) {
-        const ColumnProfile& p = profile->column(i);
-        if (p.CapsEquivalent(options_.max_distinct_values,
-                             profile->spec().set_cap) &&
-            p.minhash().size() == sketch_hashes) {
-          prepared->sigs.push_back(p.minhash());
-          continue;
-        }
-      }
-      const std::vector<std::string>& values = prepared->columns[i].values;
-      std::unordered_set<std::string> set(values.begin(), values.end());
-      prepared->sigs.push_back(MinHashSignature::Build(set, sketch_hashes));
-    }
   }
   return PreparedTablePtr(std::move(prepared));
 }
@@ -124,7 +96,6 @@ Result<MatchResult> JaccardLevenshteinMatcher::Score(
 
   const Table& source_table = src->table();
   const Table& target_table = tgt->table();
-  const bool pruning = options_.prune_below > 0.0;
   std::vector<ScoredCell> cells;
   cells.reserve(src->columns.size() * tgt->columns.size());
   for (size_t i = 0; i < src->columns.size(); ++i) {
@@ -132,20 +103,9 @@ Result<MatchResult> JaccardLevenshteinMatcher::Score(
     // the quadratic hot loop — so the budget check lives here.
     VALENTINE_RETURN_NOT_OK(context.Check("fuzzy-jaccard column sweep"));
     for (size_t j = 0; j < tgt->columns.size(); ++j) {
-      const FuzzyJaccardColumn& a = src->columns[i];
-      const FuzzyJaccardColumn& b = tgt->columns[j];
-      const size_t na = a.values.size();
-      const size_t nb = b.values.size();
-      if (pruning && na > 0 && nb > 0) {
-        // Exact bound: matched <= min(|A|,|B|), union >= max(|A|,|B|).
-        double ratio = static_cast<double>(std::min(na, nb)) /
-                       static_cast<double>(std::max(na, nb));
-        if (ratio < options_.prune_below) continue;
-        double est = src->sigs[i].EstimateJaccard(tgt->sigs[j]);
-        if (est + options_.prune_slack < options_.prune_below) continue;
-      }
-      cells.emplace_back(
-          i, j, FuzzyJaccard(a, b, options_.threshold, options_.kernel));
+      cells.emplace_back(i, j,
+                         FuzzyJaccard(src->columns[i], tgt->columns[j],
+                                      options_.threshold, options_.kernel));
     }
   }
   return MatchResult::Ranked(source_table, target_table, std::move(cells));

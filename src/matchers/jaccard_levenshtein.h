@@ -32,18 +32,6 @@ struct JaccardLevenshteinOptions {
   /// identically; kNaive (no bag bound, full-matrix DP) is the reference
   /// kept for equivalence tests and kernel benchmarks.
   LevenshteinKernel kernel = LevenshteinKernel::kBanded;
-  /// Candidate pruning (off at 0): column pairs whose fuzzy-Jaccard
-  /// score cannot reach this threshold are skipped and never added to
-  /// the result. The size-ratio bound min(|A|,|B|)/max(|A|,|B|) is a
-  /// provable upper bound on the score, so that prune is exact; the
-  /// MinHash estimate (used only when both profiles are available and
-  /// cap-compatible) is probabilistic and softened by `prune_slack`.
-  /// Pruning changes result *contents* (absent pairs), not scores, and
-  /// is therefore opt-in — the default campaign path never prunes.
-  double prune_below = 0.0;
-  /// Safety margin subtracted before the MinHash prune fires: skip only
-  /// when estimate + prune_slack < prune_below.
-  double prune_slack = 0.15;
 };
 
 /// \brief Fuzzy-Jaccard value-overlap baseline matcher.
@@ -60,9 +48,8 @@ class JaccardLevenshteinMatcher : public ColumnMatcher {
     return {MatchType::kValueOverlap};
   }
   /// Artifact: per column, the capped distinct-value list and its
-  /// FuzzyJaccardColumn inputs, a pure function of the list (+ MinHash
-  /// sketches when the opt-in prune is on). The threshold/kernel sweep
-  /// shares one artifact per table.
+  /// FuzzyJaccardColumn inputs, a pure function of the list. The
+  /// threshold/kernel sweep shares one artifact per table.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
       const Table& table, const TableProfile* profile,

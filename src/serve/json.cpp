@@ -354,6 +354,9 @@ std::string WriteJson(const JsonValue& value) {
 }
 
 std::string JsonNumberToString(double d) {
+  // JSON has no spelling for NaN or infinity; ParseJson must accept
+  // everything WriteJson emits.
+  if (!std::isfinite(d)) return "null";
   if (std::fabs(d) < 1e15 && d == static_cast<int64_t>(d)) {
     return std::to_string(static_cast<int64_t>(d));
   }

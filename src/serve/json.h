@@ -2,14 +2,14 @@
 #define VALENTINE_SERVE_JSON_H_
 
 /// \file json.h
-/// Minimal JSON value model, parser, and writer for the serving
-/// boundary.
+/// Minimal JSON value model, parser, and writer. ParseJson is the
+/// library's one JSON reader: it decodes HTTP request bodies at the
+/// serving boundary and replays campaign journal lines
+/// (harness/journal.h).
 ///
-/// The harness already *emits* JSON (harness/json_export.*), but nothing
-/// in the library *consumed* it before the HTTP server needed request
-/// bodies. This parser is written for hostile input: recursion depth is
-/// bounded (a few-KB body of '[' must not blow the worker stack), the
-/// input size is already bounded upstream by the HTTP body limit, and
+/// The parser is written for hostile input: recursion depth is bounded
+/// (a few-KB body of '[' must not blow the worker stack), a request
+/// body's size is already bounded upstream by the HTTP body limit, and
 /// every malformed document yields kParseError instead of UB. Objects
 /// keep sorted keys (std::map), so re-serialization is deterministic;
 /// duplicate keys are last-wins, like most production parsers.
@@ -78,13 +78,14 @@ class JsonValue {
 Result<JsonValue> ParseJson(const std::string& text, size_t max_depth = 64);
 
 /// Serializes a value compactly (no whitespace). Object keys come out
-/// sorted; doubles render with %.17g (integral values without a
-/// fraction), matching the journal/export conventions so round-trips
-/// are byte-stable.
+/// sorted; numbers render with JsonNumberToString, so ParseJson accepts
+/// every document this writes and finite doubles round-trip exactly.
 std::string WriteJson(const JsonValue& value);
 
-/// Canonical rendering of a double for serving payloads: %.17g, with
-/// integral values printed without an exponent or fraction.
+/// Canonical rendering of a double for serving payloads and journal
+/// lines: %.17g, with integral values of magnitude below 1e15 printed
+/// without an exponent or fraction. JSON cannot spell NaN or infinity,
+/// so a non-finite number renders as `null`.
 std::string JsonNumberToString(double d);
 
 }  // namespace serve

@@ -153,22 +153,19 @@ TEST(DiscoveryPipelineTest, StagedExhaustiveMatchesMonolithAllScenarios) {
        {Scenario::kUnionable, Scenario::kViewUnionable, Scenario::kJoinable,
         Scenario::kSemanticallyJoinable}) {
     ScenarioLake lake = MakeScenarioLake(scenario);
-    DiscoveryOptions opt;
-    opt.joinable_path = CandidatePath::kExhaustive;
-    opt.unionable_path = CandidatePath::kExhaustive;
-    DiscoveryEngine engine(std::move(opt));
+    DiscoveryEngine engine;
     for (const Table& t : lake.tables) {
       ASSERT_TRUE(engine.AddTable(t).ok());
     }
+    const ExhaustiveCandidateIndex exhaustive;
     for (DiscoveryMode mode :
          {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
       std::vector<DiscoveryResult> golden = MonolithReference(
           ReferenceMatcher(), lake.tables, lake.query, mode, 5);
-      std::vector<DiscoveryResult> staged =
-          mode == DiscoveryMode::kJoinable
-              ? engine.FindJoinable(lake.query, 5)
-              : engine.FindUnionable(lake.query, 5);
-      EXPECT_EQ(Serialize(staged), Serialize(golden))
+      Result<std::vector<DiscoveryResult>> staged =
+          engine.Find(exhaustive, mode, lake.query, 5);
+      ASSERT_TRUE(staged.ok());
+      EXPECT_EQ(Serialize(staged.ValueOrDie()), Serialize(golden))
           << "scenario=" << ScenarioName(scenario)
           << " mode=" << DiscoveryModeName(mode);
     }
@@ -456,9 +453,7 @@ TEST(DiscoveryPipelineTest, UnionableFallbackOnlyWhenNameChannelOff) {
 
 TEST(DiscoveryPipelineTest, ExplainReportsServingIndexAndCounts) {
   ScenarioLake lake = MakeScenarioLake(Scenario::kJoinable);
-  DiscoveryOptions opt;
-  opt.unionable_path = CandidatePath::kExhaustive;
-  DiscoveryEngine engine(std::move(opt));
+  DiscoveryEngine engine;
   for (const Table& t : lake.tables) {
     ASSERT_TRUE(engine.AddTable(t).ok());
   }
@@ -474,8 +469,10 @@ TEST(DiscoveryPipelineTest, ExplainReportsServingIndexAndCounts) {
   EXPECT_EQ(joinable.survivors, j.ValueOrDie().size());
 
   DiscoveryExplain unionable;
-  ASSERT_TRUE(
-      engine.FindUnionable(lake.query, 2, MatchContext(), &unionable).ok());
+  ASSERT_TRUE(engine
+                  .Find(ExhaustiveCandidateIndex(), DiscoveryMode::kUnionable,
+                        lake.query, 2, MatchContext(), &unionable)
+                  .ok());
   EXPECT_EQ(unionable.index, "exhaustive");
   EXPECT_EQ(unionable.retrieved, lake.tables.size());
 

@@ -221,35 +221,35 @@ TEST(DiscoveryEngineTest, LshPathMatchesExhaustiveTopK) {
   // The LSH candidate front-end is a recall optimization, not a scoring
   // change: on the Lake repository both paths must produce identical
   // ranked lists for both query types.
-  auto run = [](CandidatePath path) {
-    DiscoveryOptions opt;
-    opt.joinable_path = path;
-    opt.unionable_path = path;
-    DiscoveryEngine engine(std::move(opt));
-    Table prospect = MakeTpcdiProspect(200, 2026);
-    FabricationOptions fab;
-    fab.scenario = Scenario::kJoinable;
-    fab.column_overlap = 0.4;
-    fab.seed = 4;
-    DatasetPair split = FabricateDatasetPair(prospect, fab).ValueOrDie();
-    Table partner = split.target;
-    partner.set_name("planted_partner");
-    EXPECT_TRUE(engine.AddTable(std::move(partner)).ok());
-    EXPECT_TRUE(engine.AddTable(MakeOpenDataTable(200, 4711)).ok());
-    EXPECT_TRUE(engine.AddTable(MakeChemblAssays(200, 99)).ok());
-    Table query = split.source;
-    query.set_name("query");
+  DiscoveryEngine engine;
+  Table prospect = MakeTpcdiProspect(200, 2026);
+  FabricationOptions fab;
+  fab.scenario = Scenario::kJoinable;
+  fab.column_overlap = 0.4;
+  fab.seed = 4;
+  DatasetPair split = FabricateDatasetPair(prospect, fab).ValueOrDie();
+  Table partner = split.target;
+  partner.set_name("planted_partner");
+  ASSERT_TRUE(engine.AddTable(std::move(partner)).ok());
+  ASSERT_TRUE(engine.AddTable(MakeOpenDataTable(200, 4711)).ok());
+  ASSERT_TRUE(engine.AddTable(MakeChemblAssays(200, 99)).ok());
+  Table query = split.source;
+  query.set_name("query");
+  auto run = [&](const CandidateIndex& index) {
     std::string out;
-    for (const auto& r : engine.FindJoinable(query, 3)) {
-      out += "J:" + r.table_name + "=" + std::to_string(r.score) + ";";
-    }
-    for (const auto& r : engine.FindUnionable(query, 3)) {
-      out += "U:" + r.table_name + "=" + std::to_string(r.score) + ";";
+    for (DiscoveryMode mode :
+         {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
+      const std::vector<DiscoveryResult> results =
+          engine.Find(index, mode, query, 3).ValueOrDie();
+      for (const auto& r : results) {
+        out += (mode == DiscoveryMode::kJoinable ? "J:" : "U:") +
+               r.table_name + "=" + std::to_string(r.score) + ";";
+      }
     }
     return out;
   };
-  std::string lsh = run(CandidatePath::kLsh);
-  std::string exhaustive = run(CandidatePath::kExhaustive);
+  std::string lsh = run(engine.lsh_index());
+  std::string exhaustive = run(ExhaustiveCandidateIndex());
   EXPECT_FALSE(lsh.empty());
   // Top-ranked results must agree exactly; LSH may prune tail tables
   // the exhaustive path scores near zero, but everything LSH surfaces

@@ -5,6 +5,8 @@
 #include "datasets/tpcdi.h"
 #include "harness/json_export.h"
 #include "io/csv.h"
+#include "matchers/fault_injection.h"
+#include "obs/metrics.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -96,6 +98,69 @@ TEST(CampaignTest, EmptySuiteAndEmptyFamiliesSafe) {
   EXPECT_EQ(report.num_pairs, 0u);
   EXPECT_EQ(report.num_experiments, 0u);
   EXPECT_TRUE(report.families.empty());
+}
+
+// Two families under one name: each one's taxonomy counts its own
+// failures, as its failed_experiments does.
+TEST(CampaignTest, FailureTaxonomyCountsOnlyItsOwnFamily) {
+  MethodFamily healthy = SimilarityFloodingFamily();
+  FaultPlan plan;
+  plan.always_fail = true;
+  MethodFamily failing{healthy.name, {}};
+  for (const ConfiguredMatcher& cm : healthy.grid) {
+    failing.grid.push_back(
+        {cm.description,
+         std::make_shared<FaultInjectingMatcher>(cm.matcher, plan)});
+  }
+  CampaignReport report = RunCampaign({MakeTpcdiProspect(30, 87)},
+                                      {failing, healthy}, SmallCampaign());
+  ASSERT_EQ(report.families.size(), 2u);
+  const CampaignFamilyReport& first = report.families[0];
+  EXPECT_EQ(first.failed_experiments, report.num_experiments / 2);
+  ASSERT_EQ(first.failure_taxonomy.size(), 1u);
+  EXPECT_EQ(first.failure_taxonomy[0].first, StatusCode::kInternal);
+  EXPECT_EQ(first.failure_taxonomy[0].second, first.failed_experiments);
+  EXPECT_EQ(report.families[1].failed_experiments, 0u);
+  EXPECT_TRUE(report.families[1].failure_taxonomy.empty());
+}
+
+// A campaign that cannot open its journal runs nothing and says why.
+TEST(CampaignJournalTest, UnopenableJournalRunsNoExperiment) {
+  CampaignOptions opt = SmallCampaign();
+  opt.journal_path = "/nonexistent-dir/valentine_journal.jsonl";
+  MetricsRegistry metrics;
+  opt.metrics = &metrics;
+  CampaignReport report = RunCampaign({MakeTpcdiProspect(30, 88)},
+                                      {SimilarityFloodingFamily()}, opt);
+  EXPECT_EQ(report.status.code(), StatusCode::kIOError);
+  EXPECT_TRUE(report.families.empty());
+  EXPECT_EQ(report.num_experiments, 0u);
+  EXPECT_TRUE(metrics.CounterSamples().empty());
+}
+
+// A journal whose writes fail mid-run lets the campaign finish and
+// returns the journal's error: /dev/full accepts the open and fails
+// every flush.
+TEST(CampaignJournalTest, FailedJournalWriteFinishesAndReportsError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "needs /dev/full";
+  }
+  CampaignOptions opt = SmallCampaign();
+  opt.journal_path = "/dev/full";
+  const std::vector<Table> sources = {MakeTpcdiProspect(30, 89)};
+  CampaignReport report =
+      RunCampaign(sources, {SimilarityFloodingFamily()}, opt);
+  EXPECT_EQ(report.status.code(), StatusCode::kIOError);
+  ASSERT_EQ(report.families.size(), 1u);
+  EXPECT_EQ(report.num_experiments, 6u);
+  EXPECT_EQ(report.families[0].outcomes.size(), 6u);
+  EXPECT_EQ(report.failed_experiments, 0u);
+  // A healthy journal leaves the status OK.
+  opt.journal_path = ::testing::TempDir() + "valentine_campaign_ok.jsonl";
+  std::remove(opt.journal_path.c_str());
+  EXPECT_TRUE(
+      RunCampaign(sources, {SimilarityFloodingFamily()}, opt).status.ok());
+  std::remove(opt.journal_path.c_str());
 }
 
 // The artifact cache keys each table on TableContentFingerprint, and

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +54,19 @@ TEST(JournalEntryTest, SerializeParseRoundTripsExactly) {
   EXPECT_EQ(parsed->map, e.map);
   EXPECT_EQ(parsed->runtime_ms, e.runtime_ms);
   EXPECT_EQ(parsed->attempts, e.attempts);
+}
+
+// The line format is fixed: journals written by earlier builds replay
+// in later ones and vice versa.
+TEST(JournalEntryTest, SerializedLineIsPinned) {
+  EXPECT_EQ(SerializeJournalEntry(SampleEntry()),
+            "{\"family\":\"Fuzzy\\\"Family\","
+            "\"pair_id\":\"prospect_r50\\u001fc50\","
+            "\"config\":\"q=2\\nlev\",\"code\":\"IOError\","
+            "\"error\":\"disk \\\\ backslash\","
+            "\"recall_at_gt\":0.33333333333333331,"
+            "\"map\":0.70710678118654757,\"runtime_ms\":12.25,"
+            "\"attempts\":3}");
 }
 
 TEST(JournalEntryTest, OkEntryRoundTrips) {
@@ -142,6 +156,34 @@ TEST(JournalIndexTest, TornFinalLineIsTolerated) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->size(), 1u);
   EXPECT_NE(index->Find(e.family, e.pair_id, e.config), nullptr);
+  std::remove(path.c_str());
+}
+
+// Appending after a killed writer's torn line: the fragment is cut, so
+// the new entry gets a line of its own and replays.
+TEST(JournalIndexTest, AppendAfterTornLineReplays) {
+  std::string path = TempPath("torn_append.jsonl");
+  JournalEntry e = SampleEntry();
+  std::string full = SerializeJournalEntry(e);
+  {
+    std::ofstream out(path);
+    out << full << "\n";
+    out << full.substr(0, full.size() / 2);
+  }
+  {
+    OutcomeJournal journal(path);
+    e.config = "after_crash";
+    journal.Append(e);
+    EXPECT_TRUE(journal.status().ok());
+  }
+  auto index = JournalIndex::Load(path);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->size(), 2u);
+  EXPECT_NE(index->Find(e.family, e.pair_id, "after_crash"), nullptr);
+  std::ifstream in(path);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(contents, full + "\n" + SerializeJournalEntry(e) + "\n");
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include "datasets/tpcdi.h"
 #include "harness/json_export.h"
 #include "harness/runner.h"
+#include "obs/export.h"
 
 namespace valentine {
 namespace {
@@ -117,7 +118,7 @@ TEST(JsonExportTest, OutcomesJson) {
 
 TEST(JsonExportTest, WriteFile) {
   std::string path = ::testing::TempDir() + "/valentine_results.json";
-  ASSERT_TRUE(WriteJsonFile("[1,2,3]", path).ok());
+  ASSERT_TRUE(WriteTextFile("[1,2,3]", path).ok());
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
@@ -126,7 +127,7 @@ TEST(JsonExportTest, WriteFile) {
 }
 
 TEST(JsonExportTest, WriteFileToBadPathFails) {
-  EXPECT_FALSE(WriteJsonFile("x", "/nonexistent/dir/file.json").ok());
+  EXPECT_FALSE(WriteTextFile("x", "/nonexistent/dir/file.json").ok());
 }
 
 }  // namespace

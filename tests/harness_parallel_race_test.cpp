@@ -139,7 +139,9 @@ TEST_P(ParallelDeterminismTest, MatchesUncachedOneThreadBytes) {
         << " threads, cache " << (cached ? "on" : "off") << " (repeat "
         << repeat << ")";
   }
-  if (cached) EXPECT_GT(cache.size(), 0u) << "cache was never consulted";
+  if (cached) {
+    EXPECT_GT(cache.size(), 0u) << "cache was never consulted";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,9 @@
 
 #include "serve/json.h"
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -129,6 +132,28 @@ TEST(ServeJsonRoundTrip, EveryControlByteQuoteAndBackslash) {
   EXPECT_NE(written.find("\\u0008"), std::string::npos) << written;
   EXPECT_NE(written.find("\\u000c"), std::string::npos) << written;
   EXPECT_EQ(ParseOk(written).string_value(), s);
+}
+
+// ParseJson accepts every document WriteJson emits: a non-finite number
+// is written as null (JSON cannot spell it), and every finite double
+// parses back to itself.
+TEST(ServeJsonRoundTrip, EveryWrittenNumberParses) {
+  for (double d : {std::nan(""), std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    JsonValue array = JsonValue::Array();
+    array.Append(JsonValue::Number(d));
+    const std::string written = WriteJson(array);
+    EXPECT_EQ(written, "[null]") << d;
+    EXPECT_TRUE(ParseJson(written).ok()) << written;
+  }
+  for (double d : {-0.0, 1.0 / 3.0, std::numeric_limits<double>::denorm_min(),
+                   DBL_MAX, -DBL_MAX}) {
+    const std::string written = WriteJson(JsonValue::Number(d));
+    Result<JsonValue> parsed = ParseJson(written);
+    ASSERT_TRUE(parsed.ok()) << written;
+    ASSERT_TRUE(parsed.ValueOrDie().is_number()) << written;
+    EXPECT_EQ(parsed.ValueOrDie().number_value(), d) << written;
+  }
 }
 
 TEST(ServeJsonRoundTrip, StructuredDocumentIsStable) {

@@ -1,8 +1,9 @@
 // Deterministic kernel baseline driver behind tools/perf_gate.
 //
-// Runs a fixed, seeded workload per hot kernel family (the same
-// primitives bench_micro_primitives times under google-benchmark) and
-// emits canonical JSON with two kinds of numbers per kernel:
+// The repo's one microbenchmark harness: runs a fixed, seeded workload
+// per hot kernel family (edit distance, fuzzy Jaccard, n-grams, MinHash,
+// LSH retrieval, histogram + EMD, ranking, the COMA/Cupid name grids)
+// and emits canonical JSON with two kinds of numbers per kernel:
 //
 //   * exact operation counts from the opcount layer (DP cells, prefilter
 //     hits/misses, hashes, gram emissions, sweep iterations) — these are
