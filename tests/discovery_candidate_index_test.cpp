@@ -262,6 +262,7 @@ TEST(SealedSegmentTest, NominatesLikeLshIndex) {
   LshCandidateIndex by_add(options);
   LshCandidateIndex one_segment(options);
   LshIndex reference;  // the n-th sketch added gets id n
+  std::vector<LazoSketch> sketches;  // table i's column sketch
   TableRepository repository;
   std::vector<std::vector<std::string>> lake;
   for (size_t i = 0; i < 48; ++i) {
@@ -269,11 +270,31 @@ TEST(SealedSegmentTest, NominatesLikeLshIndex) {
     auto entry = repository.AddTable(make_table(tagged("t", i), lake.back()));
     ASSERT_TRUE(entry.ok());
     ASSERT_TRUE(by_add.Add(**entry).ok());
-    ASSERT_TRUE(reference
-                    .AddSketch((*entry)->table.name(),
-                               (*entry)->artifact->columns.front().sketch)
-                    .ok());
+    sketches.push_back((*entry)->artifact->columns.front().sketch);
+    ASSERT_TRUE(
+        reference.AddSketch((*entry)->table.name(), sketches.back()).ok());
   }
+  // The brute-force reference: every lake sketch is compared with the
+  // query. Unionable nominates a column with any agreeing slot;
+  // joinable one whose estimated containment reaches min_containment.
+  auto scan = [&](const LazoSketch& query, DiscoveryMode mode) {
+    std::set<std::string> out;
+    const std::vector<uint64_t>& q = query.signature.mins();
+    for (size_t i = 0; i < sketches.size(); ++i) {
+      bool hit = false;
+      if (mode == DiscoveryMode::kJoinable) {
+        hit = EstimateLazo(query, sketches[i]).containment_a_in_b >=
+              options.min_containment;
+      } else {
+        const std::vector<uint64_t>& mins = sketches[i].signature.mins();
+        for (size_t slot = 0; slot < q.size(); ++slot) {
+          hit = hit || q[slot] == mins[slot];
+        }
+      }
+      if (hit) out.insert(tagged("t", i));
+    }
+    return out;
+  };
   ASSERT_TRUE(one_segment.AddAll(repository).ok());
   ASSERT_GE(by_add.Segments().size(), 2u);
   ASSERT_EQ(one_segment.Segments().size(), 1u);
@@ -305,6 +326,8 @@ TEST(SealedSegmentTest, NominatesLikeLshIndex) {
               : reference.ContainmentCandidateIds(sketch);
       std::set<std::string> want;
       for (size_t id : ids) want.insert(tagged("t", id));
+      EXPECT_EQ(scan(sketch, mode), want)
+          << "query " << q << " " << DiscoveryModeName(mode);
       for (const LshCandidateIndex* index : {&by_add, &one_segment}) {
         RetrievedCandidates got = index->Retrieve(query, mode, repository);
         EXPECT_EQ(got.tables, want)

@@ -112,6 +112,23 @@ std::vector<MethodFamily> GoldenFamilies(const Ontology* ontology) {
   merged.grid.push_back({"approx all pairs",
                          std::make_shared<ApproximateOverlapMatcher>(approx)});
   families.push_back(std::move(merged));
+
+  MethodFamily pruned{"ApproxOverlap-pruned", {}};
+  for (const auto& [bands, rows] :
+       {std::pair<size_t, size_t>{16, 8}, std::pair<size_t, size_t>{64, 2}}) {
+    for (double min_jaccard : {0.0, 0.3}) {
+      ApproximateOverlapOptions opt;
+      opt.lsh.bands = bands;
+      opt.lsh.rows_per_band = rows;
+      opt.min_jaccard = min_jaccard;
+      char description[64];
+      std::snprintf(description, sizeof(description),
+                    "%zux%zu min_jaccard=%g", bands, rows, min_jaccard);
+      pruned.grid.push_back(
+          {description, std::make_shared<ApproximateOverlapMatcher>(opt)});
+    }
+  }
+  families.push_back(std::move(pruned));
   return families;
 }
 
@@ -188,6 +205,7 @@ TEST(RankedOutputGoldenTest, EveryFamilyRanksTheSuiteAsPinned) {
       {"SimilarityFlooding-filters", {"3ad529b586a192b5", 345}},
       {"COMA-selections", {"e57054139e804655", 1351}},
       {"Merged", {"223bd8e172be795e", 7376}},
+      {"ApproxOverlap-pruned", {"e303af328283bc43", 512}},
   };
   const std::vector<MethodFamily> families = GoldenFamilies(&kOntology);
 
