@@ -322,7 +322,7 @@ int Run(const Options& options) {
     }
 
     // Phase 2: LSH-path queries on the warm engine.
-    lsh = RunQueries(engine, engine.lsh_index(), &cold_metrics, queries);
+    lsh = RunQueries(engine, engine.candidate_index(), &cold_metrics, queries);
     std::fprintf(stderr,
                  "  lsh        %8.1f ms (%llu candidates scored over %zu "
                  "queries x 2 modes)\n",
@@ -419,7 +419,7 @@ int Run(const Options& options) {
     }
     restart_ms = NowMs() - t0;
     restarted =
-        RunQueries(engine, engine.lsh_index(), &restart_metrics, queries);
+        RunQueries(engine, engine.candidate_index(), &restart_metrics, queries);
   }
   const bool restart_all_hits =
       StoreCount(&restart_metrics, "hit") == tables &&

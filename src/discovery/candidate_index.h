@@ -88,9 +88,10 @@ class CandidateIndex {
 ///    buckets, key strings or sketch copies, and building it allocates
 ///    per segment, not per posting. A probe counts, per column, the
 ///    signature slots that agree with the query, which is exactly
-///    EstimateJaccard's numerator, so it nominates the very ids
-///    scaling/lsh_index.h's ContainmentCandidateIds / ContainmentIds
-///    would, without reading the candidates' sketches.
+///    EstimateJaccard's numerator, so it nominates the very columns a
+///    scan of every sketch would (unionable: any agreeing slot;
+///    joinable: Lazo-estimated containment >= min_containment), without
+///    reading the candidates' sketches.
 ///  * Copies share segments (`shared_ptr<const>`); only the per-segment
 ///    removal marks are copied. That is what lets a serve snapshot
 ///    apply a one-table delta to a copy of the previous snapshot's

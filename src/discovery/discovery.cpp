@@ -38,7 +38,7 @@ const char* DiscoveryModeName(DiscoveryMode mode) {
 DiscoveryEngine::DiscoveryEngine(DiscoveryOptions options)
     : options_(std::move(options)),
       repository_(RepositoryOptionsFor(options_)),
-      lsh_index_(LshIndexOptions(options_)),
+      candidate_index_(LshIndexOptions(options_)),
       reranker_(&matcher(), {options_.union_evidence_columns}) {}
 
 Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
@@ -47,7 +47,7 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
   engine->repository_ = std::move(repository);
   // Band every entry's already-built sketches into one segment: no
   // fingerprinting, no store IO, no value re-sketching.
-  VALENTINE_RETURN_NOT_OK(engine->lsh_index_.AddAll(engine->repository_));
+  VALENTINE_RETURN_NOT_OK(engine->candidate_index_.AddAll(engine->repository_));
   return engine;
 }
 
@@ -64,7 +64,7 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::FromRepository(
   }
   auto engine = std::make_unique<DiscoveryEngine>(std::move(options));
   engine->repository_ = std::move(repository);
-  engine->lsh_index_ = std::move(index);
+  engine->candidate_index_ = std::move(index);
   return engine;
 }
 
@@ -81,7 +81,7 @@ const ColumnMatcher& DiscoveryEngine::matcher() const {
 Status DiscoveryEngine::AddTable(Table table) {
   auto entry = repository_.AddTable(std::move(table));
   VALENTINE_RETURN_NOT_OK(entry.status());
-  return lsh_index_.Add(**entry);
+  return candidate_index_.Add(**entry);
 }
 
 Status DiscoveryEngine::RemoveTable(const std::string& name) {
@@ -89,7 +89,7 @@ Status DiscoveryEngine::RemoveTable(const std::string& name) {
   if (entry == nullptr) {
     return Status::NotFound("no table '" + name + "'");
   }
-  VALENTINE_RETURN_NOT_OK(lsh_index_.Remove(*entry));
+  VALENTINE_RETURN_NOT_OK(candidate_index_.Remove(*entry));
   return repository_.RemoveTable(name);
 }
 
@@ -108,13 +108,14 @@ std::vector<DiscoveryResult> DiscoveryEngine::FindUnionable(
 Result<std::vector<DiscoveryResult>> DiscoveryEngine::FindJoinable(
     const Table& query, size_t k, const MatchContext& ctx,
     DiscoveryExplain* explain) const {
-  return Find(lsh_index_, DiscoveryMode::kJoinable, query, k, ctx, explain);
+  return Find(candidate_index_, DiscoveryMode::kJoinable, query, k, ctx,
+              explain);
 }
 
 Result<std::vector<DiscoveryResult>> DiscoveryEngine::FindUnionable(
     const Table& query, size_t k, const MatchContext& ctx,
     DiscoveryExplain* explain) const {
-  return Find(lsh_index_, DiscoveryMode::kUnionable, query, k, ctx,
+  return Find(candidate_index_, DiscoveryMode::kUnionable, query, k, ctx,
               explain);
 }
 

@@ -41,7 +41,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 // Unused here; kept because callers get LshOptions through this header.
-#include "scaling/lsh_index.h"
+#include "scaling/lazo.h"
 
 namespace valentine {
 
@@ -142,7 +142,7 @@ class DiscoveryEngine {
   /// The LSH candidate index over repository(), sealed after every
   /// mutation. Copying it shares its segments (see
   /// discovery/candidate_index.h).
-  const LshCandidateIndex& lsh_index() const { return lsh_index_; }
+  const LshCandidateIndex& candidate_index() const { return candidate_index_; }
 
   /// Top-k tables joinable with the query: candidate tables are
   /// nominated by per-column LSH containment probes, then verified and
@@ -180,7 +180,7 @@ class DiscoveryEngine {
   /// The staged pipeline behind both modes: `index` nominates
   /// candidates from repository() (Retrieve), then Enrich → Rerank, sort
   /// and truncate to the top-k. FindJoinable/FindUnionable pass
-  /// lsh_index(); passing an ExhaustiveCandidateIndex scores every
+  /// candidate_index(); passing an ExhaustiveCandidateIndex scores every
   /// repository table, the reference the LSH path is A/B-checked
   /// against (bench/bench_repository.cpp). `index` only decides which
   /// tables pay the scoring cost, never a result's bytes.
@@ -194,7 +194,7 @@ class DiscoveryEngine {
 
   DiscoveryOptions options_;
   TableRepository repository_;
-  LshCandidateIndex lsh_index_;
+  LshCandidateIndex candidate_index_;
   Enricher enricher_;
   ExactReranker reranker_;
 };

@@ -1,60 +1,63 @@
 #include "scaling/approximate_matcher.h"
 
+#include <algorithm>
+
 namespace valentine {
+
+namespace {
+
+/// True when `a` and `b` agree on every slot of some `rows`-slot band.
+bool ShareBand(const LazoSketch& a, const LazoSketch& b, size_t rows) {
+  const std::vector<uint64_t>& x = a.signature.mins();
+  const std::vector<uint64_t>& y = b.signature.mins();
+  for (size_t start = 0; start < x.size(); start += rows) {
+    if (std::equal(x.begin() + start, x.begin() + start + rows,
+                   y.begin() + start)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 Result<MatchResult> ApproximateOverlapMatcher::MatchWithContext(
     const Table& source, const Table& target,
     const MatchContext& context) const {
-  const size_t sig_size = options_.lsh.bands * options_.lsh.rows_per_band;
-
-  // Sketch every column once.
-  std::vector<LazoSketch> src_sketches;
-  src_sketches.reserve(source.num_columns());
-  for (const Column& c : source.columns()) {
-    src_sketches.push_back(LazoSketch::Build(c.DistinctStringSet(), sig_size));
+  const size_t rows = std::max<size_t>(options_.lsh.rows_per_band, 1);
+  const size_t width = std::max<size_t>(options_.lsh.bands, 1) * rows;
+  auto sketch = [width](const Table& table) {
+    std::vector<LazoSketch> sketches;
+    sketches.reserve(table.num_columns());
+    for (const Column& c : table.columns()) {
+      sketches.push_back(LazoSketch::Build(c.DistinctStringSet(), width));
+    }
+    return sketches;
+  };
+  const std::vector<LazoSketch> src = sketch(source);
+  const std::vector<LazoSketch> tgt = sketch(target);
+  // Pruning matches a repeated target name at its first column only.
+  std::vector<bool> first_of_name(tgt.size());
+  for (size_t j = 0; j < tgt.size(); ++j) {
+    first_of_name[j] = target.ColumnIndex(target.column(j).name()) == j;
   }
 
-  MatchResult result;
-  if (options_.estimate_all_pairs) {
-    std::vector<LazoSketch> tgt_sketches;
-    tgt_sketches.reserve(target.num_columns());
-    for (const Column& c : target.columns()) {
-      tgt_sketches.push_back(
-          LazoSketch::Build(c.DistinctStringSet(), sig_size));
-    }
-    for (size_t i = 0; i < source.num_columns(); ++i) {
-      VALENTINE_RETURN_NOT_OK(context.Check("lazo all-pairs estimation"));
-      for (size_t j = 0; j < target.num_columns(); ++j) {
-        LazoEstimate est = EstimateLazo(src_sketches[i], tgt_sketches[j]);
-        if (est.jaccard >= options_.min_jaccard) {
-          result.Add({source.name(), source.column(i).name()},
-                     {target.name(), target.column(j).name()}, est.jaccard);
-        }
+  std::vector<ScoredCell> cells;
+  for (size_t i = 0; i < src.size(); ++i) {
+    VALENTINE_RETURN_NOT_OK(context.Check("approximate overlap"));
+    for (size_t j = 0; j < tgt.size(); ++j) {
+      // An empty set's signature is all sentinels, which every other
+      // empty set agrees with: it scores 0 and is never a candidate.
+      const bool empty = src[i].cardinality == 0 || tgt[j].cardinality == 0;
+      if (!options_.estimate_all_pairs &&
+          (empty || !first_of_name[j] || !ShareBand(src[i], tgt[j], rows))) {
+        continue;
       }
-    }
-    result.Sort();
-    return result;
-  }
-
-  // Index the target once; prune source columns through the LSH.
-  LshIndex index(options_.lsh);
-  for (const Column& c : target.columns()) {
-    // Duplicate column names keep the first occurrence (the index
-    // rejects re-adds); empty columns register but never band, so they
-    // can no longer surface as spurious jaccard-1.0 candidates.
-    Status added = index.Add(c.name(), c.DistinctStringSet());
-    if (!added.ok()) continue;
-  }
-  for (size_t i = 0; i < source.num_columns(); ++i) {
-    VALENTINE_RETURN_NOT_OK(context.Check("lsh pruned query"));
-    const Column& c = source.column(i);
-    for (const auto& [key, jaccard] :
-         index.QueryJaccard(c.DistinctStringSet(), options_.min_jaccard)) {
-      result.Add({source.name(), c.name()}, {target.name(), key}, jaccard);
+      const double jaccard = empty ? 0.0 : EstimateLazo(src[i], tgt[j]).jaccard;
+      if (jaccard >= options_.min_jaccard) cells.emplace_back(i, j, jaccard);
     }
   }
-  result.Sort();
-  return result;
+  return MatchResult::Ranked(source, target, std::move(cells));
 }
 
 }  // namespace valentine

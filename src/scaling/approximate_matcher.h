@@ -6,22 +6,26 @@
 /// Jaccard-Levenshtein baseline (paper §IX: "future research should
 /// focus on approximations of existing ... methods to allow for better
 /// scaling"). Column value sets are sketched once (MinHash + cardinality,
-/// à la Lazo); candidate pairs come from an LSH index instead of the
-/// all-pairs loop; scores are Lazo-estimated Jaccard values.
+/// à la Lazo); a pair is estimated only when its two signatures agree on
+/// every row of some LSH band, compared directly since one table pair
+/// needs no index; scores are Lazo-estimated Jaccard values.
 
 #include "matchers/matcher.h"
-#include "scaling/lsh_index.h"
+#include "scaling/lazo.h"
 
 namespace valentine {
 
 /// Approximate matcher parameters.
 struct ApproximateOverlapOptions {
+  /// Signature width and banding; a band or row count of 0 acts as 1.
   LshOptions lsh;
   /// Pairs with an estimated Jaccard below this are dropped (0 ranks
   /// every LSH candidate pair).
   double min_jaccard = 0.0;
   /// When true, skip LSH candidate pruning and estimate every pair —
   /// isolates the sketching error from the pruning error in ablations.
+  /// A pair with an empty (all-null) column scores 0 here; pruning
+  /// drops it.
   bool estimate_all_pairs = false;
 };
 

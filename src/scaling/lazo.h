@@ -25,6 +25,14 @@ struct LazoEstimate {
   double intersection_size = 0.0;
 };
 
+/// LSH banding of a signature: `bands` x `rows_per_band` slots. Two sets
+/// with Jaccard s share at least one band with probability
+/// 1 - (1 - s^rows)^bands (the usual S-curve).
+struct LshOptions {
+  size_t bands = 16;
+  size_t rows_per_band = 8;
+};
+
 /// \brief A sketch of one set: signature + cardinality.
 struct LazoSketch {
   MinHashSignature signature;

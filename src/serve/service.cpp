@@ -239,7 +239,7 @@ Status DiscoveryService::Publish(
     TableRepository next, LshCandidateIndex index,
     std::shared_ptr<const DiscoveryEngine>* replaced) {
   const uint64_t banded =
-      index.banded_entries() - engine_->lsh_index().banded_entries();
+      index.banded_entries() - engine_->candidate_index().banded_entries();
   Result<std::unique_ptr<DiscoveryEngine>> built =
       DiscoveryEngine::FromRepository(EngineOptions(), std::move(next),
                                       std::move(index));
@@ -270,7 +270,7 @@ Status DiscoveryService::RegisterTable(Table table) {
   Result<std::shared_ptr<const RegisteredTable>> added =
       next.AddTable(std::move(table));
   VALENTINE_RETURN_NOT_OK(added.status());
-  LshCandidateIndex index = engine_->lsh_index();
+  LshCandidateIndex index = engine_->candidate_index();
   VALENTINE_RETURN_NOT_OK(index.Add(**added));
   return Publish(std::move(next), std::move(index), &replaced);
 }
@@ -285,7 +285,7 @@ Status DiscoveryService::UnregisterTable(const std::string& name) {
   }
   TableRepository next = engine_->repository();
   VALENTINE_RETURN_NOT_OK(next.RemoveTable(name));
-  LshCandidateIndex index = engine_->lsh_index();
+  LshCandidateIndex index = engine_->candidate_index();
   VALENTINE_RETURN_NOT_OK(index.Remove(*entry));
   return Publish(std::move(next), std::move(index), &replaced);
 }

@@ -84,7 +84,7 @@ std::vector<Table> Queries() {
 void ExpectSealedInvariants(const DiscoveryEngine& served,
                             const MetricsRegistry* metrics,
                             const std::string& step) {
-  const LshCandidateIndex& index = served.lsh_index();
+  const LshCandidateIndex& index = served.candidate_index();
   const std::vector<LshCandidateIndex::SegmentStats> segments =
       index.Segments();
   size_t live = 0;
@@ -111,15 +111,15 @@ void ExpectMatchesMonolith(const DiscoveryEngine& served,
   std::unique_ptr<DiscoveryEngine> monolith =
       DiscoveryEngine::FromRepository(DiscoveryOptions(), served.repository())
           .ValueOrDie();
-  ASSERT_LE(monolith->lsh_index().Segments().size(), 1u) << step;
+  ASSERT_LE(monolith->candidate_index().Segments().size(), 1u) << step;
   for (const Table& query : queries) {
     for (DiscoveryMode mode :
          {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
       const std::string where =
           step + " query=" + query.name() + " mode=" + DiscoveryModeName(mode);
       RetrievedCandidates got =
-          served.lsh_index().Retrieve(query, mode, served.repository());
-      RetrievedCandidates want = monolith->lsh_index().Retrieve(
+          served.candidate_index().Retrieve(query, mode, served.repository());
+      RetrievedCandidates want = monolith->candidate_index().Retrieve(
           query, mode, monolith->repository());
       EXPECT_EQ(got.tables, want.tables) << where;
       EXPECT_EQ(got.fallback, want.fallback) << where;
@@ -236,7 +236,8 @@ TEST(IncrementalIndex, MergeCascadeThenHalfRemovedCompaction) {
   const std::vector<Table> queries = Queries();
   auto sizes = [&service] {
     std::vector<size_t> out;
-    for (const auto& segment : service.Snapshot()->lsh_index().Segments()) {
+    for (const auto& segment :
+         service.Snapshot()->candidate_index().Segments()) {
       out.push_back(segment.banded);
     }
     return out;
@@ -260,7 +261,7 @@ TEST(IncrementalIndex, MergeCascadeThenHalfRemovedCompaction) {
   // Removals from the sealed segment are lazy until half are removed.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(service.UnregisterTable(TableName(i)).ok());
-    const auto segments = service.Snapshot()->lsh_index().Segments();
+    const auto segments = service.Snapshot()->candidate_index().Segments();
     ASSERT_EQ(segments.size(), 1u);
     EXPECT_EQ(segments[0].banded, 8u);
     EXPECT_EQ(segments[0].removed, static_cast<size_t>(i + 1));
@@ -270,7 +271,7 @@ TEST(IncrementalIndex, MergeCascadeThenHalfRemovedCompaction) {
   // The 4th removal makes the segment half removed: it is rebuilt from
   // its 4 live tables.
   ASSERT_TRUE(service.UnregisterTable("t3").ok());
-  const auto compacted = service.Snapshot()->lsh_index().Segments();
+  const auto compacted = service.Snapshot()->candidate_index().Segments();
   ASSERT_EQ(compacted.size(), 1u);
   EXPECT_EQ(compacted[0].banded, 4u);
   EXPECT_EQ(compacted[0].removed, 0u);
@@ -298,7 +299,7 @@ TEST(IncrementalIndex, ReRegisteredNameNeverServesFreedContent) {
   const std::vector<Table> queries = {old_content_query, LakeTable("q_new", 200)};
   {
     std::shared_ptr<const DiscoveryEngine> before = service.Snapshot();
-    EXPECT_EQ(before->lsh_index()
+    EXPECT_EQ(before->candidate_index()
                   .Retrieve(old_content_query, DiscoveryMode::kJoinable,
                             before->repository())
                   .tables.count("target"),
@@ -309,12 +310,12 @@ TEST(IncrementalIndex, ReRegisteredNameNeverServesFreedContent) {
   ASSERT_TRUE(service.RegisterTable(LakeTable("target", 200)).ok());
   std::shared_ptr<const DiscoveryEngine> after = service.Snapshot();
   // The old posting is still banded in the 8-table segment...
-  const auto segments = after->lsh_index().Segments();
+  const auto segments = after->candidate_index().Segments();
   ASSERT_FALSE(segments.empty());
   EXPECT_EQ(segments.front().banded, 8u);
   EXPECT_EQ(segments.front().removed, 1u);
   // ...but never nominates the replacement for the old content.
-  EXPECT_EQ(after->lsh_index()
+  EXPECT_EQ(after->candidate_index()
                 .Retrieve(old_content_query, DiscoveryMode::kJoinable,
                           after->repository())
                 .tables.count("target"),
@@ -328,13 +329,13 @@ TEST(IncrementalIndex, AdoptingFromRepositoryRejectsForeignIndexOptions) {
   DiscoveryOptions same;
   EXPECT_TRUE(DiscoveryEngine::FromRepository(std::move(same),
                                               direct.repository(),
-                                              direct.lsh_index())
+                                              direct.candidate_index())
                   .ok());
   DiscoveryOptions other;
   other.min_containment = 0.5;
   Result<std::unique_ptr<DiscoveryEngine>> adopted =
       DiscoveryEngine::FromRepository(std::move(other), direct.repository(),
-                                      direct.lsh_index());
+                                      direct.candidate_index());
   ASSERT_FALSE(adopted.ok());
   EXPECT_EQ(adopted.status().code(), StatusCode::kInvalidArgument);
 }
@@ -355,7 +356,7 @@ TEST(IncrementalIndex, ThreeHundredRegistrationsBandWithinLogBound) {
   EXPECT_LE(banded, kTables * (FloorLog2(kTables) + 2));
   EXPECT_EQ(banded, 1570u);
   // One segment per set bit of 300 = 256 + 32 + 8 + 4.
-  EXPECT_EQ(service.Snapshot()->lsh_index().Segments().size(), 4u);
+  EXPECT_EQ(service.Snapshot()->candidate_index().Segments().size(), 4u);
   ExpectSealedInvariants(*service.Snapshot(), &metrics, "300 registered");
 
   // Direct registration follows the same cost model: the same bandings
@@ -364,16 +365,16 @@ TEST(IncrementalIndex, ThreeHundredRegistrationsBandWithinLogBound) {
   for (size_t i = 0; i < kTables; ++i) {
     ASSERT_TRUE(direct.AddTable(LakeTable(TableName(i), i)).ok());
   }
-  EXPECT_EQ(direct.lsh_index().banded_entries(), 1570u);
-  EXPECT_EQ(direct.lsh_index().Segments().size(), 4u);
+  EXPECT_EQ(direct.candidate_index().banded_entries(), 1570u);
+  EXPECT_EQ(direct.candidate_index().Segments().size(), 4u);
   ExpectSealedInvariants(direct, nullptr, "300 added");
   // Rebuilding from the repository bands each table once, into one
   // segment.
   std::unique_ptr<DiscoveryEngine> rebuilt =
       DiscoveryEngine::FromRepository(DiscoveryOptions(), direct.repository())
           .ValueOrDie();
-  EXPECT_EQ(rebuilt->lsh_index().banded_entries(), kTables);
-  EXPECT_EQ(rebuilt->lsh_index().Segments().size(), 1u);
+  EXPECT_EQ(rebuilt->candidate_index().banded_entries(), kTables);
+  EXPECT_EQ(rebuilt->candidate_index().Segments().size(), 1u);
 }
 
 TEST(IncrementalIndex, ThousandChurnPairsNeverLeaveASegmentHalfRemoved) {
@@ -407,10 +408,10 @@ TEST(IncrementalIndex, ThousandChurnPairsNeverLeaveASegmentHalfRemoved) {
       for (const Table& query : queries) {
         for (DiscoveryMode mode :
              {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
-          EXPECT_EQ(served->lsh_index()
+          EXPECT_EQ(served->candidate_index()
                         .Retrieve(query, mode, served->repository())
                         .tables,
-                    monolith->lsh_index()
+                    monolith->candidate_index()
                         .Retrieve(query, mode, monolith->repository())
                         .tables)
               << step << " " << query.name();

@@ -248,7 +248,7 @@ TEST(DiscoveryEngineTest, LshPathMatchesExhaustiveTopK) {
     }
     return out;
   };
-  std::string lsh = run(engine.lsh_index());
+  std::string lsh = run(engine.candidate_index());
   std::string exhaustive = run(ExhaustiveCandidateIndex());
   EXPECT_FALSE(lsh.empty());
   // Top-ranked results must agree exactly; LSH may prune tail tables

@@ -446,7 +446,7 @@ TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByEngine) {
   EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
                                  {{"event", "hit"}}),
             0u);
-  RetrievedCandidates nominated = engine.lsh_index().Retrieve(
+  RetrievedCandidates nominated = engine.candidate_index().Retrieve(
       t, DiscoveryMode::kJoinable, engine.repository());
   EXPECT_FALSE(nominated.fallback);
   EXPECT_EQ(nominated.tables.count(t.name()), 1u);
@@ -499,7 +499,7 @@ TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByService) {
   for (DiscoveryMode mode :
        {DiscoveryMode::kJoinable, DiscoveryMode::kUnionable}) {
     RetrievedCandidates nominated =
-        snapshot->lsh_index().Retrieve(t, mode, snapshot->repository());
+        snapshot->candidate_index().Retrieve(t, mode, snapshot->repository());
     EXPECT_FALSE(nominated.fallback);
     EXPECT_EQ(nominated.tables.count(t.name()), 1u)
         << DiscoveryModeName(mode);

@@ -11,9 +11,10 @@
 // ArtifactCache shares across each family's configurations. The grid
 // is Table II's (EmbDI at the race tests' tiny budget) plus the
 // selection and filter variants that rank sparse pair subsets (COMA
-// SelectPairs, the Similarity Flooding filters) and two matchers whose
-// results are merged from several sources before MatchResult::Sort()
-// (Ensemble, the approximate matcher).
+// SelectPairs, the Similarity Flooding filters), Ensemble, whose
+// results are merged from several sources before MatchResult::Sort(),
+// and the approximate matcher, estimating every pair and pruned by LSH
+// bands at 16x8 and 64x2 with min_jaccard 0 and 0.3.
 
 #include <gtest/gtest.h>
 

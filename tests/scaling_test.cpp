@@ -1,10 +1,13 @@
-// Tests for the scaling module: Lazo coupled estimation, the MinHash-LSH
-// domain index, and the approximate overlap matcher (paper §IX's
+// Tests for the scaling module: Lazo coupled estimation and the
+// approximate overlap matcher with its LSH band pruning (paper §IX's
 // "approximations for better scaling").
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/rng.h"
 #include "datasets/tpcdi.h"
@@ -12,7 +15,6 @@
 #include "matchers/jaccard_levenshtein.h"
 #include "metrics/metrics.h"
 #include "scaling/approximate_matcher.h"
-#include "scaling/lsh_index.h"
 #include "text/string_similarity.h"
 
 namespace valentine {
@@ -22,6 +24,24 @@ std::unordered_set<std::string> MakeSet(int lo, int hi) {
   std::unordered_set<std::string> s;
   for (int i = lo; i < hi; ++i) s.insert("item_" + std::to_string(i));
   return s;
+}
+
+/// A table whose column (name, lo, hi) holds MakeSet(lo, hi)'s values,
+/// padded with nulls to the longest column; lo == hi is all-null.
+Table MakeTable(const std::string& name,
+                const std::vector<std::tuple<std::string, int, int>>& spec) {
+  int rows = 1;
+  for (const auto& [column, lo, hi] : spec) rows = std::max(rows, hi - lo);
+  Table table(name);
+  for (const auto& [column_name, lo, hi] : spec) {
+    Column column(column_name, DataType::kString);
+    for (int i = lo; i < lo + rows; ++i) {
+      column.Append(i < hi ? Value::String("item_" + std::to_string(i))
+                           : Value::Null());
+    }
+    EXPECT_TRUE(table.AddColumn(std::move(column)).ok());
+  }
+  return table;
 }
 
 TEST(LazoTest, IdenticalSets) {
@@ -80,171 +100,6 @@ TEST(LazoTest, IntersectionCappedBySmallerSet) {
   EXPECT_LE(est.containment_a_in_b, 1.0);
 }
 
-TEST(LshIndexTest, FindsNearDuplicates) {
-  LshIndex index;
-  ASSERT_TRUE(index.Add("dup", MakeSet(0, 500)).ok());
-  ASSERT_TRUE(index.Add("half", MakeSet(250, 750)).ok());
-  ASSERT_TRUE(index.Add("far", MakeSet(5000, 5500)).ok());
-  auto results = index.QueryJaccard(MakeSet(0, 500), 0.5);
-  ASSERT_FALSE(results.empty());
-  EXPECT_EQ(results[0].first, "dup");
-  EXPECT_GT(results[0].second, 0.9);
-}
-
-TEST(LshIndexTest, PrunesDistantSets) {
-  LshIndex index;
-  for (int k = 0; k < 50; ++k) {
-    ASSERT_TRUE(index.Add("set" + std::to_string(k),
-                          MakeSet(k * 1000, k * 1000 + 400))
-                    .ok());
-  }
-  // A query overlapping only set0 should not produce ~50 candidates.
-  auto candidates = index.Candidates(MakeSet(0, 400));
-  EXPECT_LT(candidates.size(), 10u);
-  bool found = false;
-  for (const auto& c : candidates) found = found || c == "set0";
-  EXPECT_TRUE(found);
-}
-
-TEST(LshIndexTest, ContainmentQueryFindsSuperset) {
-  LshIndex index;
-  ASSERT_TRUE(index.Add("superset", MakeSet(0, 2000)).ok());
-  ASSERT_TRUE(index.Add("unrelated", MakeSet(9000, 9300)).ok());
-  // Small query fully contained in "superset": J is only ~0.1 but
-  // containment is ~1.0.
-  auto results = index.QueryContainment(MakeSet(0, 200), 0.5);
-  ASSERT_FALSE(results.empty());
-  EXPECT_EQ(results[0].first, "superset");
-}
-
-TEST(LshIndexTest, SizeTracksAdds) {
-  LshIndex index;
-  EXPECT_EQ(index.size(), 0u);
-  ASSERT_TRUE(index.Add("a", MakeSet(0, 10)).ok());
-  ASSERT_TRUE(index.Add("b", MakeSet(0, 10)).ok());
-  EXPECT_EQ(index.size(), 2u);
-}
-
-// Regression (PR 8): re-adding an existing key used to remap the key to
-// a fresh sketch while the old postings kept serving the stale id —
-// queries could then surface the same key twice, scored against two
-// different sketches. Duplicate adds are now rejected outright and the
-// original sketch keeps serving.
-TEST(LshIndexTest, DuplicateKeyRejectedAndOriginalKeepsServing) {
-  LshIndex index;
-  ASSERT_TRUE(index.Add("k", MakeSet(0, 500)).ok());
-  Status again = index.Add("k", MakeSet(5000, 5500));
-  EXPECT_EQ(again.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(index.size(), 1u);
-
-  // Still scores ~1.0 against the ORIGINAL set, and appears exactly once.
-  auto results = index.QueryJaccard(MakeSet(0, 500), 0.5);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].first, "k");
-  EXPECT_GT(results[0].second, 0.9);
-  // The rejected set must not have been indexed under any key.
-  EXPECT_TRUE(index.QueryJaccard(MakeSet(5000, 5500), 0.5).empty());
-}
-
-// Regression (PR 8): an empty set leaves every signature slot at the
-// UINT64_MAX sentinel, so every pair of empty domains used to collide
-// in every band and slot and score Lazo jaccard 1.0 against each other.
-// Empty sets are registered but never band, and empty queries return
-// nothing.
-TEST(LshIndexTest, EmptySetsNeverSurfaceAsCandidates) {
-  LshIndex index;
-  ASSERT_TRUE(index.Add("empty_a", {}).ok());
-  ASSERT_TRUE(index.Add("empty_b", {}).ok());
-  ASSERT_TRUE(index.Add("full", MakeSet(0, 100)).ok());
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_TRUE(index.Contains("empty_a"));
-
-  // An empty query collides with nothing — in particular not with the
-  // other empty set.
-  EXPECT_TRUE(index.Candidates({}).empty());
-  EXPECT_TRUE(index.ContainmentCandidates({}).empty());
-  EXPECT_TRUE(index.QueryJaccard({}, 0.0).empty());
-  EXPECT_TRUE(index.QueryContainment({}, 0.0).empty());
-
-  // A non-empty query never sees the empty entries.
-  for (const auto& [key, score] : index.QueryJaccard(MakeSet(0, 100), 0.0)) {
-    EXPECT_EQ(key, "full") << "empty set surfaced with score " << score;
-  }
-}
-
-// Regression (PR 8): removal physically erases postings, so a removed
-// key can neither be returned nor shadow a later re-add.
-TEST(LshIndexTest, RemoveErasesPostingsAndAllowsReAdd) {
-  LshIndex index;
-  ASSERT_TRUE(index.Add("gone", MakeSet(0, 500)).ok());
-  ASSERT_TRUE(index.Add("stay", MakeSet(0, 500)).ok());
-  ASSERT_TRUE(index.Remove("gone").ok());
-  EXPECT_EQ(index.size(), 1u);
-  EXPECT_FALSE(index.Contains("gone"));
-  EXPECT_EQ(index.Remove("gone").code(), StatusCode::kNotFound);
-
-  auto results = index.QueryJaccard(MakeSet(0, 500), 0.5);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].first, "stay");
-
-  // Re-add under the same key with a different set: queries score the
-  // fresh sketch, not the removed one.
-  ASSERT_TRUE(index.Add("gone", MakeSet(9000, 9500)).ok());
-  auto fresh = index.QueryJaccard(MakeSet(9000, 9500), 0.5);
-  ASSERT_FALSE(fresh.empty());
-  EXPECT_EQ(fresh[0].first, "gone");
-  EXPECT_GT(fresh[0].second, 0.9);
-}
-
-// Regression (PR 8): the geometric partition boundary used to be grown
-// by unchecked `boundary *= 10`, which wraps size_t once the partition
-// count allows 10^20-scale boundaries — after the wrap, huge sets
-// compared against tiny boundaries landed in partition 0 and the
-// mapping lost monotonicity.
-TEST(LshIndexTest, CardinalityPartitionSaturatesInsteadOfOverflowing) {
-  // Normal regime: [0,100) -> 0, [100,1k) -> 1, [1k,10k) -> 2, rest
-  // capped at partitions-1.
-  EXPECT_EQ(LshCardinalityPartition(0, 4), 0u);
-  EXPECT_EQ(LshCardinalityPartition(99, 4), 0u);
-  EXPECT_EQ(LshCardinalityPartition(100, 4), 1u);
-  EXPECT_EQ(LshCardinalityPartition(5000, 4), 2u);
-  EXPECT_EQ(LshCardinalityPartition(1u << 20, 4), 3u);
-
-  // Enough partitions that 100 * 10^p would wrap size_t many times.
-  const size_t partitions = 64;
-  size_t last = 0;
-  for (size_t card : {size_t{1}, size_t{1000}, size_t{1} << 40,
-                      std::numeric_limits<size_t>::max()}) {
-    size_t p = LshCardinalityPartition(card, partitions);
-    EXPECT_LT(p, partitions);
-    EXPECT_GE(p, last) << "partition must stay monotonic in cardinality";
-    last = p;
-  }
-  // The largest representable cardinality must land in the top
-  // reachable partition, not wrap back to 0.
-  EXPECT_GT(LshCardinalityPartition(std::numeric_limits<size_t>::max(), 64),
-            LshCardinalityPartition(1000, 64));
-}
-
-TEST(LshIndexTest, AddSketchMatchesInlineBuild) {
-  LshIndex a;
-  LshIndex b;
-  ASSERT_TRUE(a.Add("col", MakeSet(0, 500)).ok());
-  ASSERT_TRUE(
-      b.AddSketch("col", LazoSketch::Build(MakeSet(0, 500), b.signature_size()))
-          .ok());
-  auto ra = a.QueryJaccard(MakeSet(0, 500), 0.5);
-  auto rb = b.QueryJaccard(MakeSet(0, 500), 0.5);
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].first, rb[i].first);
-    EXPECT_DOUBLE_EQ(ra[i].second, rb[i].second);
-  }
-  // Width mismatches are rejected, not silently mis-banded.
-  EXPECT_EQ(b.AddSketch("w", LazoSketch::Build(MakeSet(0, 10), 32)).code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(ApproximateMatcherTest, AgreesWithExactOnEasyPair) {
   Table original = MakeTpcdiProspect(200, 51);
   FabricationOptions fab;
@@ -298,6 +153,81 @@ TEST(ApproximateMatcherTest, MinJaccardFilters) {
   opt.min_jaccard = 0.5;
   opt.estimate_all_pairs = true;
   EXPECT_TRUE(ApproximateOverlapMatcher(opt).Match(src, tgt).empty());
+}
+
+TEST(ApproximateMatcherTest, FindsNearDuplicates) {
+  const Table source = MakeTable("s", {{"q", 0, 500}});
+  const Table target = MakeTable(
+      "t", {{"far", 5000, 5500}, {"half", 250, 750}, {"dup", 0, 500}});
+  ApproximateOverlapOptions opt;
+  opt.min_jaccard = 0.5;
+  MatchResult result = ApproximateOverlapMatcher(opt).Match(source, target);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].target.column, "dup");
+  EXPECT_GT(result[0].score, 0.9);
+}
+
+TEST(ApproximateMatcherTest, PrunesDisjointColumns) {
+  std::vector<std::tuple<std::string, int, int>> spec;
+  for (int k = 0; k < 50; ++k) {
+    spec.emplace_back("set" + std::to_string(k), k * 1000, k * 1000 + 400);
+  }
+  const Table source = MakeTable("s", {{"q", 0, 400}});
+  const Table target = MakeTable("t", spec);
+  ApproximateOverlapOptions opt;  // min_jaccard 0: every candidate ranks
+  MatchResult pruned = ApproximateOverlapMatcher(opt).Match(source, target);
+  ASSERT_FALSE(pruned.empty());
+  EXPECT_LT(pruned.size(), 10u);
+  EXPECT_EQ(pruned[0].target.column, "set0");
+  opt.estimate_all_pairs = true;
+  EXPECT_EQ(ApproximateOverlapMatcher(opt).Match(source, target).size(), 50u);
+}
+
+// An empty set leaves every signature slot at the UINT64_MAX sentinel,
+// so two empty columns agree on every band; they must still never be
+// candidates.
+TEST(ApproximateMatcherTest, EmptyColumnsNeverMatch) {
+  const Table source =
+      MakeTable("s", {{"empty_q", 0, 0}, {"full_q", 0, 100}});
+  const Table target = MakeTable(
+      "t", {{"empty_a", 0, 0}, {"empty_b", 0, 0}, {"full", 0, 100}});
+  MatchResult result = ApproximateOverlapMatcher().Match(source, target);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].source.column, "full_q");
+  EXPECT_EQ(result[0].target.column, "full");
+}
+
+// Lazo's convention gives two empty sets Jaccard 1.0, which would rank
+// two all-null columns as a perfect match when every pair is estimated;
+// a cell with an empty side scores 0.
+TEST(ApproximateMatcherTest, AllPairsScoresEmptyColumnsZero) {
+  const Table source = MakeTable("s", {{"empty_q", 0, 0}, {"q", 0, 100}});
+  const Table target = MakeTable("t", {{"empty", 0, 0}, {"full", 0, 100}});
+  ApproximateOverlapOptions opt;
+  opt.estimate_all_pairs = true;
+  MatchResult result = ApproximateOverlapMatcher(opt).Match(source, target);
+  ASSERT_EQ(result.size(), 4u);
+  EXPECT_EQ(result[0].source.column, "q");
+  EXPECT_EQ(result[0].target.column, "full");
+  EXPECT_DOUBLE_EQ(result[0].score, 1.0);
+  for (size_t i = 1; i < result.size(); ++i) {
+    EXPECT_EQ(result[i].score, 0.0) << result[i].source.column << " > "
+                                    << result[i].target.column;
+  }
+}
+
+// The pruned path matches a repeated target name at its first column
+// only, so "b", whose values only the second "k" holds, matches nothing.
+TEST(ApproximateMatcherTest, RepeatedTargetNameMatchesAtItsFirstColumn) {
+  const Table source = MakeTable("s", {{"a", 0, 500}, {"b", 5000, 5500}});
+  const Table target = MakeTable("t", {{"k", 0, 500}, {"k", 5000, 5500}});
+  ApproximateOverlapOptions opt;
+  opt.min_jaccard = 0.5;
+  MatchResult result = ApproximateOverlapMatcher(opt).Match(source, target);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].source.column, "a");
+  EXPECT_EQ(result[0].target.column, "k");
+  EXPECT_GT(result[0].score, 0.9);
 }
 
 TEST(ApproximateMatcherTest, MetadataDeclared) {

@@ -141,7 +141,8 @@ TEST(ServeConcurrency, RegistrationChurnRacesQueries) {
   EXPECT_GT(metrics.CounterValue("valentine_discovery_index_banded_total"),
             registrations);
   size_t banded = 0;
-  for (const auto& segment : service.Snapshot()->lsh_index().Segments()) {
+  for (const auto& segment :
+       service.Snapshot()->candidate_index().Segments()) {
     EXPECT_LT(2 * segment.removed, segment.banded);
     banded += segment.banded;
   }

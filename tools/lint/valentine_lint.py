@@ -250,9 +250,9 @@ STATUS_FN_DECL_RE = re.compile(
 
 # Declarations of the same *name* with a non-Status return type. The rule
 # matches call sites by bare method name, so a name used for both (e.g.
-# LshIndex::Add returns Status while MatchResult::Add returns void) cannot
-# be judged at the token level — such names are dropped from the set and
-# left to the compiler's [[nodiscard]] enforcement, which is type-aware.
+# CandidateIndex::Add returns Status while MatchResult::Add returns void)
+# cannot be judged at the token level — such names are dropped from the set
+# and left to the compiler's [[nodiscard]] enforcement, which is type-aware.
 NONSTATUS_FN_DECL_RE = re.compile(
     r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|virtual\s+|constexpr\s+)*"
     r"(?:void|bool|int|int64_t|uint64_t|size_t|double|float|auto|"
