@@ -144,8 +144,9 @@ Result<JournalIndex> JournalIndex::Load(const std::string& path) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     auto entry = ParseJournalEntry(line);
-    // A torn tail (process killed mid-write) ends the replayable prefix.
-    if (!entry) break;
+    // A malformed line (e.g. a tail torn by a kill mid-write) replays
+    // nothing, so its experiment runs again; later lines still replay.
+    if (!entry) continue;
     std::string key = JournalKey(entry->family, entry->pair_id,
                                  entry->config);
     index.entries_[std::move(key)] = std::move(*entry);

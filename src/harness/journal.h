@@ -86,8 +86,9 @@ class JournalIndex {
  public:
   /// Loads a journal. A missing file, or a path that is not a regular
   /// file (a device such as /dev/full), yields an empty index (fresh run);
-  /// a torn final line is tolerated (parsing stops at the first
-  /// malformed line). Later duplicates win, matching append order.
+  /// a malformed line, such as a torn final one, is skipped, so only its
+  /// own experiment runs again. Later duplicates win, matching append
+  /// order.
   static Result<JournalIndex> Load(const std::string& path);
 
   const JournalEntry* Find(const std::string& family,

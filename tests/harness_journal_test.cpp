@@ -312,9 +312,9 @@ TEST(CampaignResumeTest, PartialJournalResumesToIdenticalReport) {
   std::remove(resume_opt.journal_path.c_str());
 }
 
-// A journal line whose attempts count no run could have written ends
-// the replayable prefix like a torn line: its experiment runs again
-// instead of replaying a retry count of SIZE_MAX.
+// A journal line whose attempts count no run could have written is
+// skipped like a torn line: its experiment runs again instead of
+// replaying a retry count of SIZE_MAX.
 TEST(CampaignResumeTest, ImpossibleAttemptsAreNeverReplayed) {
   std::vector<DatasetPair> suite = SmallSuite();
   CampaignOptions opt = ClockedOptions();
@@ -348,6 +348,52 @@ TEST(CampaignResumeTest, ImpossibleAttemptsAreNeverReplayed) {
     EXPECT_EQ(resumed.families[0].retry_attempts, 0u) << attempts;
     std::remove(resume_opt.journal_path.c_str());
   }
+  std::remove(opt.journal_path.c_str());
+}
+
+// A malformed line mid-journal costs only its own experiment: every
+// later line still replays, so one resume runs that experiment once and
+// appends its one line, and later resumes run nothing.
+TEST(CampaignResumeTest, MalformedLineHidesNoLaterLine) {
+  std::vector<DatasetPair> suite = SmallSuite();
+  CampaignOptions opt = ClockedOptions();
+  opt.journal_path = TempPath("midline_full.jsonl");
+  CampaignReport fresh = RunCampaignOnSuite(suite, {SmallFamily()}, opt);
+  ASSERT_EQ(fresh.failed_experiments, 0u);
+
+  auto read_lines = [](const std::string& path) {
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+    return lines;
+  };
+  const std::vector<std::string> lines = read_lines(opt.journal_path);
+  ASSERT_EQ(lines.size(), fresh.num_experiments);
+  ASSERT_GE(lines.size(), 3u);
+  const std::string one = "\"attempts\":1}";
+  ASSERT_EQ(lines[1].substr(lines[1].size() - one.size()), one);
+  CampaignOptions resume_opt = opt;
+  resume_opt.journal_path = TempPath("midline_bad.jsonl");
+  {
+    std::ofstream out(resume_opt.journal_path);
+    for (size_t i = 0; i < lines.size(); ++i) {
+      out << (i == 1 ? lines[i].substr(0, lines[i].size() - one.size()) +
+                           "\"attempts\":0}"
+                     : lines[i])
+          << "\n";
+    }
+  }
+  for (int resume = 0; resume < 3; ++resume) {
+    // Only the bad line's experiment runs, and it always fails; later
+    // resumes replay that failure.
+    CampaignReport resumed = RunCampaignOnSuite(
+        suite, {AlwaysFailing(SmallFamily())}, resume_opt);
+    EXPECT_EQ(resumed.failed_experiments, 1u) << resume;
+    EXPECT_EQ(read_lines(resume_opt.journal_path).size(), lines.size() + 1)
+        << resume;
+  }
+  std::remove(resume_opt.journal_path.c_str());
   std::remove(opt.journal_path.c_str());
 }
 
