@@ -123,9 +123,11 @@ class [[nodiscard]] Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  /// Access the value; undefined behaviour if !ok().
+  /// Access the value; undefined behaviour if !ok(). On a temporary
+  /// the value is moved out and returned by value, so it outlives the
+  /// Result: `for (const auto& x : f().ValueOrDie())` is safe.
   const T& ValueOrDie() const& { return *value_; }
-  T&& ValueOrDie() && { return std::move(*value_); }
+  T ValueOrDie() && { return std::move(*value_); }
   const T& operator*() const& { return *value_; }
   const T* operator->() const { return &*value_; }
 

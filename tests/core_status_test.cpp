@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace valentine {
 namespace {
 
@@ -104,6 +107,19 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r(std::string("hello"));
   std::string v = std::move(r).ValueOrDie();
   EXPECT_EQ(v, "hello");
+}
+
+Result<std::vector<std::string>> MakeWords() {
+  return std::vector<std::string>{"alpha", "beta", "gamma"};
+}
+
+// Range-for extends only the outermost temporary's lifetime, so the
+// loop reads freed storage unless ValueOrDie() on a temporary returns
+// the value itself rather than a reference into the Result.
+TEST(ResultTest, IteratesValueOfTemporary) {
+  std::string joined;
+  for (const std::string& word : MakeWords().ValueOrDie()) joined += word;
+  EXPECT_EQ(joined, "alphabetagamma");
 }
 
 TEST(ResultTest, ArrowAccess) {
