@@ -69,8 +69,10 @@ void ReformatPhones(Table* t, const std::string& column) {
       if (c >= '0' && c <= '9') digits.push_back(c);
     }
     if (digits.size() != 10) continue;
-    col[r] = Value::String("(" + digits.substr(0, 3) + ") " +
-                           digits.substr(3, 3) + "-" + digits.substr(6));
+    std::string phone = "(";
+    phone.append(digits, 0, 3).append(") ").append(digits, 3, 3);
+    phone.append("-").append(digits, 6);
+    col[r] = Value::String(std::move(phone));
   }
 }
 

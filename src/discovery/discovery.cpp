@@ -172,8 +172,6 @@ Result<std::vector<DiscoveryResult>> DiscoveryEngine::Find(
                     query_span.id());
     candidates = enricher_.Enrich(retrieved, repository_);
     stage.Attr("candidates", std::to_string(candidates.candidates.size()));
-    stage.Attr("profiles_attached",
-               std::to_string(candidates.profiles_attached));
   }
   if (options_.metrics != nullptr) {
     options_.metrics
@@ -228,7 +226,6 @@ Result<std::vector<DiscoveryResult>> DiscoveryEngine::Find(
     explain->repository_tables = repository_.size();
     explain->retrieved = retrieved.tables.size();
     explain->enriched = candidates.candidates.size();
-    explain->profiles_attached = candidates.profiles_attached;
     explain->reranked = scored_count;
     explain->survivors = results.size();
   }

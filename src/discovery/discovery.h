@@ -62,10 +62,10 @@ struct DiscoveryOptions {
   bool union_name_candidates = true;
   /// Optional persistent artifact store (borrowed; must outlive the
   /// engine). When set, AddTable first consults the store by table
-  /// content fingerprint — a hit skips the sketch and profile builds
-  /// entirely — and persists freshly built artifacts write-through, so
-  /// the next process (or the next copy-on-write registry snapshot)
-  /// registers the same table without rebuilding anything.
+  /// content fingerprint — a hit skips the sketch build entirely — and
+  /// persists freshly built artifacts write-through, so the next
+  /// process (or the next copy-on-write registry snapshot) registers
+  /// the same table without rebuilding anything.
   ArtifactStore* store = nullptr;
   /// Observability (obs/), all optional and borrowed: each Find* call
   /// emits a "query" span (trace id "discovery/<query table>") with
@@ -122,7 +122,7 @@ class DiscoveryEngine {
   /// Registers a table. Fails on duplicate table names, empty tables,
   /// and duplicate column names within the table; any other name is
   /// accepted, control characters included.
-  /// With a store attached, sketches/profiles are loaded by content
+  /// With a store attached, sketches are loaded by content
   /// fingerprint when possible and persisted when built fresh. The
   /// index bands the table into a new segment and merges, as the
   /// serving registry's does (candidate_index.h's cost model).

@@ -19,7 +19,6 @@ CandidateSet Enricher::Enrich(const RetrievedCandidates& retrieved,
     candidate.repository_index = *position;
     candidate.entry = &repository.entry(*position);
     out.candidates.push_back(candidate);
-    if (candidate.entry->profile != nullptr) ++out.profiles_attached;
   }
   std::sort(out.candidates.begin(), out.candidates.end(),
             [](const EnrichedCandidate& a, const EnrichedCandidate& b) {

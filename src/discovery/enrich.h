@@ -6,8 +6,8 @@
 /// enrichment. The Enricher joins stage 1's nominated table *names*
 /// back to their TableRepository entries, so stage 3 reranks typed
 /// candidates carrying everything derived at registration time —
-/// store-loaded ColumnProfiles, identifier name tokens, and normalizer
-/// canon forms — instead of re-deriving any of it per query.
+/// sketches, identifier name tokens and the entry's prepared-artifact
+/// slot — instead of re-deriving any of it per query.
 
 #include "discovery/repository.h"
 #include "discovery/types.h"

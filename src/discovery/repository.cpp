@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "matchers/artifact_cache.h"
-#include "text/normalizer.h"
 #include "text/tokenizer.h"
 
 namespace valentine {
@@ -26,10 +25,6 @@ bool ArtifactServesTable(const TableDiscoveryArtifact& artifact,
   if (artifact.columns.size() != table.num_columns()) return false;
   for (size_t i = 0; i < table.num_columns(); ++i) {
     if (artifact.columns[i].name != table.column(i).name()) return false;
-  }
-  if (artifact.has_profiles &&
-      artifact.profiles.size() != artifact.columns.size()) {
-    return false;
   }
   return true;
 }
@@ -101,9 +96,7 @@ Result<std::shared_ptr<const RegisteredTable>> TableRepository::AddTable(
       }
     } else {
       artifact = std::make_shared<const TableDiscoveryArtifact>(
-          BuildDiscoveryArtifact(table, signature_size,
-                                 /*with_profiles=*/true, ProfileSpec{},
-                                 fingerprint));
+          BuildDiscoveryArtifact(table, signature_size, fingerprint));
       Status persisted = options_.store->Put(artifact);
       // A failed persist degrades to in-memory registration: queries
       // stay correct, only the next cold start pays the rebuild.
@@ -115,33 +108,19 @@ Result<std::shared_ptr<const RegisteredTable>> TableRepository::AddTable(
       }
     }
   } else {
-    // No store: sketch-only artifact. Skipping the content fingerprint
-    // (recorded as 0) keeps in-memory registration as cheap as it was
-    // before the store existed.
+    // No store: skipping the content fingerprint (recorded as 0) keeps
+    // in-memory registration as cheap as it was before the store existed.
     artifact = std::make_shared<const TableDiscoveryArtifact>(
-        BuildDiscoveryArtifact(table, signature_size,
-                               /*with_profiles=*/false, ProfileSpec{},
-                               /*fingerprint=*/0));
-  }
-
-  // Store-loaded profiles only substitute for fresh builds under an
-  // identical spec; otherwise the matcher pipeline builds inline.
-  std::shared_ptr<const TableProfile> profile;
-  if (artifact->has_profiles &&
-      ProfileSpecsEqual(artifact->profile_spec, ProfileSpec{})) {
-    profile = TableProfileFromArtifact(*artifact);
+        BuildDiscoveryArtifact(table, signature_size, /*fingerprint=*/0));
   }
 
   auto entry = std::make_shared<RegisteredTable>();
   entry->registration =
       next_registration.fetch_add(1, std::memory_order_relaxed);
   entry->artifact = std::move(artifact);
-  entry->profile = std::move(profile);
   entry->name_tokens.reserve(table.num_columns());
-  entry->canon_names.reserve(table.num_columns());
   for (const Column& c : table.columns()) {
     entry->name_tokens.push_back(TokenizeIdentifier(c.name()));
-    entry->canon_names.push_back(NormalizeValue(c.name()));
   }
   entry->table = std::move(table);
 

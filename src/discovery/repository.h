@@ -5,11 +5,10 @@
 /// TableRepository — the state-owning layer of the staged discovery
 /// pipeline (DESIGN.md §14). It owns the registered tables and
 /// everything derived from them at registration time: per-column Lazo
-/// sketches (as a TableDiscoveryArtifact), store-loaded ColumnProfiles,
-/// identifier name tokens, and normalizer canon forms. The ArtifactStore
-/// load/put path lives here: with a store attached, AddTable resolves
-/// artifacts by table content fingerprint (skipping the sketch/profile
-/// build entirely on a hit) and persists freshly built ones
+/// sketches (as a TableDiscoveryArtifact) and identifier name tokens.
+/// The ArtifactStore load/put path lives here: with a store attached,
+/// AddTable resolves artifacts by table content fingerprint (skipping
+/// the sketch build entirely on a hit) and persists freshly built ones
 /// write-through.
 ///
 /// Snapshot semantics: entries are `shared_ptr<const RegisteredTable>`s,
@@ -41,7 +40,6 @@
 #include "io/artifact_store.h"
 #include "matchers/prepared.h"
 #include "obs/metrics.h"
-#include "stats/column_profile.h"
 
 namespace valentine {
 
@@ -82,16 +80,12 @@ struct RegisteredTable {
   /// the replacement is allocated where the old entry lived, so
   /// "is this still the entry I indexed?" never compares addresses.
   uint64_t registration = 0;
-  /// Per-column sketches (always present; `has_profiles`/fingerprint
-  /// only when the artifact came from or went to a store).
+  /// Per-column sketches (always present; the fingerprint only when the
+  /// artifact came from or went to a store).
   std::shared_ptr<const TableDiscoveryArtifact> artifact;
-  /// Store-loaded profiles under a matching ProfileSpec; nullptr when
-  /// no store is attached or the stored spec is incompatible.
-  std::shared_ptr<const TableProfile> profile;
-  /// Enrichment metadata, computed once here so queries never re-derive
-  /// it: per-column identifier tokens and normalizer canon forms.
-  std::vector<std::vector<std::string>> name_tokens;  ///< per column
-  std::vector<std::string> canon_names;               ///< per column
+  /// Per-column identifier tokens, computed once here so queries never
+  /// re-derive them.
+  std::vector<std::vector<std::string>> name_tokens;
   /// The reranker's artifact for this table, built by the first query
   /// that scores it (discovery/rerank.h).
   mutable PreparedSlot prepared;

@@ -34,8 +34,7 @@ PreparedTablePtr ExactReranker::CandidateArtifact(
   SpanScope prepare_span(rctx.tracer, rctx.trace_id, "prepare",
                          candidate.table.name(), rctx.parent_span);
   Result<PreparedTablePtr> built =
-      matcher_->Prepare(candidate.table, candidate.profile.get(),
-                        ObsContext(rctx, prepare_span.id()));
+      matcher_->Prepare(candidate.table, ObsContext(rctx, prepare_span.id()));
   prepare_span.Attr("code", StatusCodeName(built.ok()
                                                ? StatusCode::kOk
                                                : built.status().code()));
@@ -92,8 +91,8 @@ Result<std::vector<DiscoveryResult>> ExactReranker::Rerank(
   // Prepare the query once; every candidate scores against it. The
   // query is caller-owned and transient, so its artifact is built
   // inline rather than kept.
-  Result<PreparedTablePtr> prepared_query = matcher_->Prepare(
-      query, /*profile=*/nullptr, ObsContext(rctx, rctx.parent_span));
+  Result<PreparedTablePtr> prepared_query =
+      matcher_->Prepare(query, ObsContext(rctx, rctx.parent_span));
   const std::string family = matcher_->Name();
   const std::string prepare_key = matcher_->PrepareKey();
 

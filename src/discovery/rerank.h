@@ -72,8 +72,8 @@ class ExactReranker {
 
   /// The candidate's artifact for a matcher with this Name() and
   /// PrepareKey(): its entry's slot, filled on a miss by one traced
-  /// Prepare over the entry's table and profile. nullptr when Prepare
-  /// fails; nothing is installed then.
+  /// Prepare over the entry's table. nullptr when Prepare fails;
+  /// nothing is installed then.
   PreparedTablePtr CandidateArtifact(const RegisteredTable& candidate,
                                      const std::string& family,
                                      const std::string& prepare_key,

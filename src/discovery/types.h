@@ -8,8 +8,8 @@
 ///   Retrieve  a CandidateIndex nominates candidate table names
 ///             (RetrievedCandidates) — cheap, recall-oriented;
 ///   Enrich    an Enricher joins the nominations back to the
-///             repository's per-table metadata (profiles, name tokens,
-///             canon forms) as a typed CandidateSet;
+///             repository's per-table entries (sketches, name tokens,
+///             prepared-artifact slot) as a typed CandidateSet;
 ///   Rerank    a Reranker scores every enriched candidate and the
 ///             orchestrator sorts/truncates to the top-k.
 ///
@@ -72,8 +72,6 @@ struct EnrichedCandidate {
 /// order — the deterministic scoring order the reranker walks.
 struct CandidateSet {
   std::vector<EnrichedCandidate> candidates;
-  /// How many candidates carry a store-loaded ColumnProfile set.
-  size_t profiles_attached = 0;
 };
 
 /// Per-stage accounting for one Find* call, surfaced through the serve
@@ -86,7 +84,6 @@ struct DiscoveryExplain {
   size_t repository_tables = 0;   ///< repository size at query time
   size_t retrieved = 0;           ///< stage-1 nominations
   size_t enriched = 0;            ///< stage-2 candidates entering rerank
-  size_t profiles_attached = 0;   ///< of which carried stored profiles
   size_t reranked = 0;            ///< stage-3 candidates actually scored
   size_t survivors = 0;           ///< results returned after top-k
 };

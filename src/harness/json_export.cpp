@@ -63,8 +63,8 @@ std::string FailuresToJson(
   std::string out = "{";
   for (size_t i = 0; i < failures.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + std::string(StatusCodeName(failures[i].first)) +
-           "\":" + std::to_string(failures[i].second);
+    out.append("\"").append(StatusCodeName(failures[i].first));
+    out.append("\":").append(std::to_string(failures[i].second));
   }
   out += "}";
   return out;

@@ -299,14 +299,10 @@ ExperimentResult RunConfigOnPair(const MethodFamily& family,
     prepare_context.clock = run.clock;
     prepare_context.tracer = run.tracer;
     prepare_context.parent_span = experiment_span.id();
-    prepared_source =
-        run.artifacts->GetOrPrepare(*cm.matcher, pair.source,
-                                    fingerprints->source,
-                                    /*profile=*/nullptr, prepare_context);
-    prepared_target =
-        run.artifacts->GetOrPrepare(*cm.matcher, pair.target,
-                                    fingerprints->target,
-                                    /*profile=*/nullptr, prepare_context);
+    prepared_source = run.artifacts->GetOrPrepare(
+        *cm.matcher, pair.source, fingerprints->source, prepare_context);
+    prepared_target = run.artifacts->GetOrPrepare(
+        *cm.matcher, pair.target, fingerprints->target, prepare_context);
     if (prepared_source != nullptr && prepared_target != nullptr) {
       prepared_pair = run.artifacts->GetOrPreparePair(
           *cm.matcher, *prepared_source, fingerprints->source,

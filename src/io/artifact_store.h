@@ -7,22 +7,20 @@
 /// The discovery engine's repository-scale story (ROADMAP item 1)
 /// requires that registering a table the repository has already seen —
 /// in a previous process, or in a previous copy-on-write snapshot of
-/// the serving registry — does not pay the sketch/profile build again.
-/// This store holds one artifact per *table content fingerprint*
-/// (matchers/artifact_cache.h): the table's Lazo sketches (one per
-/// column, ready for the discovery index to band) plus, optionally,
-/// its full ColumnProfiles under the ProfileSpec they were built with.
+/// the serving registry — does not pay the sketch build again. This
+/// store holds one artifact per *table content fingerprint*
+/// (matchers/artifact_cache.h): the table's Lazo sketches, one per
+/// column, ready for the discovery index to band. Nothing else is
+/// stored: every matcher artifact is prepared from the table itself.
 ///
 /// Contracts:
 ///  * Serialization is canonical and byte-stable: the same artifact
 ///    always serializes to the same bytes, across processes and
-///    platforms (fixed little-endian encoding; unordered sets are
-///    canonicalized by sorting). Round-tripping is byte-identical.
-///  * Files are versioned ("VDA1" magic + u32 version, now 2); parsing
+///    platforms (fixed little-endian encoding). Round-tripping is
+///    byte-identical.
+///  * Files are versioned ("VDA1" magic + u32 version, now 3); parsing
 ///    a truncated, foreign, or other-versioned file yields ParseError,
 ///    never garbage, and the table is rebuilt at registration.
-///  * Each column's signature is written once: a profile whose MinHash
-///    is its column's sketch stores a flag byte in its place.
 ///  * Put is atomic at the filesystem level (write temp + rename), so
 ///    a crash mid-write never leaves a half-written artifact behind.
 ///  * The store is thread-safe; its mutex (LockRank::kArtifactStore)
@@ -44,7 +42,6 @@
 #include "core/table.h"
 #include "core/thread_annotations.h"
 #include "scaling/lazo.h"
-#include "stats/column_profile.h"
 
 namespace valentine {
 
@@ -57,56 +54,32 @@ struct ColumnDiscoveryArtifact {
 };
 
 /// Everything the discovery engine derives from one table, keyed by the
-/// table's content fingerprint. `profiles` (when `has_profiles`) holds
-/// one ColumnProfile per column, parallel to `columns`, built under
-/// `profile_spec` — the load path only serves them to a matcher
-/// pipeline configured with an identical spec (ProfileSpecsEqual).
+/// table's content fingerprint.
 struct TableDiscoveryArtifact {
   uint64_t fingerprint = 0;
   std::string table_name;
   size_t signature_size = 0;  ///< MinHash width the sketches were built with
   std::vector<ColumnDiscoveryArtifact> columns;
-  bool has_profiles = false;
-  ProfileSpec profile_spec;
-  std::vector<ColumnProfile> profiles;
 };
 
-/// Derives a table's artifact from scratch: fingerprint, per-column
-/// Lazo sketches at `signature_size`, and (when `with_profiles`) full
-/// ColumnProfiles under `spec`. Pure function of its arguments.
-///
-/// Each column is sketched once. When the column's profile hashed its
-/// whole distinct set at the sketch's width (`spec.minhash_hashes ==
-/// signature_size`, and `spec.set_cap` is 0 or at least the column's
-/// distinct count), the sketch is that profile's MinHash with the
-/// distinct count; otherwise the sketch is built from the column's
-/// value set, byte-identical either way.
+/// Derives a table's artifact from scratch: fingerprint and one Lazo
+/// sketch per column, built from the column's distinct value set at
+/// `signature_size`. Pure function of its arguments.
 ///
 /// `fingerprint` is recorded as given; a caller that already hashed the
 /// table passes it (the repository records 0 for a store-less entry),
 /// and by default the table is fingerprinted here.
 TableDiscoveryArtifact BuildDiscoveryArtifact(
-    const Table& table, size_t signature_size, bool with_profiles,
-    const ProfileSpec& spec = {},
+    const Table& table, size_t signature_size,
     std::optional<uint64_t> fingerprint = std::nullopt);
-
-/// Assembles a shareable TableProfile from an artifact's stored
-/// ColumnProfiles (nullptr when the artifact carries none). The result
-/// is indistinguishable from TableProfile::Build on the original table
-/// under artifact.profile_spec, so it feeds the matcher pipeline's
-/// Prepare path directly.
-std::shared_ptr<const TableProfile> TableProfileFromArtifact(
-    const TableDiscoveryArtifact& artifact);
 
 /// Canonical byte-stable serialization (see file comment for the
 /// stability contract).
 std::string SerializeDiscoveryArtifact(const TableDiscoveryArtifact& artifact);
 
 /// Inverse of SerializeDiscoveryArtifact. ParseError on bad magic,
-/// unsupported version, truncation, trailing bytes, a column whose
-/// signature width differs from the header's `signature_size`, or a
-/// profile flagged as sharing its column's sketch whose spec builds
-/// another width.
+/// unsupported version, truncation, trailing bytes, or a column whose
+/// signature width differs from the header's `signature_size`.
 Result<TableDiscoveryArtifact> ParseDiscoveryArtifact(
     const std::string& bytes);
 

@@ -98,7 +98,6 @@ uint64_t PairArtifactBuilds() {
 PreparedTablePtr ArtifactCache::GetOrPrepare(const ColumnMatcher& matcher,
                                              const Table& table,
                                              uint64_t fingerprint,
-                                             const TableProfile* profile,
                                              const MatchContext& context) {
   const std::string family = matcher.Name();
   const std::string prepare_key = matcher.PrepareKey();
@@ -124,7 +123,7 @@ PreparedTablePtr ArtifactCache::GetOrPrepare(const ColumnMatcher& matcher,
   Result<PreparedTablePtr> built = TracedBuild(
       context, family + "/" + table.name(), "artifact", prepare_key,
       [&](const MatchContext& inner) {
-        return matcher.Prepare(table, profile, inner);
+        return matcher.Prepare(table, inner);
       });
   MutexLock lock(&mu_);
   ++stats_[family].builds;

@@ -81,7 +81,7 @@ class ArtifactCache {
   };
 
   /// Returns the cached artifact for (table, matcher family, prepare
-  /// key), building it with `matcher.Prepare(table, profile, context)`
+  /// key), building it with `matcher.Prepare(table, context)`
   /// on first use. `fingerprint` must be TableContentFingerprint(table);
   /// the caller computes it once per table and reuses it for every
   /// configuration. Returns nullptr when Prepare fails — the caller must
@@ -89,7 +89,6 @@ class ArtifactCache {
   /// as "no matches").
   PreparedTablePtr GetOrPrepare(const ColumnMatcher& matcher,
                                 const Table& table, uint64_t fingerprint,
-                                const TableProfile* profile,
                                 const MatchContext& context) EXCLUDES(mu_);
 
   /// Returns the cached pair artifact for (source, target, matcher

@@ -6,10 +6,10 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "stats/column_profile.h"
 #include "stats/descriptive.h"
 #include "text/stemmer.h"
 #include "text/string_similarity.h"
@@ -356,43 +356,21 @@ std::string ComaMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> ComaMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("coma prepare"));
   auto prepared = std::make_shared<ComaPrepared>(&table, Name(), PrepareKey());
   const size_t n = table.num_columns();
-  const bool served = profile != nullptr && profile->Matches(table);
 
-  // Name-side inputs once per column. Identifier tokens come from the
-  // table profile when one is attached: tokenization has no cap, so
-  // profile tokens are always exact.
+  // Name-side inputs once per column.
   prepared->names.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Column& c = table.column(i);
-    prepared->names.push_back(
-        BuildColumnNames(table.name(), c,
-                         served ? profile->column(i).name_tokens()
-                                : TokenizeIdentifier(c.name()),
-                         *thesaurus_));
+  for (const Column& c : table.columns()) {
+    prepared->names.push_back(BuildColumnNames(
+        table.name(), c, TokenizeIdentifier(c.name()), *thesaurus_));
   }
 
   if (options_.strategy == ComaStrategy::kInstances) {
-    prepared->sets.resize(n);
-    size_t idx = 0;
+    prepared->sets.reserve(n);
     for (const Column& c : table.columns()) {
-      const ColumnProfile* cp = served ? &profile->column(idx) : nullptr;
-      if (cp != nullptr &&
-          cp->CapsEquivalent(options_.max_distinct_values,
-                             profile->spec().set_cap)) {
-        // The profile set was built from the same first-seen-order
-        // prefix this matcher would cap to, so it is the same set.
-        prepared->sets[idx] = cp->distinct_set();
-        prepared->text.push_back(cp->text_profile());
-        prepared->nums.push_back(cp->numeric_stats());
-        prepared->numfrac.push_back(cp->numeric_fraction());
-        ++idx;
-        continue;
-      }
       // Cap in first-seen row order, never by iterating the unordered
       // set: hash order would make the kept subset — and the Jaccard
       // scores built on it — nondeterministic across runs/platforms.
@@ -401,16 +379,10 @@ Result<PreparedTablePtr> ComaMatcher::Prepare(
           distinct.size() > options_.max_distinct_values) {
         distinct.resize(options_.max_distinct_values);
       }
-      prepared->sets[idx] =
-          std::unordered_set<std::string>(distinct.begin(), distinct.end());
-      prepared->text.push_back(cp != nullptr ? cp->text_profile()
-                                             : ComputeTextProfile(c));
-      prepared->nums.push_back(cp != nullptr
-                                   ? cp->numeric_stats()
-                                   : ComputeNumericStats(c.NumericValues()));
-      prepared->numfrac.push_back(cp != nullptr ? cp->numeric_fraction()
-                                                : c.NumericFraction());
-      ++idx;
+      prepared->sets.emplace_back(distinct.begin(), distinct.end());
+      prepared->text.push_back(ComputeTextProfile(c));
+      prepared->nums.push_back(ComputeNumericStats(c.NumericValues()));
+      prepared->numfrac.push_back(c.NumericFraction());
     }
   }
   return PreparedTablePtr(std::move(prepared));

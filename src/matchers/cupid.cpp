@@ -125,9 +125,7 @@ std::string CupidMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> CupidMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
-  (void)profile;  // name tokens are uncapped, nothing to serve
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("cupid prepare"));
   auto prepared =
       std::make_shared<CupidPrepared>(&table, Name(), PrepareKey());

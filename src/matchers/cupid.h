@@ -53,8 +53,7 @@ class CupidMatcher : public ColumnMatcher {
   /// shares one artifact per table.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override;
+      const Table& table, const MatchContext& context) const override;
   /// Pair artifact: the linguistic similarity of every column-name pair
   /// and of the two table names. It depends on no TreeMatch parameter,
   /// so the whole grid shares one per table pair.

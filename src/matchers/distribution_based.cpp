@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "stats/column_profile.h"
 #include "stats/emd.h"
 #include "stats/histogram.h"
 
@@ -148,40 +147,20 @@ std::string DistributionBasedMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> DistributionBasedMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("distribution-based prepare"));
   auto prepared = std::make_shared<DistPrepared>(&table, Name(), PrepareKey());
   const size_t n = table.num_columns();
   prepared->values.resize(n);
   prepared->hists.resize(n);
-
-  // Distinct value lists and quantile histograms are served from the
-  // table profile when the profile artifacts were built over exactly the
-  // value prefix this configuration would cap to (same first-seen order,
-  // same bin count) — otherwise extracted inline.
-  const bool served = profile != nullptr && profile->Matches(table);
   for (size_t c = 0; c < n; ++c) {
-    const ColumnProfile* cp = served ? &profile->column(c) : nullptr;
-    if (cp != nullptr && cp->CanServeDistinctPrefix(options_.max_values)) {
-      size_t len = cp->DistinctPrefixLength(options_.max_values);
-      prepared->values[c].assign(cp->distinct().begin(),
-                                 cp->distinct().begin() + len);
-    } else {
-      std::vector<std::string> vals = table.column(c).DistinctStrings();
-      if (options_.max_values > 0 && vals.size() > options_.max_values) {
-        vals.resize(options_.max_values);
-      }
-      prepared->values[c] = std::move(vals);
+    std::vector<std::string> vals = table.column(c).DistinctStrings();
+    if (options_.max_values > 0 && vals.size() > options_.max_values) {
+      vals.resize(options_.max_values);
     }
-    if (cp != nullptr && profile->spec().num_bins == options_.num_bins &&
-        cp->CapsEquivalent(options_.max_values,
-                           profile->spec().histogram_cap)) {
-      prepared->hists[c] = cp->histogram();
-    } else {
-      prepared->hists[c] = QuantileHistogram::Build(
-          ValuesToPoints(prepared->values[c]), options_.num_bins);
-    }
+    prepared->values[c] = std::move(vals);
+    prepared->hists[c] = QuantileHistogram::Build(
+        ValuesToPoints(prepared->values[c]), options_.num_bins);
   }
   return PreparedTablePtr(std::move(prepared));
 }

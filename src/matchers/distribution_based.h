@@ -50,8 +50,7 @@ class DistributionBasedMatcher : public ColumnMatcher {
   /// column. The θ1/θ2 sweep (Dist#1 vs Dist#2) shares one artifact.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override;
+      const Table& table, const MatchContext& context) const override;
   /// Pair artifact: the phase-1 EMD of every cross-table column pair,
   /// which no θ depends on. Phase 2, cluster selection and ranking stay
   /// in Score.

@@ -56,9 +56,7 @@ std::string EmbdiMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> EmbdiMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
-  (void)profile;  // raw row replay: value profiles hold capped distincts
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("embdi prepare"));
   auto prepared =
       std::make_shared<EmbdiPrepared>(&table, Name(), PrepareKey());

@@ -59,8 +59,7 @@ class EmbdiMatcher : public ColumnMatcher {
   /// build. Keyed on the row cap; every other option is score-stage.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override;
+      const Table& table, const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
       const PreparedPair* pair, const MatchContext& context) const override;

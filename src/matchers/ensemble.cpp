@@ -71,14 +71,12 @@ std::string EnsembleMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> EnsembleMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
+    const Table& table, const MatchContext& context) const {
   auto prepared =
       std::make_shared<EnsemblePrepared>(&table, Name(), PrepareKey());
   prepared->members.reserve(members_.size());
   for (const auto& member : members_) {
-    Result<PreparedTablePtr> artifact =
-        member->Prepare(table, profile, context);
+    Result<PreparedTablePtr> artifact = member->Prepare(table, context);
     VALENTINE_RETURN_NOT_OK(artifact.status());
     prepared->members.push_back(std::move(*artifact));
   }

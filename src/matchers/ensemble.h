@@ -50,8 +50,7 @@ class EnsembleMatcher : public ColumnMatcher {
   /// artifact is only served to an ensemble with the same member lineup.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override;
+      const Table& table, const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
       const PreparedPair* pair, const MatchContext& context) const override;

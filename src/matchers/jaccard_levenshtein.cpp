@@ -3,53 +3,11 @@
 #include <memory>
 #include <utility>
 
-#include "stats/column_profile.h"
 #include "text/string_similarity.h"
 
 namespace valentine {
 
 namespace {
-
-/// Capped distinct-value lists for every column, served from the table
-/// profile when its stored list covers the requested prefix (the profile
-/// list and the inline extraction start from the same first-seen order,
-/// so a served prefix is bit-identical to extracting) and extracted
-/// inline otherwise. `views[i]` points either into the profile or into
-/// `owned[i]`.
-struct ColumnValues {
-  std::vector<const std::vector<std::string>*> views;
-  std::vector<std::vector<std::string>> owned;
-};
-
-ColumnValues ExtractValues(const Table& t, const TableProfile* profile,
-                           size_t cap) {
-  ColumnValues out;
-  const size_t n = t.num_columns();
-  out.views.resize(n);
-  out.owned.resize(n);
-  const bool served = profile != nullptr && profile->Matches(t);
-  for (size_t i = 0; i < n; ++i) {
-    if (served) {
-      const ColumnProfile& p = profile->column(i);
-      if (p.CanServeDistinctPrefix(cap)) {
-        size_t len = p.DistinctPrefixLength(cap);
-        if (len == p.distinct().size()) {
-          out.views[i] = &p.distinct();
-        } else {
-          out.owned[i].assign(p.distinct().begin(),
-                              p.distinct().begin() + len);
-          out.views[i] = &out.owned[i];
-        }
-        continue;
-      }
-    }
-    std::vector<std::string> vals = t.column(i).DistinctStrings();
-    if (cap > 0 && vals.size() > cap) vals.resize(cap);
-    out.owned[i] = std::move(vals);
-    out.views[i] = &out.owned[i];
-  }
-  return out;
-}
 
 /// Per-table artifact: per column, the capped distinct list with its
 /// fuzzy-Jaccard kernel inputs (lengths, sorted hashes, folded bags).
@@ -67,16 +25,15 @@ std::string JaccardLevenshteinMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> JaccardLevenshteinMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("jaccard-levenshtein prepare"));
   auto prepared = std::make_shared<JlPrepared>(&table, Name(), PrepareKey());
-  const size_t n = table.num_columns();
-  ColumnValues vals =
-      ExtractValues(table, profile, options_.max_distinct_values);
-  prepared->columns.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    prepared->columns.push_back(FuzzyJaccardColumn::Build(*vals.views[i]));
+  const size_t cap = options_.max_distinct_values;
+  prepared->columns.reserve(table.num_columns());
+  for (const Column& c : table.columns()) {
+    std::vector<std::string> vals = c.DistinctStrings();
+    if (cap > 0 && vals.size() > cap) vals.resize(cap);
+    prepared->columns.push_back(FuzzyJaccardColumn::Build(std::move(vals)));
   }
   return PreparedTablePtr(std::move(prepared));
 }

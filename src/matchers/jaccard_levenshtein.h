@@ -52,8 +52,7 @@ class JaccardLevenshteinMatcher : public ColumnMatcher {
   /// threshold/kernel sweep shares one artifact per table.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override;
+      const Table& table, const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
       const PreparedPair* pair, const MatchContext& context) const override;

@@ -15,9 +15,7 @@ MatchResult ColumnMatcher::Match(const Table& source,
 }
 
 Result<PreparedTablePtr> ColumnMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
-  (void)profile;  // the state-less default artifact has nothing to serve
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("prepare"));
   return PreparedTablePtr(
       std::make_shared<const PreparedTable>(&table, Name(), PrepareKey()));
@@ -43,11 +41,9 @@ Result<MatchResult> ColumnMatcher::MatchWithContext(
     const Table& source, const Table& target,
     const MatchContext& context) const {
   // Pipelined matchers match by composing their two stages.
-  Result<PreparedTablePtr> prepared_source =
-      Prepare(source, /*profile=*/nullptr, context);
+  Result<PreparedTablePtr> prepared_source = Prepare(source, context);
   VALENTINE_RETURN_NOT_OK(prepared_source.status());
-  Result<PreparedTablePtr> prepared_target =
-      Prepare(target, /*profile=*/nullptr, context);
+  Result<PreparedTablePtr> prepared_target = Prepare(target, context);
   VALENTINE_RETURN_NOT_OK(prepared_target.status());
   return Score(**prepared_source, **prepared_target, /*pair=*/nullptr,
                context);

@@ -17,8 +17,6 @@
 
 namespace valentine {
 
-class TableProfile;  // stats/column_profile.h
-
 /// The six match-type capabilities of paper Table I.
 enum class MatchType {
   kAttributeOverlap,
@@ -109,15 +107,11 @@ class ColumnMatcher {
   /// but the table".
   virtual std::string PrepareKey() const { return ""; }
 
-  /// Stage 1: builds this family's immutable per-table artifact.
-  /// `profile` is an optional precomputed column profile for `table`
-  /// (the discovery store keeps one per registered table); passing one
-  /// must not change the artifact's content, only the cost of building
-  /// it. The default wraps the table in a state-less artifact, which
-  /// the default Score degrades to the monolithic path.
+  /// Stage 1: builds this family's immutable per-table artifact from
+  /// the table alone. The default wraps the table in a state-less
+  /// artifact, which the default Score degrades to the monolithic path.
   [[nodiscard]] virtual Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const;
+      const Table& table, const MatchContext& context) const;
 
   /// Optional pair stage: the work Score does for this table pair under
   /// every configuration with this Name() and PrepareKey(), built from
@@ -143,8 +137,8 @@ class ColumnMatcher {
 
   /// The monolithic hook: ranked matches for a raw table pair. Check
   /// `context` at iteration boundaries of any loop whose trip count
-  /// depends on the data. The default composes Prepare (without a
-  /// profile) and Score; monolithic matchers override it directly.
+  /// depends on the data. The default composes Prepare and Score;
+  /// monolithic matchers override it directly.
   [[nodiscard]] virtual Result<MatchResult> MatchWithContext(
       const Table& source, const Table& target,
       const MatchContext& context) const;

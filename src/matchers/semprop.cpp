@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_set>
 #include <utility>
 
-#include "stats/column_profile.h"
 #include "stats/minhash.h"
 #include "text/tokenizer.h"
 
@@ -76,8 +76,7 @@ std::string SemPropMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> SemPropMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
+    const Table& table, const MatchContext& context) const {
   auto prepared =
       std::make_shared<SemPropPrepared>(&table, Name(), PrepareKey());
   const size_t n = table.num_columns();
@@ -90,7 +89,8 @@ Result<PreparedTablePtr> SemPropMatcher::Prepare(
   }
 
   // --- Syntactic stage inputs: MinHash signatures over value sets. ---
-  auto capped_set = [&](const Column& c) {
+  prepared->sigs.reserve(n);
+  for (const Column& c : table.columns()) {
     // Cap in first-seen row order, never by iterating the unordered set:
     // hash order would make the kept subset — and the MinHash Jaccard
     // estimates built on it — nondeterministic across runs/platforms.
@@ -98,24 +98,9 @@ Result<PreparedTablePtr> SemPropMatcher::Prepare(
     if (options_.max_values > 0 && distinct.size() > options_.max_values) {
       distinct.resize(options_.max_values);
     }
-    return std::unordered_set<std::string>(distinct.begin(), distinct.end());
-  };
-  // Signatures come from the table profile when it sketched the same
-  // value set with the same number of permutations (MinHash is a pure
-  // function of the set, so a served signature is bit-identical to one
-  // built here); otherwise they are built inline as before.
-  const bool served = profile != nullptr && profile->Matches(table) &&
-                      profile->spec().minhash_hashes ==
-                          options_.minhash_hashes;
-  prepared->sigs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (served && profile->column(i).CapsEquivalent(options_.max_values,
-                                                    profile->spec().set_cap)) {
-      prepared->sigs.push_back(profile->column(i).minhash());
-    } else {
-      prepared->sigs.push_back(MinHashSignature::Build(
-          capped_set(table.column(i)), options_.minhash_hashes));
-    }
+    prepared->sigs.push_back(MinHashSignature::Build(
+        std::unordered_set<std::string>(distinct.begin(), distinct.end()),
+        options_.minhash_hashes));
   }
   return PreparedTablePtr(std::move(prepared));
 }

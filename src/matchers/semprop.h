@@ -61,8 +61,7 @@ class SemPropMatcher : public ColumnMatcher {
   /// cutoff, so one artifact serves every semantic_threshold.
   std::string PrepareKey() const override;
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override;
+      const Table& table, const MatchContext& context) const override;
   [[nodiscard]] Result<MatchResult> Score(
       const PreparedTable& source, const PreparedTable& target,
       const PreparedPair* pair, const MatchContext& context) const override;

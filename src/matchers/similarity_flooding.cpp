@@ -57,9 +57,7 @@ std::string SimilarityFloodingMatcher::PrepareKey() const {
 }
 
 Result<PreparedTablePtr> SimilarityFloodingMatcher::Prepare(
-    const Table& table, const TableProfile* profile,
-    const MatchContext& context) const {
-  (void)profile;  // schema-only: nothing a value profile could serve
+    const Table& table, const MatchContext& context) const {
   VALENTINE_RETURN_NOT_OK(context.Check("similarity-flooding prepare"));
   auto prepared = std::make_shared<SfPrepared>(&table, Name(), PrepareKey());
   prepared->graph = BuildSchemaGraph(table);

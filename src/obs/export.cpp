@@ -113,7 +113,8 @@ std::string ToTraceJsonl(const std::vector<SpanRecord>& spans) {
     for (const auto& [key, value] : span.attributes) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+      out.append("\"").append(JsonEscape(key)).append("\":\"");
+      out.append(JsonEscape(value)).append("\"");
     }
     out += "}}\n";
   }
@@ -132,7 +133,8 @@ std::string ToMetricsJson(const MetricsRegistry& metrics) {
     for (const auto& [key, value] : sample.labels) {
       if (!first_label) out += ",";
       first_label = false;
-      out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+      out.append("\"").append(JsonEscape(key)).append("\":\"");
+      out.append(JsonEscape(value)).append("\"");
     }
     out += "},\"value\":" + std::to_string(sample.value) + "}";
   }

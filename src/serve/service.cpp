@@ -183,8 +183,6 @@ std::string RenderDiscoveryResults(
           JsonValue::Number(static_cast<double>(explain->retrieved)));
     e.Set("enriched",
           JsonValue::Number(static_cast<double>(explain->enriched)));
-    e.Set("profiles_attached",
-          JsonValue::Number(static_cast<double>(explain->profiles_attached)));
     e.Set("reranked",
           JsonValue::Number(static_cast<double>(explain->reranked)));
     e.Set("survivors",

@@ -105,7 +105,7 @@ struct ServiceOptions {
   /// service), consulted once per *newly registered* table — later
   /// snapshots share the already-loaded repository entries and never
   /// touch the store — and what lets a restarted process warm up from disk
-  /// without rebuilding sketches or profiles.
+  /// without rebuilding sketches.
   ArtifactStore* store = nullptr;
 };
 

@@ -37,10 +37,6 @@ class QuantileHistogram {
   double max_value() const { return max_; }
 
  private:
-  /// Reconstruction path for the persistent discovery store
-  /// (src/io/artifact_store.*).
-  friend class DiscoveryArtifactCodec;
-
   std::vector<double> centers_;
   std::vector<double> masses_;
   double min_ = 0.0;

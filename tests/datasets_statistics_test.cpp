@@ -87,7 +87,7 @@ TEST(GeneratorDeterminismTest, SameSeedSameBytes) {
     std::string out;
     for (const Column& c : t.columns()) {
       out += c.name();
-      for (const Value& v : c.values()) out += "|" + v.AsString();
+      for (const Value& v : c.values()) out.append("|").append(v.AsString());
     }
     return out;
   };

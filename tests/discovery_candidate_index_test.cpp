@@ -341,7 +341,8 @@ TEST(SealedSegmentTest, JoinableEstimateIsPinnedAtTheThreshold) {
     Table table(name);
     Column column("values", DataType::kString);
     for (size_t v = first; v < last; ++v) {
-      column.Append(Value::String("v" + std::to_string(v)));
+      column.Append(
+          Value::String(std::string("v").append(std::to_string(v))));
     }
     EXPECT_TRUE(table.AddColumn(std::move(column)).ok());
     return table;
@@ -350,7 +351,8 @@ TEST(SealedSegmentTest, JoinableEstimateIsPinnedAtTheThreshold) {
   std::vector<std::shared_ptr<const RegisteredTable>> entries;
   for (size_t i = 0; i < 8; ++i) {
     auto entry = repository.AddTable(
-        make_table("t" + std::to_string(i), 15 * i, 15 * i + 60 + 10 * i));
+        make_table(std::string("t").append(std::to_string(i)), 15 * i,
+                   15 * i + 60 + 10 * i));
     ASSERT_TRUE(entry.ok());
     entries.push_back(*entry);
   }

@@ -69,7 +69,6 @@ TEST(TableRepositoryTest, EntriesCarryDerivedMetadata) {
   ASSERT_NE(e.artifact, nullptr);
   EXPECT_EQ(e.artifact->columns.size(), e.table.num_columns());
   EXPECT_EQ(e.name_tokens.size(), e.table.num_columns());
-  EXPECT_EQ(e.canon_names.size(), e.table.num_columns());
   EXPECT_EQ(repo.Find("t").get(), &e);
   EXPECT_EQ(repo.Find("absent"), nullptr);
 }
@@ -127,7 +126,8 @@ TEST(TableRepositoryTest, StoreRoundTripSkipsRebuilds) {
             0u);
 
   // A second repository over the same store resolves the same table by
-  // content fingerprint: hit, no rebuild, and profiles come along.
+  // content fingerprint: hit, no rebuild, and the entry shares the
+  // artifact the first registration stored.
   TableRepository second(opt);
   auto entry = second.AddTable(SmallTable("t", 1));
   ASSERT_TRUE(entry.ok());
@@ -141,7 +141,7 @@ TEST(TableRepositoryTest, StoreRoundTripSkipsRebuilds) {
                             {{"event", "build"}})
                 ->value(),
             1u);
-  EXPECT_NE((*entry)->profile, nullptr);
+  EXPECT_EQ((*entry)->artifact, first.Find("t")->artifact);
 }
 
 // tsan-labelled (VALENTINE_TSAN_TESTS): a writer mutating its own
@@ -178,7 +178,7 @@ TEST(TableRepositoryTest, SnapshotReadersNeverRaceCloneWriter) {
           touched += snap->entry(i).artifact->columns.size();
         }
         std::shared_ptr<const RegisteredTable> e = snap->Find("seed_0");
-        if (e != nullptr) touched += e->canon_names.size();
+        if (e != nullptr) touched += e->name_tokens.size();
       }
       EXPECT_GT(touched, 0u);
     });

@@ -44,20 +44,25 @@ Table SmallTable(const std::string& name, int salt) {
 /// A well-formed VDA1 file whose header says width 128 while its second
 /// column holds a 64-slot signature.
 std::string MixedWidthBytes(const Table& t) {
-  TableDiscoveryArtifact artifact = BuildDiscoveryArtifact(t, 128, false);
+  TableDiscoveryArtifact artifact = BuildDiscoveryArtifact(t, 128);
   artifact.columns[1].sketch =
       LazoSketch::Build(t.column(1).DistinctStringSet(), 64);
   return SerializeDiscoveryArtifact(artifact);
+}
+
+/// The file a store rooted at `dir` keeps t's artifact in.
+std::string ArtifactPath(const std::string& dir, const Table& t) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(TableContentFingerprint(t)));
+  return dir + "/" + hex + ".vda";
 }
 
 /// Writes `bytes` where a store keeps t's artifact.
 void PlantFile(const std::string& dir, const Table& t,
                const std::string& bytes) {
   ArtifactStore store(dir);
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(TableContentFingerprint(t)));
-  std::ofstream out(dir + "/" + hex + ".vda", std::ios::binary);
+  std::ofstream out(ArtifactPath(dir, t), std::ios::binary);
   out << bytes;
 }
 
@@ -65,167 +70,60 @@ void PlantMixedWidthFile(const std::string& dir, const Table& t) {
   PlantFile(dir, t, MixedWidthBytes(t));
 }
 
-/// t's artifact as a version 1 file would label it.
-std::string VersionOneBytes(const Table& t) {
+/// t's artifact in the layout versions 1 and 2 wrote for a table
+/// without profiles: the current bytes labelled `version`, followed by
+/// a cleared profile flag.
+std::string OldVersionBytes(const Table& t, uint32_t version) {
   std::string bytes =
-      SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128, true));
-  bytes[4] = '\x01';
-  return bytes;
-}
-
-/// A signature as the codec writes it after a profile's unset sketch
-/// flag: empty-set byte, u64 width, then every min, little-endian.
-std::string SignatureBytes(const MinHashSignature& sig) {
-  std::string out(1, sig.empty_set() ? '\x01' : '\x00');
-  auto put_u64 = [&](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<char>(v >> (8 * i)));
-    }
-  };
-  put_u64(sig.size());
-  for (uint64_t m : sig.mins()) put_u64(m);
-  return out;
+      SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128));
+  bytes[4] = static_cast<char>(version);
+  return bytes + '\x00';
 }
 
 TEST(ArtifactCodecTest, RoundTripIsByteIdentical) {
   Table t = MakeTpcdiProspect(120, 77);
   TableDiscoveryArtifact artifact =
-      BuildDiscoveryArtifact(t, /*signature_size=*/128,
-                             /*with_profiles=*/true);
+      BuildDiscoveryArtifact(t, /*signature_size=*/128);
   std::string bytes = SerializeDiscoveryArtifact(artifact);
 
   Result<TableDiscoveryArtifact> parsed = ParseDiscoveryArtifact(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
 
   // The canonical-serialization contract: serialize(parse(bytes)) is
-  // byte-identical to the original, including every profile artifact.
+  // byte-identical to the original.
   EXPECT_EQ(SerializeDiscoveryArtifact(*parsed), bytes);
   EXPECT_EQ(parsed->fingerprint, TableContentFingerprint(t));
   EXPECT_EQ(parsed->table_name, t.name());
   ASSERT_EQ(parsed->columns.size(), t.num_columns());
   EXPECT_EQ(parsed->columns[0].name, t.column(0).name());
-  EXPECT_TRUE(parsed->has_profiles);
-  ASSERT_EQ(parsed->profiles.size(), t.num_columns());
-}
-
-// Each column's signature is written once: a profile whose MinHash is
-// the column's sketch stores a flag byte instead of its 1,033 bytes,
-// and parsing copies the sketch back. Under every spec, shared or not,
-// the round trip is byte-identical and every profile keeps its MinHash.
-TEST(ArtifactCodecTest, WritesEachColumnSignatureOnce) {
-  Table t = MakeTpcdiProspect(80, 31);
-  ProfileSpec below_cap;
-  below_cap.set_cap = 5;
-  ProfileSpec narrow;
-  narrow.minhash_hashes = 64;
-  for (const ProfileSpec& spec : {ProfileSpec{}, below_cap, narrow}) {
-    const TableDiscoveryArtifact artifact =
-        BuildDiscoveryArtifact(t, 128, true, spec);
-    const std::string bytes = SerializeDiscoveryArtifact(artifact);
-    Result<TableDiscoveryArtifact> parsed = ParseDiscoveryArtifact(bytes);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-    EXPECT_EQ(SerializeDiscoveryArtifact(*parsed), bytes);
-    for (size_t i = 0; i < t.num_columns(); ++i) {
-      EXPECT_EQ(parsed->profiles[i].minhash().mins(),
-                artifact.profiles[i].minhash().mins())
-          << "minhash_hashes=" << spec.minhash_hashes << " column " << i;
-      EXPECT_EQ(parsed->profiles[i].minhash().empty_set(),
-                artifact.profiles[i].minhash().empty_set());
-    }
-  }
-
-  // Sketches of other value sets at the same width: no profile shares
-  // one, so every profile writes its own signature after the flag,
-  // 1 + 8 + 128 * 8 more bytes each.
-  const TableDiscoveryArtifact shared = BuildDiscoveryArtifact(t, 128, true);
-  TableDiscoveryArtifact unshared = shared;
-  for (size_t i = 0; i < t.num_columns(); ++i) {
-    const Column& other = t.column((i + 1) % t.num_columns());
-    unshared.columns[i].sketch =
-        LazoSketch::Build(other.DistinctStringSet(), 128);
-    unshared.columns[i].sketch.cardinality =
-        shared.columns[i].sketch.cardinality;
-    ASSERT_NE(unshared.columns[i].sketch.signature.mins(),
-              shared.profiles[i].minhash().mins());
-  }
-  EXPECT_EQ(SerializeDiscoveryArtifact(unshared).size() -
-                SerializeDiscoveryArtifact(shared).size(),
-            t.num_columns() * size_t{1033});
-  Result<TableDiscoveryArtifact> reparsed =
-      ParseDiscoveryArtifact(SerializeDiscoveryArtifact(unshared));
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed->profiles[0].minhash().mins(),
-            shared.profiles[0].minhash().mins());
 }
 
 TEST(ArtifactCodecTest, SerializationIsDeterministicAcrossBuilds) {
   Table t = SmallTable("det", 3);
-  std::string a = SerializeDiscoveryArtifact(
-      BuildDiscoveryArtifact(t, 128, /*with_profiles=*/true));
-  std::string b = SerializeDiscoveryArtifact(
-      BuildDiscoveryArtifact(t, 128, /*with_profiles=*/true));
+  std::string a = SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128));
+  std::string b = SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128));
   EXPECT_EQ(a, b);
 }
 
-TEST(ArtifactCodecTest, LoadedProfileServesLikeFreshBuild) {
-  Table t = MakeTpcdiProspect(100, 5);
-  TableDiscoveryArtifact artifact = BuildDiscoveryArtifact(t, 128, true);
-  Result<TableDiscoveryArtifact> parsed =
-      ParseDiscoveryArtifact(SerializeDiscoveryArtifact(artifact));
-  ASSERT_TRUE(parsed.ok());
-  std::shared_ptr<const TableProfile> loaded =
-      TableProfileFromArtifact(*parsed);
-  ASSERT_NE(loaded, nullptr);
-  TableProfile fresh = TableProfile::Build(t, ProfileSpec{});
-  ASSERT_EQ(loaded->num_columns(), fresh.num_columns());
-  for (size_t i = 0; i < fresh.num_columns(); ++i) {
-    const ColumnProfile& l = loaded->column(i);
-    const ColumnProfile& f = fresh.column(i);
-    EXPECT_EQ(l.distinct(), f.distinct());
-    EXPECT_EQ(l.full_distinct_count(), f.full_distinct_count());
-    EXPECT_EQ(l.distinct_set(), f.distinct_set());
-    EXPECT_EQ(l.minhash().mins(), f.minhash().mins());
-    EXPECT_EQ(l.minhash().empty_set(), f.minhash().empty_set());
-    EXPECT_EQ(l.histogram().centers(), f.histogram().centers());
-    EXPECT_EQ(l.histogram().masses(), f.histogram().masses());
-    EXPECT_EQ(l.name_tokens(), f.name_tokens());
-    EXPECT_DOUBLE_EQ(l.numeric_fraction(), f.numeric_fraction());
-  }
-}
-
-// A column's sketch is its profile's MinHash only when that signature
-// covers the whole value set at the sketch's width; under every spec it
-// equals the sketch of the column's value set.
-TEST(ArtifactCodecTest, SketchesEqualValueSetSketchesUnderAnySpec) {
+// Each column's sketch is the Lazo sketch of its distinct value set.
+TEST(ArtifactCodecTest, SketchesEqualValueSetSketches) {
   Table t = MakeTpcdiProspect(80, 31);
-  ProfileSpec below_cap;
-  below_cap.set_cap = 5;
-  ProfileSpec uncapped;
-  uncapped.set_cap = 0;
-  ProfileSpec narrow;
-  narrow.minhash_hashes = 64;
-  for (const ProfileSpec& spec : {ProfileSpec{}, below_cap, uncapped, narrow}) {
-    for (bool with_profiles : {true, false}) {
-      TableDiscoveryArtifact artifact =
-          BuildDiscoveryArtifact(t, 128, with_profiles, spec);
-      ASSERT_EQ(artifact.columns.size(), t.num_columns());
-      for (size_t i = 0; i < t.num_columns(); ++i) {
-        const LazoSketch want =
-            LazoSketch::Build(t.column(i).DistinctStringSet(), 128);
-        const LazoSketch& got = artifact.columns[i].sketch;
-        EXPECT_EQ(got.signature.mins(), want.signature.mins())
-            << "set_cap=" << spec.set_cap << " column " << i;
-        EXPECT_EQ(got.signature.empty_set(), want.signature.empty_set());
-        EXPECT_EQ(got.cardinality, want.cardinality);
-      }
-    }
+  TableDiscoveryArtifact artifact = BuildDiscoveryArtifact(t, 128);
+  ASSERT_EQ(artifact.columns.size(), t.num_columns());
+  for (size_t i = 0; i < t.num_columns(); ++i) {
+    const LazoSketch want =
+        LazoSketch::Build(t.column(i).DistinctStringSet(), 128);
+    const LazoSketch& got = artifact.columns[i].sketch;
+    EXPECT_EQ(got.signature.mins(), want.signature.mins()) << "column " << i;
+    EXPECT_EQ(got.signature.empty_set(), want.signature.empty_set());
+    EXPECT_EQ(got.cardinality, want.cardinality);
   }
 }
 
 TEST(ArtifactCodecTest, RejectsCorruptBytes) {
   Table t = SmallTable("corrupt", 1);
   std::string bytes =
-      SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128, true));
+      SerializeDiscoveryArtifact(BuildDiscoveryArtifact(t, 128));
 
   // Truncation at any of several depths must yield ParseError.
   for (size_t cut : {size_t{0}, size_t{3}, size_t{7}, size_t{20},
@@ -251,38 +149,23 @@ TEST(ArtifactCodecTest, RejectsCorruptBytes) {
   // A column whose signature width differs from the header's.
   EXPECT_EQ(ParseDiscoveryArtifact(MixedWidthBytes(t)).status().code(),
             StatusCode::kParseError);
-  // A version 1 file, which wrote every signature twice.
-  Result<TableDiscoveryArtifact> v1 =
-      ParseDiscoveryArtifact(VersionOneBytes(t));
-  EXPECT_EQ(v1.status().code(), StatusCode::kParseError);
-  EXPECT_NE(v1.status().message().find("unsupported version 1"),
-            std::string::npos);
-
-  // A set sketch flag on a profile whose spec builds another width: the
-  // first profile of a 64-slot spec under 128-slot sketches, its unset
-  // flag and own signature replaced by a set flag.
-  ProfileSpec narrow;
-  narrow.minhash_hashes = 64;
-  const TableDiscoveryArtifact artifact =
-      BuildDiscoveryArtifact(t, 128, true, narrow);
-  std::string flagged = SerializeDiscoveryArtifact(artifact);
-  const std::string own =
-      std::string(1, '\x00') + SignatureBytes(artifact.profiles[0].minhash());
-  const size_t at = flagged.find(own);
-  ASSERT_NE(at, std::string::npos);
-  flagged.replace(at, own.size(), std::string(1, '\x01'));
-  Result<TableDiscoveryArtifact> wrong_width = ParseDiscoveryArtifact(flagged);
-  EXPECT_EQ(wrong_width.status().code(), StatusCode::kParseError);
-  EXPECT_NE(wrong_width.status().message().find("another width"),
-            std::string::npos)
-      << wrong_width.status().message();
+  // Version 1 and 2 files, which also carried column profiles.
+  for (uint32_t version : {1u, 2u}) {
+    Result<TableDiscoveryArtifact> old =
+        ParseDiscoveryArtifact(OldVersionBytes(t, version));
+    EXPECT_EQ(old.status().code(), StatusCode::kParseError);
+    const std::string want =
+        std::string("unsupported version ").append(std::to_string(version));
+    EXPECT_NE(old.status().message().find(want), std::string::npos)
+        << old.status().message();
+  }
 }
 
 TEST(ArtifactStoreTest, PutGetRemoveRoundTrip) {
   ArtifactStore store(FreshDir("roundtrip"));
   Table t = SmallTable("rt", 2);
   auto artifact = std::make_shared<const TableDiscoveryArtifact>(
-      BuildDiscoveryArtifact(t, 128, true));
+      BuildDiscoveryArtifact(t, 128));
   const uint64_t fp = artifact->fingerprint;
 
   EXPECT_FALSE(store.Contains(fp));
@@ -318,7 +201,7 @@ TEST(ArtifactStoreTest, CorruptFileSurfacesAsParseError) {
   ArtifactStore store(dir);
   Table t = SmallTable("cf", 9);
   auto artifact = std::make_shared<const TableDiscoveryArtifact>(
-      BuildDiscoveryArtifact(t, 128, false));
+      BuildDiscoveryArtifact(t, 128));
   ASSERT_TRUE(store.Put(artifact).ok());
   store.DropMemoryCache();
 
@@ -350,8 +233,8 @@ TEST(ArtifactStoreTest, ColdRestartReproducesRankingsWithoutRebuilds) {
     opt.metrics = &metrics;
     DiscoveryEngine engine(std::move(opt));
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(
-          engine.AddTable(SmallTable("t" + std::to_string(i), i % 3)).ok());
+      const std::string name = std::string("t").append(std::to_string(i));
+      ASSERT_TRUE(engine.AddTable(SmallTable(name, i % 3)).ok());
     }
     EXPECT_EQ(metrics
                   .CounterFor("valentine_discovery_store_total",
@@ -373,8 +256,8 @@ TEST(ArtifactStoreTest, ColdRestartReproducesRankingsWithoutRebuilds) {
     opt.metrics = &metrics;
     DiscoveryEngine engine(std::move(opt));
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(
-          engine.AddTable(SmallTable("t" + std::to_string(i), i % 3)).ok());
+      const std::string name = std::string("t").append(std::to_string(i));
+      ASSERT_TRUE(engine.AddTable(SmallTable(name, i % 3)).ok());
     }
     EXPECT_EQ(metrics
                   .CounterFor("valentine_discovery_store_total",
@@ -403,7 +286,7 @@ TEST(ArtifactStoreTest, StaleArtifactIsRebuiltNotServed) {
   {
     ArtifactStore store(dir);
     auto artifact = std::make_shared<const TableDiscoveryArtifact>(
-        BuildDiscoveryArtifact(t, /*signature_size=*/32, false));
+        BuildDiscoveryArtifact(t, /*signature_size=*/32));
     ASSERT_TRUE(store.Put(artifact).ok());
   }
   {
@@ -457,27 +340,34 @@ TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByEngine) {
   }
 }
 
-// A version 1 file is not served: registration rebuilds it and writes
-// the current version in its place.
+// Version 1 and 2 files are not served: registration rebuilds each and
+// writes the current version in its place.
 TEST(ArtifactStoreTest, VersionOneFileIsRebuiltByEngine) {
-  std::string dir = FreshDir("version_one");
-  Table t = SmallTable("v1_t", 7);
-  PlantFile(dir, t, VersionOneBytes(t));
-  ArtifactStore store(dir);
-  MetricsRegistry metrics;
-  DiscoveryOptions opt;
-  opt.store = &store;
-  opt.metrics = &metrics;
-  DiscoveryEngine engine(std::move(opt));
-  ASSERT_TRUE(engine.AddTable(t).ok());
-  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
-                                 {{"event", "build"}}),
-            1u);
-  EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
-                                 {{"event", "hit"}}),
-            0u);
-  ArtifactStore reopened(dir);
-  EXPECT_TRUE(reopened.Get(TableContentFingerprint(t)).ok());
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "version " << version);
+    std::string dir = FreshDir("old_version");
+    Table t = SmallTable("old_t", 7);
+    PlantFile(dir, t, OldVersionBytes(t, version));
+    ArtifactStore store(dir);
+    MetricsRegistry metrics;
+    DiscoveryOptions opt;
+    opt.store = &store;
+    opt.metrics = &metrics;
+    DiscoveryEngine engine(std::move(opt));
+    ASSERT_TRUE(engine.AddTable(t).ok());
+    EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                   {{"event", "build"}}),
+              1u);
+    EXPECT_EQ(metrics.CounterValue("valentine_discovery_store_total",
+                                   {{"event", "hit"}}),
+              0u);
+    std::ifstream in(ArtifactPath(dir, t), std::ios::binary);
+    const std::string rewritten((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+    ASSERT_GE(rewritten.size(), 8u);
+    EXPECT_EQ(rewritten.substr(4, 4), std::string("\x03\x00\x00\x00", 4));
+    EXPECT_TRUE(ParseDiscoveryArtifact(rewritten).ok());
+  }
 }
 
 TEST(ArtifactStoreTest, MixedWidthFileIsRebuiltByService) {
@@ -515,9 +405,9 @@ TEST(ArtifactStoreConcurrencyTest, ConcurrentLoadVersusQuery) {
   constexpr int kTables = 8;
   std::vector<uint64_t> fps;
   for (int i = 0; i < kTables; ++i) {
+    const std::string name = std::string("c").append(std::to_string(i));
     auto artifact = std::make_shared<const TableDiscoveryArtifact>(
-        BuildDiscoveryArtifact(SmallTable("c" + std::to_string(i), i), 128,
-                               false));
+        BuildDiscoveryArtifact(SmallTable(name, i), 128));
     fps.push_back(artifact->fingerprint);
     ASSERT_TRUE(store.Put(artifact).ok());
   }
@@ -543,9 +433,9 @@ TEST(ArtifactStoreConcurrencyTest, ConcurrentLoadVersusQuery) {
   threads.emplace_back([&store, &stop, &failures] {
     for (int round = 0; round < 20; ++round) {
       for (int i = 0; i < kTables; ++i) {
+        const std::string name = std::string("c").append(std::to_string(i));
         auto artifact = std::make_shared<const TableDiscoveryArtifact>(
-            BuildDiscoveryArtifact(SmallTable("c" + std::to_string(i), i),
-                                   128, false));
+            BuildDiscoveryArtifact(SmallTable(name, i), 128));
         if (!store.Put(std::move(artifact)).ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }

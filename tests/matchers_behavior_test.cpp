@@ -184,8 +184,8 @@ TEST(EmbdiBehaviorTest, LongerWalksNeverCrash) {
   Column cs("a", DataType::kString);
   Column ct("b", DataType::kString);
   for (int i = 0; i < 30; ++i) {
-    cs.Append(Value::String("x" + std::to_string(i % 6)));
-    ct.Append(Value::String("x" + std::to_string(i % 6)));
+    cs.Append(Value::String(std::string("x").append(std::to_string(i % 6))));
+    ct.Append(Value::String(std::string("x").append(std::to_string(i % 6))));
   }
   (void)src.AddColumn(std::move(cs));
   (void)tgt.AddColumn(std::move(ct));

@@ -495,7 +495,7 @@ Table MakeLakeTable(Rng& rng, size_t index) {
               std::to_string(rng.Index(5)));
   const size_t columns = 3 + rng.Index(7);
   for (size_t c = 0; c < columns; ++c) {
-    std::string name = "f" + std::to_string(index % 3);
+    std::string name = std::string("f").append(std::to_string(index % 3));
     const size_t tokens = 1 + rng.Index(3);
     for (size_t t = 0; t < tokens; ++t) {
       std::string word = rng.Pick(kWords);
@@ -509,7 +509,7 @@ Table MakeLakeTable(Rng& rng, size_t index) {
         default: name += "-" + word + std::to_string(rng.Index(3)); break;
       }
     }
-    name += "_" + std::to_string(c);  // unique within the table
+    name.append("_").append(std::to_string(c));  // unique within the table
     const bool numeric = rng.Bernoulli(0.4);
     Column column(name, numeric ? DataType::kInt64 : DataType::kString);
     for (size_t r = 0; r < 12; ++r) {
@@ -581,8 +581,8 @@ TEST(ComaReferenceTest, PreparedKernelsMatchPerPairFormulas) {
           // artifacts serves every aggregation and selection.
           MatchContext context;
           const ComaMatcher preparer(base);
-          auto ps = preparer.Prepare(src, nullptr, context);
-          auto pt = preparer.Prepare(tgt, nullptr, context);
+          auto ps = preparer.Prepare(src, context);
+          auto pt = preparer.Prepare(tgt, context);
           ASSERT_TRUE(ps.ok() && pt.ok());
           for (ComaAggregation agg :
                {ComaAggregation::kMax, ComaAggregation::kMin,

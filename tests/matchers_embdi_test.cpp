@@ -93,8 +93,9 @@ TEST(EmbdiTest, HandlesNullCells) {
   Table src("s");
   Column a("a", DataType::kString);
   for (int i = 0; i < 20; ++i) {
-    a.Append(i % 3 == 0 ? Value::Null() : Value::String("v" +
-                                                        std::to_string(i % 5)));
+    a.Append(i % 3 == 0 ? Value::Null()
+                        : Value::String(std::string("v").append(
+                              std::to_string(i % 5))));
   }
   ASSERT_TRUE(src.AddColumn(std::move(a)).ok());
   Table tgt = src;

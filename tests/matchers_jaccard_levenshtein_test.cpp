@@ -370,8 +370,8 @@ TEST(FuzzyJaccardKernelTest, PrepareScoreMatchesReferenceBitForBit) {
         opt.max_distinct_values = 0;
         JaccardLevenshteinMatcher matcher(opt);
         MatchContext context;
-        Result<PreparedTablePtr> ps = matcher.Prepare(src, nullptr, context);
-        Result<PreparedTablePtr> pt = matcher.Prepare(tgt, nullptr, context);
+        Result<PreparedTablePtr> ps = matcher.Prepare(src, context);
+        Result<PreparedTablePtr> pt = matcher.Prepare(tgt, context);
         ASSERT_TRUE(ps.ok() && pt.ok());
         Result<MatchResult> scored = matcher.Score(**ps, **pt, nullptr, context);
         ASSERT_TRUE(scored.ok());

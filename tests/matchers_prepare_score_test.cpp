@@ -1,9 +1,8 @@
 // Byte-identity contract of the staged matcher pipeline (matcher.h):
 // for every family and every grid configuration, Prepare(src) +
 // Prepare(tgt) + Score must produce the same serialized MatchResult as
-// the monolithic Match — with or without a column profile handed to
-// Prepare, matching spec or not, with or without a pair artifact shared
-// by every configuration — and Score must degrade gracefully (identical
+// the monolithic Match — with or without a pair artifact shared by every
+// configuration — and Score must degrade gracefully (identical
 // bytes, by re-preparing inline) when handed foreign or stale table or
 // pair artifacts.
 // Also covers the ArtifactCache: build-once semantics for table and pair
@@ -37,7 +36,6 @@
 #include "matchers/matcher.h"
 #include "matchers/semprop.h"
 #include "matchers/similarity_flooding.h"
-#include "stats/column_profile.h"
 
 namespace valentine {
 namespace {
@@ -118,70 +116,31 @@ const std::string& MatchBytes(const MethodFamily& family,
   return it->second;
 }
 
-// The profiles Prepare may be handed, per table: none, one built under
-// the default spec (what the discovery store serves), and one whose caps,
-// hash count and bins match no matcher default, so every consumer must
-// decline the mismatched artifacts and extract inline.
-struct ProfileInput {
-  const char* name;
-  std::shared_ptr<const TableProfile> source;
-  std::shared_ptr<const TableProfile> target;
-};
-
-std::vector<ProfileInput> ProfileInputs(const DatasetPair& pair) {
-  ProfileSpec mismatched;
-  mismatched.set_cap = 3;
-  mismatched.distinct_cap = 5;
-  mismatched.minhash_hashes = 8;
-  mismatched.num_bins = 16;
-  auto build = [](const Table& table, const ProfileSpec& spec) {
-    return std::make_shared<const TableProfile>(
-        TableProfile::Build(table, spec));
-  };
-  return {
-      {"no profile", nullptr, nullptr},
-      {"default profile", build(pair.source, {}), build(pair.target, {})},
-      {"mismatched profile", build(pair.source, mismatched),
-       build(pair.target, mismatched)},
-  };
-}
-
-// Prepare + Score == Match, bit for bit, for every configuration and
-// every profile input.
+// Prepare + Score == Match, bit for bit, for every configuration.
 TEST_P(PrepareScoreFamilyTest, PipelineMatchesMonolithicBytes) {
   const MethodFamily family = AllTestFamilies()[GetParam()];
   const DatasetPair& pair = SharedPair();
-  const std::vector<ProfileInput> inputs = ProfileInputs(pair);
   for (const ConfiguredMatcher& cm : family.grid) {
     const ColumnMatcher& m = *cm.matcher;
     const std::string& expected = MatchBytes(family, cm);
 
     MatchContext context;
-    for (const ProfileInput& input : inputs) {
-      Result<PreparedTablePtr> ps =
-          m.Prepare(pair.source, input.source.get(), context);
-      Result<PreparedTablePtr> pt =
-          m.Prepare(pair.target, input.target.get(), context);
-      ASSERT_TRUE(ps.ok()) << family.name << " " << cm.description << " "
-                           << input.name;
-      ASSERT_TRUE(pt.ok()) << family.name << " " << cm.description << " "
-                           << input.name;
-      Result<MatchResult> scored = m.Score(**ps, **pt, nullptr, context);
-      ASSERT_TRUE(scored.ok()) << family.name << " " << cm.description << " "
-                               << input.name;
-      EXPECT_EQ(ToJson(*scored), expected)
-          << family.name << " " << cm.description << " " << input.name
-          << " diverged on the prepared fast path";
+    Result<PreparedTablePtr> ps = m.Prepare(pair.source, context);
+    Result<PreparedTablePtr> pt = m.Prepare(pair.target, context);
+    ASSERT_TRUE(ps.ok()) << family.name << " " << cm.description;
+    ASSERT_TRUE(pt.ok()) << family.name << " " << cm.description;
+    Result<MatchResult> scored = m.Score(**ps, **pt, nullptr, context);
+    ASSERT_TRUE(scored.ok()) << family.name << " " << cm.description;
+    EXPECT_EQ(ToJson(*scored), expected)
+        << family.name << " " << cm.description
+        << " diverged on the prepared fast path";
 
-      // Artifacts are reusable: scoring again must not consume state.
-      // Once per configuration is enough (EmbDI retrains per Score).
-      if (input.source != nullptr) continue;
-      Result<MatchResult> again = m.Score(**ps, **pt, nullptr, context);
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(ToJson(*again), expected)
-          << family.name << " " << cm.description
-          << " diverged on artifact reuse";
-    }
+    // Artifacts are reusable: scoring again must not consume state.
+    Result<MatchResult> again = m.Score(**ps, **pt, nullptr, context);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(ToJson(*again), expected)
+        << family.name << " " << cm.description
+        << " diverged on artifact reuse";
   }
 }
 
@@ -205,7 +164,7 @@ TEST_P(PrepareScoreFamilyTest, ForeignArtifactFallsBackToIdenticalBytes) {
       << family.name << " changed bytes on a foreign artifact";
 
   // Mixed: one genuine artifact, one foreign — still a clean fallback.
-  Result<PreparedTablePtr> genuine = m.Prepare(pair.source, nullptr, context);
+  Result<PreparedTablePtr> genuine = m.Prepare(pair.source, context);
   ASSERT_TRUE(genuine.ok());
   Result<MatchResult> mixed = m.Score(**genuine, *foreign_tgt, nullptr, context);
   ASSERT_TRUE(mixed.ok());
@@ -232,8 +191,8 @@ TEST_P(PrepareScoreFamilyTest, SharedPairArtifactMatchesMonolithicBytes) {
     const ColumnMatcher& m = *cm.matcher;
     auto it = by_prepare_key.find(m.PrepareKey());
     if (it == by_prepare_key.end()) {
-      Result<PreparedTablePtr> ps = m.Prepare(pair.source, nullptr, context);
-      Result<PreparedTablePtr> pt = m.Prepare(pair.target, nullptr, context);
+      Result<PreparedTablePtr> ps = m.Prepare(pair.source, context);
+      Result<PreparedTablePtr> pt = m.Prepare(pair.target, context);
       ASSERT_TRUE(ps.ok() && pt.ok()) << family.name << " " << cm.description;
       Result<PreparedPairPtr> pp = m.PreparePair(**ps, **pt, context);
       ASSERT_TRUE(pp.ok()) << family.name << " " << cm.description;
@@ -265,8 +224,8 @@ TEST_P(PrepareScoreFamilyTest, ForeignPairArtifactFallsBackToIdenticalBytes) {
   const ColumnMatcher& m = *family.grid[0].matcher;
   const std::string& expected = MatchBytes(family, family.grid[0]);
   MatchContext context;
-  Result<PreparedTablePtr> ps = m.Prepare(pair.source, nullptr, context);
-  Result<PreparedTablePtr> pt = m.Prepare(pair.target, nullptr, context);
+  Result<PreparedTablePtr> ps = m.Prepare(pair.source, context);
+  Result<PreparedTablePtr> pt = m.Prepare(pair.target, context);
   ASSERT_TRUE(ps.ok() && pt.ok()) << family.name;
 
   // Another family's pair artifact over the same tables, and one with a
@@ -276,8 +235,8 @@ TEST_P(PrepareScoreFamilyTest, ForeignPairArtifactFallsBackToIdenticalBytes) {
   const ColumnMatcher& other =
       family.name == "Cupid" ? static_cast<const ColumnMatcher&>(distribution)
                              : cupid;
-  Result<PreparedTablePtr> other_src = other.Prepare(pair.source, nullptr, context);
-  Result<PreparedTablePtr> other_tgt = other.Prepare(pair.target, nullptr, context);
+  Result<PreparedTablePtr> other_src = other.Prepare(pair.source, context);
+  Result<PreparedTablePtr> other_tgt = other.Prepare(pair.target, context);
   ASSERT_TRUE(other_src.ok() && other_tgt.ok());
   Result<PreparedPairPtr> other_pair =
       other.PreparePair(**other_src, **other_tgt, context);
@@ -322,10 +281,10 @@ TEST(ArtifactCacheTest, BuildOnceThenServe) {
   const uint64_t fp = TableContentFingerprint(table);
 
   PreparedTablePtr first =
-      cache.GetOrPrepare(matcher, table, fp, nullptr, context);
+      cache.GetOrPrepare(matcher, table, fp, context);
   ASSERT_NE(first, nullptr);
   PreparedTablePtr second =
-      cache.GetOrPrepare(matcher, table, fp, nullptr, context);
+      cache.GetOrPrepare(matcher, table, fp, context);
   EXPECT_EQ(first.get(), second.get()) << "second lookup rebuilt";
   EXPECT_EQ(cache.size(), 1u);
 
@@ -348,8 +307,8 @@ TEST(ArtifactCacheTest, ValueKeyingServesTableCopies) {
   const uint64_t fp = TableContentFingerprint(original);
   ASSERT_EQ(TableContentFingerprint(copy), fp);
   PreparedTablePtr a =
-      cache.GetOrPrepare(matcher, original, fp, nullptr, context);
-  PreparedTablePtr b = cache.GetOrPrepare(matcher, copy, fp, nullptr, context);
+      cache.GetOrPrepare(matcher, original, fp, context);
+  PreparedTablePtr b = cache.GetOrPrepare(matcher, copy, fp, context);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.size(), 1u);
 
@@ -357,7 +316,7 @@ TEST(ArtifactCacheTest, ValueKeyingServesTableCopies) {
   Table renamed = original;
   renamed.set_name("renamed");
   PreparedTablePtr c = cache.GetOrPrepare(
-      matcher, renamed, TableContentFingerprint(renamed), nullptr, context);
+      matcher, renamed, TableContentFingerprint(renamed), context);
   ASSERT_NE(c, nullptr);
   EXPECT_NE(c.get(), a.get());
   EXPECT_EQ(cache.size(), 2u);
@@ -371,9 +330,9 @@ TEST(ArtifactCacheTest, KeysOnTheCallersFingerprint) {
   ArtifactCache cache;
   MatchContext context;
   const uint64_t before = TableContentFingerprintCalls();
-  PreparedTablePtr a = cache.GetOrPrepare(matcher, table, 1, nullptr, context);
-  PreparedTablePtr b = cache.GetOrPrepare(matcher, table, 1, nullptr, context);
-  PreparedTablePtr c = cache.GetOrPrepare(matcher, table, 2, nullptr, context);
+  PreparedTablePtr a = cache.GetOrPrepare(matcher, table, 1, context);
+  PreparedTablePtr b = cache.GetOrPrepare(matcher, table, 1, context);
+  PreparedTablePtr c = cache.GetOrPrepare(matcher, table, 2, context);
   EXPECT_EQ(TableContentFingerprintCalls(), before);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a.get(), b.get());
@@ -394,9 +353,9 @@ TEST(ArtifactCacheTest, PrepareKeyAndFamilySeparateEntries) {
 
   const uint64_t fp = TableContentFingerprint(table);
   PreparedTablePtr a =
-      cache.GetOrPrepare(jl_small, table, fp, nullptr, context);
+      cache.GetOrPrepare(jl_small, table, fp, context);
   PreparedTablePtr b =
-      cache.GetOrPrepare(jl_large, table, fp, nullptr, context);
+      cache.GetOrPrepare(jl_large, table, fp, context);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get()) << "different prepare keys shared an entry";
@@ -404,7 +363,7 @@ TEST(ArtifactCacheTest, PrepareKeyAndFamilySeparateEntries) {
 
   // Same table, another family: a third entry under its own stats row.
   SimilarityFloodingMatcher sf;
-  PreparedTablePtr c = cache.GetOrPrepare(sf, table, fp, nullptr, context);
+  PreparedTablePtr c = cache.GetOrPrepare(sf, table, fp, context);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(cache.size(), 3u);
   auto stats = cache.StatsSnapshot();
@@ -421,7 +380,7 @@ class FailingPrepareMatcher : public ColumnMatcher {
   }
   std::vector<MatchType> Capabilities() const override { return {}; }
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table&, const TableProfile*, const MatchContext&) const override {
+      const Table&, const MatchContext&) const override {
     return Status::Internal("prepare always fails");
   }
   [[nodiscard]] Result<MatchResult> MatchWithContext(
@@ -437,8 +396,8 @@ TEST(ArtifactCacheTest, FailedPrepareReturnsNullAndIsNotCached) {
   MatchContext context;
 
   const uint64_t fp = TableContentFingerprint(table);
-  EXPECT_EQ(cache.GetOrPrepare(matcher, table, fp, nullptr, context), nullptr);
-  EXPECT_EQ(cache.GetOrPrepare(matcher, table, fp, nullptr, context), nullptr);
+  EXPECT_EQ(cache.GetOrPrepare(matcher, table, fp, context), nullptr);
+  EXPECT_EQ(cache.GetOrPrepare(matcher, table, fp, context), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   auto stats = cache.StatsSnapshot();
   EXPECT_EQ(stats["FailingPrepare"].misses, 2u);
@@ -464,9 +423,9 @@ TEST(ArtifactCacheTest, ConcurrentGetOrPrepareIsSafeAndDeterministic) {
     threads.emplace_back([&, t] {
       MatchContext context;
       PreparedTablePtr ps =
-          cache.GetOrPrepare(matcher, pair.source, fp.source, nullptr, context);
+          cache.GetOrPrepare(matcher, pair.source, fp.source, context);
       PreparedTablePtr pt =
-          cache.GetOrPrepare(matcher, pair.target, fp.target, nullptr, context);
+          cache.GetOrPrepare(matcher, pair.target, fp.target, context);
       if (ps == nullptr || pt == nullptr) return;  // leaves jsons[t] empty
       Result<MatchResult> scored = matcher.Score(*ps, *pt, nullptr, context);
       if (scored.ok()) jsons[t] = ToJson(*scored);
@@ -514,9 +473,9 @@ TEST(ArtifactCacheTest, SharedCacheKeepsThesauriApart) {
   const uint64_t tgt_fp = TableContentFingerprint(tgt);
   for (const ComaMatcher* matcher : {&with_plain, &with_expanding}) {
     PreparedTablePtr ps =
-        cache.GetOrPrepare(*matcher, src, src_fp, nullptr, context);
+        cache.GetOrPrepare(*matcher, src, src_fp, context);
     PreparedTablePtr pt =
-        cache.GetOrPrepare(*matcher, tgt, tgt_fp, nullptr, context);
+        cache.GetOrPrepare(*matcher, tgt, tgt_fp, context);
     ASSERT_NE(ps, nullptr);
     ASSERT_NE(pt, nullptr);
     Result<MatchResult> scored = matcher->Score(*ps, *pt, nullptr, context);
@@ -542,16 +501,16 @@ TEST(PairArtifactTest, OtherPrepareKeyFallsBackToIdenticalBytes) {
       << "the thesauri must disagree on this pair for the test to bite";
 
   MatchContext context;
-  Result<PreparedTablePtr> plain_src = with_plain.Prepare(src, nullptr, context);
-  Result<PreparedTablePtr> plain_tgt = with_plain.Prepare(tgt, nullptr, context);
+  Result<PreparedTablePtr> plain_src = with_plain.Prepare(src, context);
+  Result<PreparedTablePtr> plain_tgt = with_plain.Prepare(tgt, context);
   ASSERT_TRUE(plain_src.ok() && plain_tgt.ok());
   Result<PreparedPairPtr> plain_pair =
       with_plain.PreparePair(**plain_src, **plain_tgt, context);
   ASSERT_TRUE(plain_pair.ok());
   ASSERT_NE(*plain_pair, nullptr);
 
-  Result<PreparedTablePtr> ps = with_expanding.Prepare(src, nullptr, context);
-  Result<PreparedTablePtr> pt = with_expanding.Prepare(tgt, nullptr, context);
+  Result<PreparedTablePtr> ps = with_expanding.Prepare(src, context);
+  Result<PreparedTablePtr> pt = with_expanding.Prepare(tgt, context);
   ASSERT_TRUE(ps.ok() && pt.ok());
   Result<MatchResult> scored =
       with_expanding.Score(**ps, **pt, plain_pair->get(), context);
@@ -576,9 +535,9 @@ TEST(ArtifactCacheTest, PairArtifactsBuildOncePerPairFamilyAndKey) {
   MatchContext context;
 
   PreparedTablePtr ps =
-      cache.GetOrPrepare(cupid, pair.source, fp.source, nullptr, context);
+      cache.GetOrPrepare(cupid, pair.source, fp.source, context);
   PreparedTablePtr pt =
-      cache.GetOrPrepare(cupid, pair.target, fp.target, nullptr, context);
+      cache.GetOrPrepare(cupid, pair.target, fp.target, context);
   ASSERT_NE(ps, nullptr);
   ASSERT_NE(pt, nullptr);
   const auto table_stats = cache.StatsSnapshot();
@@ -599,9 +558,9 @@ TEST(ArtifactCacheTest, PairArtifactsBuildOncePerPairFamilyAndKey) {
   EXPECT_EQ(PairArtifactBuilds() - before, 2u);
 
   PreparedTablePtr jl_src =
-      cache.GetOrPrepare(jl, pair.source, fp.source, nullptr, context);
+      cache.GetOrPrepare(jl, pair.source, fp.source, context);
   PreparedTablePtr jl_tgt =
-      cache.GetOrPrepare(jl, pair.target, fp.target, nullptr, context);
+      cache.GetOrPrepare(jl, pair.target, fp.target, context);
   ASSERT_NE(jl_src, nullptr);
   ASSERT_NE(jl_tgt, nullptr);
   EXPECT_EQ(cache.GetOrPreparePair(jl, *jl_src, fp.source, *jl_tgt,

@@ -235,9 +235,9 @@ TEST(RankedOutputGoldenTest, EveryFamilyRanksTheSuiteAsPinned) {
             const ColumnMatcher& m = *cm.matcher;
             const MatchContext context;
             PreparedTablePtr ps = cache.GetOrPrepare(
-                m, suite[p].source, fingerprints[p].source, nullptr, context);
+                m, suite[p].source, fingerprints[p].source, context);
             PreparedTablePtr pt = cache.GetOrPrepare(
-                m, suite[p].target, fingerprints[p].target, nullptr, context);
+                m, suite[p].target, fingerprints[p].target, context);
             if (ps == nullptr || pt == nullptr) {
               return Status::Internal("prepare failed");
             }

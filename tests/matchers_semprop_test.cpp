@@ -75,7 +75,9 @@ TEST(SemPropTest, SemanticStageRelatesLinkedColumns) {
 TEST(SemPropTest, SyntacticFallbackOnValueOverlap) {
   // No ontology: only MinHash value overlap can produce matches.
   std::vector<std::string> shared;
-  for (int i = 0; i < 50; ++i) shared.push_back("v" + std::to_string(i));
+  for (int i = 0; i < 50; ++i) {
+    shared.push_back(std::string("v").append(std::to_string(i)));
+  }
   Table src = MakeValuedTable("s", {{"left", std::vector<std::string>(shared)}});
   Table tgt = MakeValuedTable("t", {{"right", std::vector<std::string>(shared)}});
   SemPropMatcher m(nullptr);
@@ -129,8 +131,8 @@ TEST(SemPropTest, SemanticThresholdIsAppliedAtScore) {
   prepare_opt.semantic_threshold = 0.5;
   SemPropMatcher preparer(&efo, prepare_opt);
   MatchContext context;
-  Result<PreparedTablePtr> ps = preparer.Prepare(assays, nullptr, context);
-  Result<PreparedTablePtr> pt = preparer.Prepare(other, nullptr, context);
+  Result<PreparedTablePtr> ps = preparer.Prepare(assays, context);
+  Result<PreparedTablePtr> pt = preparer.Prepare(other, context);
   ASSERT_TRUE(ps.ok());
   ASSERT_TRUE(pt.ok());
 

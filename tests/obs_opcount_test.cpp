@@ -187,33 +187,13 @@ TEST(OpCount, MinHashCountsHashEvaluations) {
 TEST(OpCount, DiscoveryArtifactSketchesEachColumnOnce) {
   if (!opcount::kEnabled) GTEST_SKIP() << "opcounts compiled out";
   const Table t = MakeTpcdiProspect(60, 7);
-  constexpr size_t kSetCap = 5;
   size_t distinct = 0;
-  size_t capped_builds = 0;  // hashed values under a set_cap of kSetCap
-  for (const Column& c : t.columns()) {
-    const size_t d = c.DistinctStringSet().size();
-    distinct += d;
-    capped_builds += d <= kSetCap ? d : kSetCap + d;
-  }
-  ASSERT_GT(capped_builds, distinct);  // some column exceeds the cap
+  for (const Column& c : t.columns()) distinct += c.DistinctStringSet().size();
 
-  // The profile's MinHash covers the whole set at the sketch's width,
-  // so it is the column sketch: one build per column, profiled or not.
-  opcount::Snapshot before = opcount::ThreadSnapshot();
-  BuildDiscoveryArtifact(t, 128, /*with_profiles=*/true);
+  // One MinHash build per column over its whole distinct set.
+  const opcount::Snapshot before = opcount::ThreadSnapshot();
+  BuildDiscoveryArtifact(t, 128);
   EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes), distinct * 128);
-  before = opcount::ThreadSnapshot();
-  BuildDiscoveryArtifact(t, 128, /*with_profiles=*/false);
-  EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes), distinct * 128);
-
-  // A profile capped below a column's distinct count hashed only a
-  // prefix, so every column is sketched again in full.
-  ProfileSpec spec;
-  spec.set_cap = kSetCap;
-  before = opcount::ThreadSnapshot();
-  BuildDiscoveryArtifact(t, 128, /*with_profiles=*/true, spec);
-  EXPECT_EQ(Delta(before).value(opcount::Op::kMinHashHashes),
-            capped_builds * 128);
 }
 
 TEST(OpCount, EmdCountsSweepIterations) {

@@ -201,10 +201,9 @@ class PrepareLoggingComa : public ComaMatcher {
       : ComaMatcher(InstancesOptions()), log_(log) {}
 
   [[nodiscard]] Result<PreparedTablePtr> Prepare(
-      const Table& table, const TableProfile* profile,
-      const MatchContext& context) const override {
+      const Table& table, const MatchContext& context) const override {
     log_->Record(table.name());
-    return ComaMatcher::Prepare(table, profile, context);
+    return ComaMatcher::Prepare(table, context);
   }
 
  private:

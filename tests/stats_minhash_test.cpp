@@ -14,7 +14,9 @@ namespace {
 
 std::unordered_set<std::string> MakeSet(int lo, int hi) {
   std::unordered_set<std::string> s;
-  for (int i = lo; i < hi; ++i) s.insert("v" + std::to_string(i));
+  for (int i = lo; i < hi; ++i) {
+    s.insert(std::string("v").append(std::to_string(i)));
+  }
   return s;
 }
 

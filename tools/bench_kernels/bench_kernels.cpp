@@ -174,9 +174,9 @@ MatchResult JlScore(LevenshteinKernel kernel) {
   JaccardLevenshteinMatcher matcher(options);
   MatchContext context;
   Result<PreparedTablePtr> src =
-      matcher.Prepare(JlPair().source, nullptr, context);
+      matcher.Prepare(JlPair().source, context);
   Result<PreparedTablePtr> tgt =
-      matcher.Prepare(JlPair().target, nullptr, context);
+      matcher.Prepare(JlPair().target, context);
   if (!src.ok() || !tgt.ok()) std::abort();
   Result<MatchResult> scored = matcher.Score(**src, **tgt, nullptr, context);
   if (!scored.ok()) std::abort();
@@ -218,9 +218,9 @@ std::vector<MatchResult> CupidGridScores() {
   const ColumnMatcher& first = *grid.family.grid[0].matcher;
   MatchContext context;
   Result<PreparedTablePtr> src =
-      first.Prepare(grid.pair.source, nullptr, context);
+      first.Prepare(grid.pair.source, context);
   Result<PreparedTablePtr> tgt =
-      first.Prepare(grid.pair.target, nullptr, context);
+      first.Prepare(grid.pair.target, context);
   if (!src.ok() || !tgt.ok()) std::abort();
   Result<PreparedPairPtr> pair = first.PreparePair(**src, **tgt, context);
   if (!pair.ok() || *pair == nullptr) std::abort();
@@ -472,9 +472,9 @@ std::vector<Kernel> MakeKernels() {
     ComaMatcher matcher;
     MatchContext context;
     Result<PreparedTablePtr> src =
-        matcher.Prepare(ComaSourceTable(), nullptr, context);
+        matcher.Prepare(ComaSourceTable(), context);
     Result<PreparedTablePtr> tgt =
-        matcher.Prepare(ComaTargetTable(), nullptr, context);
+        matcher.Prepare(ComaTargetTable(), context);
     if (!src.ok() || !tgt.ok()) std::abort();
     Result<MatchResult> scored = matcher.Score(**src, **tgt, nullptr, context);
     if (!scored.ok() || scored->size() != 100) std::abort();

@@ -1,8 +1,8 @@
 // Deliberately violating fixture for the pointer-cache-key rule: caches
-// keyed on object addresses. The first include matches the exemption
-// path's own header so the self-test can also run this file pretending
-// to be src/stats/column_profile.cpp without tripping include-hygiene.
-#include "stats/column_profile.h"
+// keyed on object addresses. The first include matches the header of
+// src/stats/minhash.cpp so the self-test can also run this file
+// pretending to be that file without tripping include-hygiene.
+#include "stats/minhash.h"
 
 #include <map>
 #include <string>

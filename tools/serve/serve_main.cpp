@@ -20,9 +20,9 @@
 //                        [--trace-buffer N]
 //
 // --store DIR attaches the persistent artifact store: table
-// registrations resolve their sketches/profiles from DIR by content
+// registrations resolve their column sketches from DIR by content
 // fingerprint (building and persisting on miss), so restarts and
-// registry rebuilds skip the expensive derivations.
+// registry rebuilds skip the sketch builds.
 //
 // --access-log PATH streams one JSONL line per completed request
 // (trace id, route, status, bytes, queue-wait, handler time); the
